@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 failed verification check, 2 argument error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -79,10 +80,11 @@ def _cmd_kernel(args) -> int:
     if args.kind == "frac":
         if args.s is None or not (0.0 < args.s < 1.0):
             return _fail_args("--kind frac requires --s in (0, 1)")
-    if args.kind == "heat" and (args.t is None or args.t <= 0):
-        return _fail_args("--kind heat requires --t > 0")
-    if args.r_min <= 0 or args.r_max <= args.r_min or args.points < 2:
-        return _fail_args("need 0 < r-min < r-max and at least 2 points")
+    # chained comparisons also reject nan and inf
+    if args.kind == "heat" and not (args.t is not None and 0 < args.t < math.inf):
+        return _fail_args("--kind heat requires a finite --t > 0")
+    if not (0 < args.r_min < args.r_max < math.inf) or args.points < 2:
+        return _fail_args("need finite 0 < r-min < r-max and at least 2 points")
     r_grid = np.linspace(args.r_min, args.r_max, args.points)
 
     if args.space == "euclid":
@@ -149,9 +151,14 @@ def _cmd_apply(args) -> int:
             points = args.x or ["0.0"]
             xs = []
             for spec_str in points:
-                coords = [float(c) for c in spec_str.split(",")]
+                try:
+                    coords = [float(c) for c in spec_str.split(",")]
+                except ValueError:
+                    return _fail_args(f"point {spec_str!r} is not a list of numbers")
                 if len(coords) != args.n:
                     return _fail_args(f"point {spec_str!r} is not {args.n}-dimensional")
+                if not all(math.isfinite(c) for c in coords):
+                    return _fail_args(f"point {spec_str!r} is not finite")
                 xs.append(np.array(coords))
             grid = None
             if args.route == "multiplier":
@@ -179,7 +186,10 @@ def _cmd_apply(args) -> int:
                         else euclid.frac_bochner_point(f, x, args.s)
                     )
                 else:
-                    val = out_grid.value_at(x)
+                    try:
+                        val = out_grid.value_at(x)
+                    except ValueError as exc:
+                        return _fail_args(str(exc))
                 rows.append(list(x) + [val])
             header = [f"x{i + 1}" for i in range(args.n)] + ["value"]
         else:
@@ -195,8 +205,8 @@ def _cmd_apply(args) -> int:
             f = reg[args.fn]
             dists = args.x_dist if args.x_dist is not None else [0.0]
             for xd in dists:
-                if xd < 0:
-                    return _fail_args("--x-dist must be nonnegative")
+                if not (math.isfinite(xd) and xd >= 0):
+                    return _fail_args("--x-dist must be finite and nonnegative")
                 val = (
                     hyperbolic.log_pointwise_h(args.n, f, xd)
                     if args.route == "pointwise"
@@ -231,10 +241,23 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _attach_points(argv: list[str]) -> list[str]:
+    """Join `--x VALUE` into `--x=VALUE` when VALUE starts with a minus sign,
+    which argparse would otherwise take for an option ("--x -0.5,0.2")."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--x" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"--x={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_points(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.command == "kernel":

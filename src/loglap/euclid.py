@@ -787,12 +787,15 @@ def log_periodization_shift(
         # paired far field: (m2/4 - m L^4 / 24) * Lap |c|^(-2), Lap r^-2 = 4 r^-4
         coef = m2 / 4.0 - m * length ** 4 / 24.0
         jr = np.arange(-600, 601)
-        j1g, j2g = np.meshgrid(jr, jr, indexing="ij")
-        far_mask = np.maximum(np.abs(j1g), np.abs(j2g)) > images
-        c1 = x[0] - length * j1g[far_mask]
-        c2 = x[1] - length * j2g[far_mask]
-        c4 = (c1 * c1 + c2 * c2) ** 2
-        pair_sum += float(np.sum(4.0 * coef / c4))
+        c2 = x[1] - length * jr
+        far_j2 = np.abs(jr) > images
+        # row by row: a 1201^2 lattice as one array costs ~67 MB of temporaries
+        for j1 in jr:
+            c1 = x[0] - length * j1
+            c4 = (c1 * c1 + c2 * c2) ** 2
+            if abs(j1) <= images:
+                c4 = c4[far_j2]
+            pair_sum += float(np.sum(4.0 * coef / c4))
     c0 = _center_cell_potential(x, length, n)
     return -cn.rho_n * m - cn.c_n * pair_sum + cn.c_n * m * c0
 

@@ -13,9 +13,8 @@ applying D to r^(-nu) K_nu(c r); the two routes are compared in the tests.
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -55,7 +54,6 @@ __all__ = [
     "kernel_norms",
     "heat_mass",
     "chapman_kolmogorov_residual",
-    "worker_count",
 ]
 
 
@@ -193,26 +191,22 @@ def heat_term_sum(n: int) -> TermSum:
     return _HEAT_SUMS[n]
 
 
-def _heat_odd(n: int, r, t) -> np.ndarray:
-    m = (n - 1) // 2
-    pref = (-1.0) ** m / (2.0 ** m * math.pi ** m)
-    t = np.asarray(t, dtype=float)
-    return pref * (4.0 * math.pi * t) ** -0.5 * heat_term_sum(n).evaluate(r, t)
-
-
-# even dimensions: singular-integral formula with x = r + u^2
-
+_K_GL_N, _K_GL_W = np.polynomial.legendre.leggauss(24)
 _EVEN_GL_N, _EVEN_GL_W = np.polynomial.legendre.leggauss(32)
 
 
-def _even_u_nodes(umax: float, panels: int = 10):
-    edges = umax * (np.linspace(0.0, 1.0, panels + 1) ** 1.5)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (_EVEN_GL_N + 1.0))
-        weights.append(half * _EVEN_GL_W)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _panels(edges, gl_nodes=_K_GL_N, gl_weights=_K_GL_W):
+    """Composite Gauss-Legendre nodes and weights on consecutive edges."""
+    edges = np.asarray(edges, dtype=float)
+    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    return (lo + half * (gl_nodes + 1.0)).ravel(), (half * gl_weights).ravel()
+
+
+# even dimensions: singular-integral formula with x = r + u^2, on a graded
+# 320-node u-rule over [0, 1] that each (r, t) scales by its own umax
+_EVEN_U, _EVEN_W = _panels(np.linspace(0.0, 1.0, 11) ** 1.5, _EVEN_GL_N, _EVEN_GL_W)
+_EVEN_CHUNK = 1 << 18  # (r, t, u) elements per temporary array
+_ANCHOR_MAX = 0.02  # below this radius values come from the axis extension
 
 
 def _stable_u_over_sqrt_sinh(u: np.ndarray) -> np.ndarray:
@@ -228,109 +222,98 @@ def _stable_u_over_sqrt_sinh(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _heat_even(n: int, r: float, t) -> np.ndarray:
-    """Heat kernel for n in {2, 4} at scalar r, vector t."""
+def _heat_even(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray:
+    """Heat kernel for n in {2, 4} at matching 1-d arrays r, t."""
     m = (n - 2) // 2
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(t)
     pref = (-1.0) ** m / (2.0 ** (m + 2.5) * math.pi ** (m + 1.5))
     lam = (2 * m + 1) ** 2 / 4.0
-    for i, ti in enumerate(t):
-        umax = math.sqrt(max(-r + math.sqrt(r * r + 200.0 * ti), 1e-8)) + 0.7
-        u, w = _even_u_nodes(umax)
-        x = r + u * u
-        base = _stable_u_over_sqrt_sinh(u) * np.exp(-x * x / (4.0 * ti))
-        sh = np.sinh(r + 0.5 * u * u)
+    out = np.empty(r.shape)
+    step = max(1, _EVEN_CHUNK // _EVEN_U.size)
+    for lo in range(0, r.size, step):
+        rc, tc = r[lo : lo + step, None], t[lo : lo + step, None]
+        umax = np.sqrt(np.maximum(-rc + np.sqrt(rc * rc + 200.0 * tc), 1e-8)) + 0.7
+        u = umax * _EVEN_U
+        u2 = u * u
+        x = rc + u2
+        # scaled: x^2 - r^2 = 2 r u^2 + u^4 leaves out the factor exp(-r^2/4t)
+        expo = 2.0 * rc * u2 + u2 * u2 if scaled else x * x
+        base = _stable_u_over_sqrt_sinh(u) * np.exp(-expo / (4.0 * tc))
+        y = rc + 0.5 * u2
+        vals = math.sqrt(2.0) * base / np.sqrt(np.sinh(y))
         if n == 2:
-            vals = math.sqrt(2.0) * x * base / np.sqrt(sh)
+            vals *= x
         else:
             # one application of (1/sinh r) d/dr under the integral sign
-            bracket = 1.0 - x * x / (2.0 * ti) - 0.5 * x / np.tanh(r + 0.5 * u * u)
-            vals = (
-                math.sqrt(2.0)
-                * base
-                / np.sqrt(sh)
-                * bracket
-                / math.sinh(r)
-            )
-        out[i] = pref * ti ** -1.5 * math.exp(-lam * ti) * float(w @ vals)
+            vals *= (1.0 - x * x / (2.0 * tc) - 0.5 * x / np.tanh(y)) / np.sinh(rc)
+        total = np.sum(vals * _EVEN_W, axis=-1) * umax[:, 0]
+        tv = t[lo : lo + step]
+        out[lo : lo + step] = pref * tv ** -1.5 * (1.0 if scaled else np.exp(-lam * tv)) * total
     return out
 
 
-def heat_kernel(n: int, r: float, t) -> float | np.ndarray:
+def _heat_raw(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray:
+    if n % 2 == 0:
+        return _heat_even(n, r, t, scaled)
+    m = (n - 1) // 2
+    pref = (-1.0) ** m / (2.0 ** m * math.pi ** m)
+    ts = heat_term_sum(n)
+    if scaled:
+        ts = TermSum(ts.terms, gauss=False)
+    return pref * (4.0 * math.pi * t) ** -0.5 * ts.evaluate(r, t)
+
+
+def _axis_anchors(r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the radii that lie below their anchor, and those anchors."""
+    idx = np.flatnonzero(r < _ANCHOR_MAX)
+    if idx.size == 0:
+        return idx, np.empty(0)
+    radii, group = np.unique(r[idx], return_inverse=True)
+    tmin = np.full(radii.size, np.inf)
+    np.minimum.at(tmin, group, t[idx])
+    anchor = np.clip(0.1 * np.sqrt(tmin), 1e-3, _ANCHOR_MAX)[group]
+    keep = r[idx] < anchor
+    return idx[keep], anchor[keep]
+
+
+def heat_kernel(n: int, r, t, scaled: bool = False) -> float | np.ndarray:
     """Heat kernel p_n(r, t) on H^n for n in {2, 3, 4, 5}.
 
-    Accepts a scalar or array t at fixed r. Values at r below 0.02 use an
-    even-quadratic extension from nearby anchors, avoiding the individually
-    singular csch powers near the axis.
+    r and t broadcast against each other; two scalars give a float. With
+    scaled=True the value is multiplied by exp(r^2/4t + (n-1)^2 t/4), which
+    cancels the shared Gaussian and spectral-gap decay and so never
+    underflows.
+
+    Values at r below 0.02 use an even-quadratic extension from anchors at
+    a and 2a, avoiding the individually singular csch powers near the axis;
+    a = 0.1 sqrt(t_min) clipped to [1e-3, 0.02], with t_min the smallest t
+    paired with that same r.
     """
     if n not in (2, 3, 4, 5):
         raise ValueError(f"dimension must be in 2..5, got {n}")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
+    r_arr, t_arr = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+    shape = np.broadcast(r_arr, t_arr).shape
+    rf, tf = np.empty(shape), np.empty(shape)
+    rf[...], tf[...] = r_arr, t_arr
+    rf, tf = rf.ravel(), tf.ravel()
+    if not np.all(tf > 0):
         raise ValueError("t must be positive")
-    if r < 0:
+    if not np.all(rf >= 0):
         raise ValueError("r must be nonnegative")
-    scalar = np.isscalar(t) or t_arr.ndim == 0
-
-    def raw(rv: float, tv):
-        if n % 2 == 1:
-            return _heat_odd(n, rv, tv)
-        return _heat_even(n, rv, tv)
-
-    tmin = float(np.min(t_arr))
-    anchor = max(1e-3, min(0.02, 0.1 * math.sqrt(tmin)))
-    if r >= anchor:
-        out = raw(r, t_arr)
-    else:
-        v1 = raw(anchor, t_arr)
-        v2 = raw(2.0 * anchor, t_arr)
+    # radii below their anchor are evaluated at the anchor a (in place) and
+    # at 2a (appended), then extended evenly: p(r) = p0 + p2 r^2
+    axis, anchor = _axis_anchors(rf, tf)
+    r_eval = np.concatenate([rf, 2.0 * anchor])
+    r_eval[axis] = anchor
+    vals = _heat_raw(n, r_eval, np.concatenate([tf, tf[axis]]), scaled)
+    out = vals[: rf.size]
+    if axis.size:
+        v1, v2 = out[axis], vals[rf.size :]
         p0 = (4.0 * v1 - v2) / 3.0
         p2 = (v1 - p0) / anchor ** 2
-        out = p0 + p2 * r * r
-    return float(out) if scalar and np.ndim(out) == 0 else (float(out[0]) if scalar else out)
-
-
-def _heat_scaled(n: int, r: float, t) -> np.ndarray:
-    """p_n(r, t) * exp(r^2/4t + (n-1)^2 t/4), free of extreme underflow.
-
-    The scaling exactly cancels the shared Gaussian/spectral-gap exponential
-    of both the kernel and the comparison envelope.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    tmin = float(np.min(t))
-    anchor = max(1e-3, min(0.02, 0.1 * math.sqrt(tmin)))
-
-    def raw(rv: float):
-        if n % 2 == 1:
-            m = (n - 1) // 2
-            pref = (-1.0) ** m / (2.0 ** m * math.pi ** m)
-            ts = heat_term_sum(n)
-            bare = TermSum(ts.terms, m2=0, gauss=False)
-            return pref * (4.0 * math.pi * t) ** -0.5 * bare.evaluate(rv, t)
-        m = (n - 2) // 2
-        pref = (-1.0) ** m / (2.0 ** (m + 2.5) * math.pi ** (m + 1.5))
-        out = np.empty_like(t)
-        for i, ti in enumerate(t):
-            umax = math.sqrt(max(-rv + math.sqrt(rv * rv + 200.0 * ti), 1e-8)) + 0.7
-            u, w = _even_u_nodes(umax)
-            x = rv + u * u
-            expo = np.exp(-(2.0 * rv * u * u + u ** 4) / (4.0 * ti))
-            base = _stable_u_over_sqrt_sinh(u) * expo
-            sh = np.sinh(rv + 0.5 * u * u)
-            if n == 2:
-                vals = math.sqrt(2.0) * x * base / np.sqrt(sh)
-            else:
-                bracket = 1.0 - x * x / (2.0 * ti) - 0.5 * x / np.tanh(rv + 0.5 * u * u)
-                vals = math.sqrt(2.0) * base / np.sqrt(sh) * bracket / math.sinh(rv)
-            out[i] = pref * ti ** -1.5 * float(w @ vals)
-        return out
-
-    if r >= anchor:
-        return raw(r)
-    v1, v2 = raw(anchor), raw(2.0 * anchor)
-    p0 = (4.0 * v1 - v2) / 3.0
-    return p0 + (v1 - p0) / anchor ** 2 * r * r
+        out[axis] = p0 + p2 * rf[axis] * rf[axis]
+    if np.ndim(r) == 0 and np.ndim(t) == 0:
+        return float(out[0])
+    return out.reshape(shape)
 
 
 def dm_envelope(n: int, r, t) -> np.ndarray | float:
@@ -356,17 +339,15 @@ def dm_ratio_scan(n: int, r_grid, t_grid) -> tuple[float, float]:
     analytically, so the scan is underflow-free even deep in the tails.
     """
     t = np.asarray(t_grid, dtype=float)
-    ratios = []
-    for r in np.asarray(r_grid, dtype=float):
-        p_scaled = _heat_scaled(n, float(r), t)
-        env_scaled = (
-            t ** (-0.5 * n)
-            * math.exp(-(n - 1) * r / 2.0)
-            * (1.0 + r + t) ** (0.5 * (n - 3))
-            * (1.0 + r)
-        )
-        ratios.append(p_scaled / env_scaled)
-    ratios = np.concatenate([np.atleast_1d(x) for x in ratios])
+    r = np.asarray(r_grid, dtype=float)[:, None]
+    p_scaled = heat_kernel(n, r, t, scaled=True)
+    env_scaled = (
+        t ** (-0.5 * n)
+        * np.exp(-(n - 1) * r / 2.0)
+        * (1.0 + r + t) ** (0.5 * (n - 3))
+        * (1.0 + r)
+    )
+    ratios = p_scaled / env_scaled
     if not np.all(np.isfinite(ratios)) or np.any(ratios <= 0):
         raise ValueError("ratio scan produced nonpositive or nonfinite values")
     return float(ratios.min()), float(ratios.max())
@@ -416,16 +397,10 @@ def frac_kernel(
     if route != "time_quadrature":
         raise ValueError(f"unknown route {route!r}")
 
-    def short(u):
-        u = np.asarray(u, dtype=float)
-        return np.asarray(heat_kernel(n, r, r * r / (4.0 * u))) * u ** (s - 1.0)
-
-    def long_time(t):
-        t = np.asarray(t, dtype=float)
-        return np.asarray(heat_kernel(n, r, t)) * t ** (-1.0 - s)
-
-    head = integrate_semiinfinite(short, 0.25 * r * r, cfg=cfg)
-    tail = integrate_semiinfinite(long_time, 1.0, cfg=cfg)
+    head = integrate_semiinfinite(
+        lambda u: heat_kernel(n, r, r * r / (4.0 * u)) * u ** (s - 1.0), 0.25 * r * r, cfg=cfg
+    )
+    tail = integrate_semiinfinite(lambda t: heat_kernel(n, r, t) * t ** (-1.0 - s), 1.0, cfg=cfg)
     if not (head.converged and tail.converged):
         raise NonConvergenceError(f"frac_kernel(n={n}, s={s}, r={r})")
     return (4.0 / (r * r)) ** s * head.value + tail.value
@@ -435,38 +410,32 @@ def frac_kernel(
 # logarithmic kernels K1 (short time) and K2 (long time)
 
 
+def _log_kernel(n: int, r: float, part: int, cfg: QuadratureConfig) -> float:
+    """K1 (part 1, short time) or K2 (part 2, long time) at one radius."""
+    if not (r > 0.0):
+        raise ValueError(f"r must be positive, got {r}")
+    if part == 1:  # short time in u = r^2/4t
+        res = integrate_semiinfinite(
+            lambda u: heat_kernel(n, r, r * r / (4.0 * u)) / u, 0.25 * r * r, cfg=cfg
+        )
+    else:
+        res = integrate_semiinfinite(lambda t: heat_kernel(n, r, t) / t, 1.0, cfg=cfg)
+    if not res.converged:
+        raise NonConvergenceError(f"log_kernels(n={n}, r={r}): K{part}")
+    return res.value
+
+
 def log_kernels(
     n: int, r: float, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> tuple[float, float]:
     """(K1, K2) = (int_0^1, int_1^inf) of p_n(r, t) dt/t, adaptively."""
-    if not (r > 0.0):
-        raise ValueError(f"r must be positive, got {r}")
-
-    def short(u):
-        u = np.asarray(u, dtype=float)
-        return np.asarray(heat_kernel(n, r, r * r / (4.0 * u))) / u
-
-    def long_time(t):
-        t = np.asarray(t, dtype=float)
-        return np.asarray(heat_kernel(n, r, t)) / t
-
-    k1 = integrate_semiinfinite(short, 0.25 * r * r, cfg=cfg)
-    k2 = integrate_semiinfinite(long_time, 1.0, cfg=cfg)
-    if not (k1.converged and k2.converged):
-        raise NonConvergenceError(f"log_kernels(n={n}, r={r})")
-    return k1.value, k2.value
+    return _log_kernel(n, r, 1, cfg), _log_kernel(n, r, 2, cfg)
 
 
-_K_GL_N, _K_GL_W = np.polynomial.legendre.leggauss(24)
-
-
-def _fixed_panels(edges: np.ndarray):
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (_K_GL_N + 1.0))
-        weights.append(half * _K_GL_W)
-    return np.concatenate(nodes), np.concatenate(weights)
+# fixed composite rules of log_kernel_values: K1 in u = r^2/4t on a + edges,
+# K2 in v = 1/t on (0, 1]
+_K1_U, _K1_W = _panels([0.0, 1.0, 3.0, 7.0, 14.0, 26.0, 45.0, 75.0])
+_K2_V, _K2_W = _panels(np.linspace(1e-9, 1.0, 9))
 
 
 def log_kernel_values(n: int, r_values) -> tuple[np.ndarray, np.ndarray]:
@@ -475,19 +444,13 @@ def log_kernel_values(n: int, r_values) -> tuple[np.ndarray, np.ndarray]:
     Used inside pointwise operators and norm integrals where the kernels are
     needed at many quadrature nodes; agrees with `log_kernels` to ~1e-8.
     """
-    r_values = np.atleast_1d(np.asarray(r_values, dtype=float))
-    k1 = np.empty_like(r_values)
-    k2 = np.empty_like(r_values)
-    for i, r in enumerate(r_values):
-        a = 0.25 * r * r
-        # K1: int_a^inf p(r, a/u) du/u, integrand decays like e^-u
-        edges = a + np.array([0.0, 1.0, 3.0, 7.0, 14.0, 26.0, 45.0, 75.0])
-        u, w = _fixed_panels(edges)
-        k1[i] = float(w @ (np.asarray(heat_kernel(n, float(r), a / u)) / u))
-        # K2: int_1^inf p/t dt with w = 1/t
-        edges2 = np.linspace(1e-9, 1.0, 9)
-        v, wv = _fixed_panels(edges2)
-        k2[i] = float(wv @ (np.asarray(heat_kernel(n, float(r), 1.0 / v)) / v))
+    r = np.atleast_1d(np.asarray(r_values, dtype=float))[:, None]
+    a = 0.25 * r * r
+    # K1: int_a^inf p(r, a/u) du/u, integrand decays like e^-u
+    u = a + _K1_U
+    k1 = np.sum(heat_kernel(n, r, a / u) / u * _K1_W, axis=-1)
+    # K2: int_1^inf p/t dt with w = 1/t
+    k2 = np.sum(heat_kernel(n, r, 1.0 / _K2_V) / _K2_V * _K2_W, axis=-1)
     return k1, k2
 
 
@@ -513,14 +476,7 @@ def log_kernels_flat(n: int, r: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# kernel tables, parallel build, asymptotic fits
-
-
-def worker_count() -> int:
-    env = os.environ.get("LOGLAP_WORKERS", "")
-    if env.strip():
-        return max(1, int(env))
-    return os.cpu_count() or 1
+# kernel tables and asymptotic fits
 
 
 @dataclass
@@ -531,6 +487,7 @@ class KernelTable:
     values: np.ndarray
     route: str
     cfg: QuadratureConfig = DEFAULT_CONFIG
+    kind: str = "frac"
 
     def __post_init__(self):
         self.r_grid = np.asarray(self.r_grid, dtype=float)
@@ -553,7 +510,7 @@ class KernelTable:
             "rel_tol": self.cfg.rel_tol,
         }
         if self.parameter is not None:
-            payload["s"] = self.parameter
+            payload["t" if self.kind == "heat" else "s"] = self.parameter
         reporting.write_json(json_path, payload)
 
 
@@ -566,34 +523,24 @@ def build_kernel_table(
     route: str = "time_quadrature",
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> KernelTable:
-    """Tabulate a radial kernel over r_grid, parallel over rows.
+    """Tabulate a radial kernel over r_grid.
 
-    kind: "frac" (needs s), "log1"/"log2", or "heat" (needs t). Row count
-    workers come from LOGLAP_WORKERS (default: cpu count); the output is
-    identical for any worker count.
+    kind: "frac" (needs s), "log1"/"log2", or "heat" (needs t). Heat tables
+    are one array evaluation; the other kinds integrate row by row.
     """
     r_grid = np.asarray(r_grid, dtype=float)
-
-    def one(r: float) -> float:
-        if kind == "frac":
-            return frac_kernel(n, s, r, route=route, cfg=cfg)
-        if kind == "log1":
-            return log_kernels(n, r, cfg=cfg)[0]
-        if kind == "log2":
-            return log_kernels(n, r, cfg=cfg)[1]
-        if kind == "heat":
-            return float(heat_kernel(n, r, t))
-        raise ValueError(f"unknown kernel kind {kind!r}")
-
-    nw = worker_count()
-    if nw == 1 or len(r_grid) < 4:
-        values = [one(float(r)) for r in r_grid]
+    if kind == "heat":
+        values = heat_kernel(n, r_grid, t)
+    elif kind == "frac":
+        values = [frac_kernel(n, s, float(r), route=route, cfg=cfg) for r in r_grid]
+    elif kind in ("log1", "log2"):
+        part = 1 if kind == "log1" else 2
+        values = [_log_kernel(n, float(r), part, cfg) for r in r_grid]
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=nw) as ex:
-            values = list(ex.map(one, [float(r) for r in r_grid]))
+        raise ValueError(f"unknown kernel kind {kind!r}")
     parameter = s if kind == "frac" else t if kind == "heat" else None
     table_route = route if kind == "frac" else "time_quadrature"
-    return KernelTable(n, parameter, r_grid, np.array(values), table_route, cfg)
+    return KernelTable(n, parameter, r_grid, np.array(values), table_route, cfg, kind)
 
 
 class IllConditionedError(ValueError):
@@ -735,6 +682,7 @@ _R_INFINITY = 16.0  # K1 * volume growth is ~ e^(-r^2/4 + (n-1)r/2): dead by 16
 POINTWISE_H_CFG = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=500)
 
 
+@functools.cache
 def _k1_tail_constant(n: int) -> float:
     """rho_n^H = |S^(n-1)| int_1^inf K1(r) sinh^(n-1) r dr + Gamma'(1)."""
     area = _sphere_area_h(n)
@@ -820,10 +768,7 @@ def log_bochner_h(
         def g(r):
             r = np.atleast_1d(np.asarray(r, dtype=float))
             avg = _geodesic_average(f, n, x_dist, r)
-            p = np.array(
-                [heat_kernel(n, float(rv), t) for rv in r]
-            )
-            return p * (fx - avg) * np.sinh(r) ** (n - 1)
+            return heat_kernel(n, r, t) * (fx - avg) * np.sinh(r) ** (n - 1)
 
         return area * integrate(g, 0.0, rmax, cfg=cfg).value
 
@@ -831,8 +776,7 @@ def log_bochner_h(
         def g(r):
             r = np.atleast_1d(np.asarray(r, dtype=float))
             avg = _geodesic_average(f, n, x_dist, r)
-            p = np.array([heat_kernel(n, float(rv), t) for rv in r])
-            return p * avg * np.sinh(r) ** (n - 1)
+            return heat_kernel(n, r, t) * avg * np.sinh(r) ** (n - 1)
 
         return area * integrate(g, 0.0, r_active, cfg=cfg).value
 
@@ -921,24 +865,23 @@ def heat_mass(n: int, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float
 
     def g(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        p = np.array([heat_kernel(n, float(rv), t) for rv in r])
-        return p * np.sinh(r) ** (n - 1)
+        return heat_kernel(n, r, t) * np.sinh(r) ** (n - 1)
 
     return area * integrate(g, 0.0, rmax, cfg=cfg).value
+
+
+_CK_R, _CK_W = _panels(np.linspace(0.0, 14.0, 29))
 
 
 def chapman_kolmogorov_residual(t: float, s: float, dist: float) -> float:
     """|int p_t(x, y) p_s(y, z) dvol(y) - p_{t+s}(d(x,z))| on H^3."""
     n = 3
-    rr, wr = _fixed_panels(np.linspace(0.0, 14.0, 29))
-    p_t = np.array([heat_kernel(n, float(r), t) for r in rr])
+    rr, wr = _CK_R, _CK_W
+    p_t = heat_kernel(n, rr, t)
     ch, sh = math.cosh(dist), math.sinh(dist)
     arg = ch * np.cosh(rr)[:, None] - sh * np.sinh(rr)[:, None] * _ANG_U[None, :]
     d = np.arccosh(np.maximum(arg, 1.0))
-    p_s = np.empty_like(d)
-    flat = d.ravel()
-    p_s = np.array([heat_kernel(n, float(v), s) for v in flat]).reshape(d.shape)
-    inner = p_s @ (_ANG_W / 2.0)
+    inner = heat_kernel(n, d, s) @ (_ANG_W / 2.0)
     total = 2.0 * math.pi * 2.0 * float(
         (wr * p_t * np.sinh(rr) ** 2) @ inner
     )

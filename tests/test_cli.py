@@ -9,18 +9,19 @@ import sys
 import pytest
 
 
-def run_cli(*args, env_extra=None):
-    import os
-
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "loglap.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
+
+
+def main_rc(*args):
+    """Exit code of loglap.cli.main run in this process."""
+    from loglap import cli
+
+    return cli.main(list(args))
 
 
 def read_rows(path):
@@ -64,16 +65,35 @@ class TestKernelCommand:
         _, rows = read_rows(out)
         assert len(rows) == 64  # default grid points per axis
 
-    def test_deterministic_across_workers(self, tmp_path):
+    def test_batched_table_matches_row_by_row(self, tmp_path):
+        # the CLI's batched heat table and one-point builds give the same bytes
+        import numpy as np
+
+        from loglap import hyperbolic
+
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = (
-            "kernel", "--space", "hyperbolic", "--kind", "frac", "--n", "3",
-            "--s", "0.5", "--r-min", "0.5", "--r-max", "4", "--points", "12",
+        res = run_cli(
+            "kernel", "--space", "hyperbolic", "--kind", "heat", "--n", "4",
+            "--t", "0.3", "--r-min", "0.005", "--r-max", "4", "--points", "12",
+            "--out", str(a),
         )
-        r1 = run_cli(*args, "--out", str(a), env_extra={"LOGLAP_WORKERS": "1"})
-        r2 = run_cli(*args, "--out", str(b), env_extra={"LOGLAP_WORKERS": "4"})
-        assert r1.returncode == 0 and r2.returncode == 0
+        assert res.returncode == 0, res.stderr
+        grid = np.linspace(0.005, 4.0, 12)
+        rows = [hyperbolic.build_kernel_table(4, "heat", [r], t=0.3).values[0] for r in grid]
+        hyperbolic.KernelTable(4, 0.3, grid, rows, "time_quadrature", kind="heat").to_csv(b)
         assert a.read_bytes() == b.read_bytes()
+        assert (tmp_path / "a.csv.json").read_bytes() == (tmp_path / "b.csv.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "bounds", [("nan", "4"), ("0.5", "inf"), ("-inf", "4"), ("0.5", "nan")]
+    )
+    def test_non_finite_radius_exits_2(self, tmp_path, bounds):
+        rc = main_rc(
+            "kernel", "--space", "hyperbolic", "--kind", "log1", "--n", "3",
+            "--r-min", bounds[0], "--r-max", bounds[1], "--points", "8",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
 
 
 class TestApplyCommand:
@@ -99,6 +119,34 @@ class TestApplyCommand:
             euclid.registry(1)["bump"], 24.0, [0.0]
         )
         assert v_point == pytest.approx(v_mult - shift, abs=1e-6)
+
+    @pytest.mark.parametrize("point", ["inf", "nan", "-inf"])
+    def test_non_finite_point_exits_2(self, tmp_path, point):
+        rc = main_rc(
+            "apply", "--space", "euclid", "--op", "log", "--fn", "gaussian",
+            "--n", "1", "--x", point, "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+
+    def test_off_grid_multiplier_exits_2(self, tmp_path):
+        rc = main_rc(
+            "apply", "--space", "euclid", "--op", "log", "--route", "multiplier",
+            "--fn", "gaussian", "--n", "1", "--x", "0.3", "--grid-points", "16",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+
+    def test_negative_point_as_separate_argument(self, tmp_path):
+        # on the 16-point grid of side 24: nodes -12 + 1.5 k
+        base = (
+            "apply", "--space", "euclid", "--op", "log", "--route", "multiplier",
+            "--fn", "gaussian", "--n", "2", "--grid-points", "16",
+        )
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main_rc(*base, "--x", "-1.5,3.0", "--out", str(a)) == 0
+        assert main_rc(*base, "--x=-1.5,3.0", "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert read_rows(a)[1][0][:2] == [-1.5, 3.0]
 
     def test_unknown_function_exits_2(self, tmp_path):
         res = run_cli(

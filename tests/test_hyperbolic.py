@@ -23,6 +23,28 @@ def p3_closed(r: float, t: float) -> float:
     )
 
 
+def even_reference(n: int, r: float, t: float) -> float:
+    """p_n(r, t), n in {2, 4}: the x = r + u^2 integral node by node."""
+    m = (n - 2) // 2
+    umax = math.sqrt(max(-r + math.sqrt(r * r + 200.0 * t), 1e-8)) + 0.7
+    gx, gw = np.polynomial.legendre.leggauss(32)
+    edges = umax * np.linspace(0.0, 1.0, 11) ** 1.5
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for g, w in zip(gx, gw):
+            u = lo + 0.5 * (hi - lo) * (g + 1.0)
+            x, y = r + u * u, r + 0.5 * u * u
+            val = math.sqrt(2.0) * u / math.sqrt(math.sinh(0.5 * u * u))
+            val *= math.exp(-x * x / (4.0 * t)) / math.sqrt(math.sinh(y))
+            if n == 2:
+                val *= x
+            else:
+                val *= (1.0 - x * x / (2.0 * t) - 0.5 * x / math.tanh(y)) / math.sinh(r)
+            total += 0.5 * (hi - lo) * w * val
+    pref = (-1.0) ** m / (2.0 ** (m + 2.5) * math.pi ** (m + 1.5))
+    return pref * t ** -1.5 * math.exp(-((2 * m + 1) ** 2) * t / 4.0) * total
+
+
 class TestTermAlgebra:
     def test_heat3_is_single_term(self):
         ts = hy.heat_term_sum(3)
@@ -111,11 +133,57 @@ class TestHeatKernel:
             for r in (0.0, 0.3, 2.0, 7.0):
                 assert np.all(np.asarray(hy.heat_kernel(n, r, t)) > 0.0)
 
+    def test_broadcast_matches_pointwise(self):
+        # 8 x 110 (r, t) pairs: more than one chunk of the even-n u-rule.
+        # Radii below the anchor take it from the smallest t of their row,
+        # so there the reference is the row evaluated at that scalar r.
+        radii = np.array([0.0, 1e-4, 0.015, 0.02, 0.1, 0.7, 2.0, 4.0])
+        times = np.geomspace(0.01, 10.0, 110)
+        for n in (2, 3, 4, 5):
+            grid = hy.heat_kernel(n, radii[:, None], times[None, :])
+            assert grid.shape == (radii.size, times.size)
+            for i, r in enumerate(radii):
+                if r < 0.02:
+                    ref = hy.heat_kernel(n, float(r), times)
+                else:
+                    ref = np.array([hy.heat_kernel(n, float(r), float(t)) for t in times])
+                assert np.all(np.abs(grid[i] - ref) <= 1e-14 * np.abs(ref))
+
+    def test_even_matches_pointwise_formula(self):
+        radii = np.array([0.05, 0.3, 1.0, 2.5, 5.0])
+        times = np.array([0.02, 0.2, 1.0, 4.0])
+        for n in (2, 4):
+            grid = hy.heat_kernel(n, radii[:, None], times[None, :])
+            ref = np.array([[even_reference(n, r, t) for t in times] for r in radii])
+            assert np.all(np.abs(grid - ref) <= 1e-12 * np.abs(ref))
+
+    def test_scalar_inputs_give_float(self):
+        for n in (2, 3):
+            assert type(hy.heat_kernel(n, 0.5, 1.0)) is float
+            assert type(hy.heat_kernel(n, 0.0, 1.0)) is float
+            assert hy.heat_kernel(n, np.array([0.5]), 1.0).shape == (1,)
+
+    def test_scaled_removes_exponential(self):
+        for n in (2, 3, 4, 5):
+            for r, t in ((0.05, 0.5), (0.5, 0.05), (2.0, 1.0), (6.0, 3.0)):
+                scale = math.exp(r * r / (4.0 * t) + (n - 1) ** 2 * t / 4.0)
+                plain = hy.heat_kernel(n, r, t) * scale
+                assert hy.heat_kernel(n, r, t, scaled=True) == pytest.approx(plain, rel=1e-12)
+
+    def test_mass_one_all_dimensions(self):
+        for n in (2, 4, 5):
+            for t in (0.01, 0.1, 1.0, 10.0):
+                assert hy.heat_mass(n, t) == pytest.approx(1.0, abs=1e-7)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             hy.heat_kernel(6, 1.0, 1.0)
         with pytest.raises(ValueError):
             hy.heat_kernel(3, 1.0, -1.0)
+        with pytest.raises(ValueError):
+            hy.heat_kernel(2, np.array([0.5, math.nan]), 1.0)
+        with pytest.raises(ValueError):
+            hy.heat_kernel(3, 1.0, np.array([1.0, math.nan]))
 
 
 class TestEnvelope:
@@ -244,13 +312,26 @@ class TestKernelTable:
         meta = json.loads((tmp_path / "table.csv.json").read_text())
         assert meta["n"] == 3 and meta["s"] == 0.5
 
-    def test_worker_env_deterministic(self, tmp_path, monkeypatch):
-        grid = np.linspace(0.5, 4.0, 8)
-        monkeypatch.setenv("LOGLAP_WORKERS", "1")
-        t1 = hy.build_kernel_table(3, "log2", grid)
-        monkeypatch.setenv("LOGLAP_WORKERS", "4")
-        t2 = hy.build_kernel_table(3, "log2", grid)
-        assert np.array_equal(t1.values, t2.values)
+    def test_heat_sidecar_records_t(self, tmp_path):
+        table = hy.build_kernel_table(3, "heat", np.linspace(0.5, 4.0, 8), t=1.0)
+        table.to_csv(tmp_path / "heat.csv")
+        meta = json.loads((tmp_path / "heat.csv.json").read_text())
+        assert meta["t"] == 1.0 and "s" not in meta
+
+    def test_batched_matches_row_by_row(self, tmp_path):
+        # a whole-grid build and one-point builds give the same bytes
+        grid = np.linspace(0.005, 4.0, 8)
+        cases = [(n, "heat", {"t": 0.3}) for n in (2, 3, 4, 5)]
+        cases.append((3, "log2", {}))
+        for n, kind, extra in cases:
+            whole = hy.build_kernel_table(n, kind, grid, **extra)
+            rows = [hy.build_kernel_table(n, kind, [r], **extra).values[0] for r in grid]
+            by_row = hy.KernelTable(n, whole.parameter, grid, rows, whole.route, kind=kind)
+            whole.to_csv(tmp_path / "a.csv")
+            by_row.to_csv(tmp_path / "b.csv")
+            for suffix in (".csv", ".csv.json"):
+                a = (tmp_path / f"a{suffix}").read_bytes()
+                assert a == (tmp_path / f"b{suffix}").read_bytes()
 
 
 class TestAsymptFit:
