@@ -16,6 +16,7 @@ compared at quadrature accuracy rather than up to an O(1/L) artifact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -180,27 +181,24 @@ class TestFunction:
             return self.support_radius
         return GAUSSIAN_TRUNCATION_RADIUS
 
+    def _radial_integral(self, power: int) -> float:
+        """int |y|^power f(y) dy over R^n for radial f."""
+        res = integrate(
+            lambda r: self.profile(r) * r ** (self.dimension - 1 + power),
+            0.0,
+            self.far_radius,
+            cfg=DEFAULT_CONFIG,
+        )
+        return sphere_area(self.dimension) * res.value
+
     def l1_norm(self) -> float:
         """Integral of f over R^n (profile is nonnegative in the registry)."""
-        area = sphere_area(self.dimension)
-        res = integrate(
-            lambda r: self.profile(r) * r ** (self.dimension - 1),
-            0.0,
-            self.far_radius,
-            cfg=DEFAULT_CONFIG,
-        )
-        return area * res.value
+        return self._radial_integral(0)
 
-    def second_moment(self, x_norm: float = 0.0) -> float:
-        """int |y - x|^2 f(y) dy for radial f, given |x|."""
-        area = sphere_area(self.dimension)
-        res = integrate(
-            lambda r: self.profile(r) * r ** (self.dimension + 1),
-            0.0,
-            self.far_radius,
-            cfg=DEFAULT_CONFIG,
-        )
-        return area * res.value + x_norm * x_norm * self.l1_norm()
+    def moments(self, x_norm: float = 0.0) -> tuple[float, float]:
+        """(int f, int |y - x|^2 f(y) dy) for radial f, given |x|."""
+        mass = self._radial_integral(0)
+        return mass, self._radial_integral(2) + x_norm * x_norm * mass
 
 
 def _gaussian_profile(rho):
@@ -496,22 +494,42 @@ def frac_pointwise(
 # ---------------------------------------------------------------------------
 # heat semigroup at a point (composite fixed rule) and Bochner routes
 
-_U_PANELS = (0.0, 1.5, 3.0, 4.5, 6.0, 8.0, 10.0, 13.0, 17.0, 22.0, 28.0, 35.0, 45.0)
+_U_PANELS = np.array([0.0, 1.5, 3.0, 4.5, 6.0, 8.0, 10.0, 13.0])
+_U_CAP = 17.0  # the Gaussian weight e^(-u^2/4) is below 5e-32 past it
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
-def _composite_nodes(umax: float) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = [], []
-    for lo, hi in zip(_U_PANELS[:-1], _U_PANELS[1:]):
-        hi_eff = min(hi, umax)
-        if hi_eff <= lo:
-            break
-        half = 0.5 * (hi_eff - lo)
-        nodes.append(lo + half * (_GL_NODES + 1.0))
-        weights.append(half * _GL_WEIGHTS)
-    if not nodes:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(nodes), np.concatenate(weights)
+@functools.cache
+def _heat_norm(n: int) -> float:
+    return (4.0 * math.pi) ** (-0.5 * n) * sphere_area(n)
+
+
+def _heat_rule(
+    f: TestFunction, x: np.ndarray, t: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Radii, weights and cutoff u_max of the heat integral at time t.
+
+    e^{t Lap} g(x) = norm int_0^inf avg g(sqrt(t) u) e^(-u^2/4) u^(n-1) du,
+    with avg the spherical average about x. The average of f vanishes past
+    u = (R + |x|) / sqrt(t), R the far radius, and is not analytic at
+    u = |R - |x|| / sqrt(t) when f has compact support of radius R, where
+    the sphere crosses the edge of the support. The 24-point Gauss-Legendre
+    panels end at the first (or at u = 17) and are split at the second. The
+    weights carry the Gaussian factor and the normalization.
+    """
+    n = f.dimension
+    xn = float(np.linalg.norm(x))
+    rt = math.sqrt(t)
+    umax = min(_U_CAP, (f.far_radius + xn) / rt)
+    edge = abs(f.support_radius - xn) / rt
+    cuts = [*_U_PANELS[_U_PANELS < umax], umax]
+    if 0.0 < edge < umax:
+        cuts = sorted([*cuts, edge])
+    cuts = np.asarray(cuts)
+    half = 0.5 * np.diff(cuts)[:, None]
+    u = (cuts[:-1, None] + half * (_GL_NODES + 1.0)).ravel()
+    w = (half * _GL_WEIGHTS).ravel() * np.exp(-0.25 * u * u) * u ** (n - 1)
+    return rt * u, _heat_norm(n) * w, umax
 
 
 def _heat_deficit(f: TestFunction, x: np.ndarray, t: float) -> float:
@@ -523,37 +541,20 @@ def _heat_deficit(f: TestFunction, x: np.ndarray, t: float) -> float:
     """
     n = f.dimension
     fx = float(f.eval_radial(np.linalg.norm(x)))
-    r_support = f.far_radius + float(np.linalg.norm(x))
-    umax = min(45.0, r_support / math.sqrt(t))
-    u, w = _composite_nodes(umax)
-    norm = (4.0 * math.pi) ** (-0.5 * n) * sphere_area(n)
-    if u.size:
-        vals = (fx - sphere_average(f, x, math.sqrt(t) * u)) * np.exp(
-            -0.25 * u * u
-        ) * u ** (n - 1)
-        core = norm * float(w @ vals)
-    else:
-        core = 0.0
-    # beyond umax the average vanishes: remainder fx * int_umax^inf ...
-    remainder = 0.0
-    if umax < 45.0:
-        remainder = fx * norm * 2.0 ** (n - 1) * upper_gamma(0.5 * n, 0.25 * umax * umax)
-    return core + remainder
+    r, w, umax = _heat_rule(f, x, t)
+    deficit = float(w @ (fx - sphere_average(f, x, r)))
+    if umax < _U_CAP:
+        # beyond umax the average vanishes: remainder fx * int_umax^inf ...
+        deficit += fx * _heat_norm(n) * 2.0 ** (n - 1) * upper_gamma(
+            0.5 * n, 0.25 * umax * umax
+        )
+    return deficit
 
 
 def _heat_value(f: TestFunction, x: np.ndarray, t: float) -> float:
     """(heat semigroup at time t applied to f)(x) for t of order 1 or larger."""
-    n = f.dimension
-    r_support = f.far_radius + float(np.linalg.norm(x))
-    umax = min(45.0, r_support / math.sqrt(t))
-    u, w = _composite_nodes(umax)
-    if not u.size:
-        return 0.0
-    norm = (4.0 * math.pi) ** (-0.5 * n) * sphere_area(n)
-    vals = sphere_average(f, x, math.sqrt(t) * u) * np.exp(-0.25 * u * u) * u ** (
-        n - 1
-    )
-    return norm * float(w @ vals)
+    r, w, _ = _heat_rule(f, x, t)
+    return float(w @ sphere_average(f, x, r))
 
 
 def _vec(fn):
@@ -566,12 +567,35 @@ def _vec(fn):
 
 _T_TAYLOR = 1e-8
 _T_FAR = 1e4
+_TAU_FAR = math.log(_T_FAR)
 
 
 def _deficit_slope(f: TestFunction, x: np.ndarray) -> float:
-    """lim_{t->0} (f(x) - e^{t Lap} f(x)) / t, from a small-t sample."""
+    """lim_{t->0} (f(x) - e^{t Lap} f(x)) / t, from two small-t samples.
+
+    The quotient is a + b t + O(t^2); Richardson extrapolation from t0 and
+    2 t0 removes b t, which near the edge of a support is 8e-4 of a at
+    t0 = 1e-6 and would bias the closed-form piece below t = 1e-8.
+    """
     t0 = 1e-6
-    return _heat_deficit(f, x, t0) / t0
+    return (
+        2.0 * _heat_deficit(f, x, t0) / t0
+        - _heat_deficit(f, x, 2.0 * t0) / (2.0 * t0)
+    )
+
+
+def _heat_far_tail(f: TestFunction, x: np.ndarray, p: float) -> float:
+    """int_{T_FAR}^inf (e^{t Lap} f)(x) t^(-1-p) dt in closed form.
+
+    Past T_FAR the semigroup is its two-term expansion
+    (4 pi t)^(-n/2) (mass - m2 / (4 t)), m2 the second moment about x.
+    """
+    n = f.dimension
+    mass, m2 = f.moments(float(np.linalg.norm(x)))
+    a = 0.5 * n + p
+    return (4.0 * math.pi) ** (-0.5 * n) * (
+        mass * _T_FAR ** (-a) / a - 0.25 * m2 * _T_FAR ** (-a - 1.0) / (a + 1.0)
+    )
 
 
 def log_bochner_point(
@@ -579,12 +603,12 @@ def log_bochner_point(
 ) -> float:
     """Logarithmic Laplacian at x from the heat-semigroup time integral.
 
-    int_0^inf (e^-t f(x) - e^{t Lap} f(x)) / t dt, split at t = 1; the far
-    tail beyond t = 1e4 uses the two-term heat expansion in closed form.
+    int_0^inf (e^-t f(x) - e^{t Lap} f(x)) / t dt, split at t = 1. Over
+    (1, 1e4) it is integrated in tau = log t, where the integrand is smooth;
+    the far tail uses the two-term heat expansion in closed form.
     """
     _check_dini(f)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = f.dimension
     fx = float(f.eval_radial(np.linalg.norm(x)))
     slope = _deficit_slope(f, x)
 
@@ -592,18 +616,13 @@ def log_bochner_point(
         deficit = slope * t if t < _T_TAYLOR else _heat_deficit(f, x, t)
         return (math.expm1(-t) * fx + deficit) / t
 
-    def tail(t: float) -> float:
-        return (math.exp(-t) * fx - _heat_value(f, x, t)) / t
+    def mid(tau: float) -> float:
+        t = math.exp(tau)
+        return math.exp(-t) * fx - _heat_value(f, x, t)
 
     head_part = integrate(_vec(head), 0.0, 1.0, cfg=cfg)
-    mid_part = integrate(_vec(tail), 1.0, _T_FAR, cfg=cfg)
-    mass = f.l1_norm()
-    m2 = f.second_moment(float(np.linalg.norm(x)))
-    heat_tail = (4.0 * math.pi) ** (-0.5 * n) * (
-        mass * (2.0 / n) * _T_FAR ** (-0.5 * n)
-        - 0.25 * m2 * (2.0 / (n + 2.0)) * _T_FAR ** (-0.5 * n - 1.0)
-    )
-    analytic = fx * exp_integral_e1(_T_FAR) - heat_tail
+    mid_part = integrate(_vec(mid), 0.0, _TAU_FAR, cfg=cfg)
+    analytic = fx * exp_integral_e1(_T_FAR) - _heat_far_tail(f, x, 0.0)
     return head_part.value + mid_part.value + analytic
 
 
@@ -613,8 +632,10 @@ def frac_bochner_point(
     """(-Laplace)^s at x via (s/Gamma(1-s)) int (f - e^{t Lap} f) t^(-1-s) dt.
 
     The short-time integrand is flattened by t = v^(1/(1-s)); below t = 1e-8
-    the deficit is linear in t to relative accuracy 1e-8 and that piece
-    integrates in closed form.
+    the deficit is its linear term and that piece integrates in closed form.
+    Past t = 1 the f(x) term gives f(x)/s, the semigroup term is integrated
+    in tau = log t up to t = 1e4, and its far tail uses the two-term heat
+    expansion in closed form.
     """
     _check_dini(f)
     if not (0.0 < s < 1.0):
@@ -629,15 +650,16 @@ def frac_bochner_point(
         deficit = slope * t if t < _T_TAYLOR else _heat_deficit(f, x, t)
         return deficit * t ** (-1.0 - s) * q * v ** (q - 1.0)
 
-    def far(t: float) -> float:
-        return (fx - _heat_value(f, x, t)) * t ** (-1.0 - s)
+    def mid(tau: float) -> float:
+        return _heat_value(f, x, math.exp(tau)) * math.exp(-s * tau)
 
     v_lo = _T_TAYLOR ** (1.0 - s)
     analytic_head = slope * _T_TAYLOR ** (1.0 - s) / (1.0 - s)
     short_part = integrate(_vec(short_sub), v_lo, 1.0, cfg=cfg)
-    far_part = integrate_semiinfinite(_vec(far), 1.0, cfg=cfg)
+    mid_part = integrate(_vec(mid), 0.0, _TAU_FAR, cfg=cfg)
+    far = fx / s - mid_part.value - _heat_far_tail(f, x, s)
     pref = s / gamma(1.0 - s)
-    return pref * (analytic_head + short_part.value + far_part.value)
+    return pref * (analytic_head + short_part.value + far)
 
 
 # ---------------------------------------------------------------------------
@@ -754,11 +776,11 @@ def log_periodization_shift(
     if f.far_radius + xn + 1.0 >= length or xn + 1.0 >= 0.5 * length:
         raise ValueError("nearest image would reach the unit ball around x")
     cn = constants(n)
-    m = f.l1_norm() / length ** n
+    mass, m2 = f.moments()
+    m = mass / length ** n
     pair_sum = 0.0
     if n == 1:
-        mass = f.l1_norm()
-        sigma2 = f.second_moment(0.0) / mass
+        sigma2 = m2 / mass
         for j in range(-images, images + 1):
             if j == 0:
                 continue
@@ -774,8 +796,6 @@ def log_periodization_shift(
                 c_j = _cell_potential_1d(x[0], sign * j, length)
                 pair_sum += i_j - m * c_j
     else:
-        mass = f.l1_norm()
-        m2 = f.second_moment(0.0)
         for j1 in range(-images, images + 1):
             for j2 in range(-images, images + 1):
                 if j1 == 0 and j2 == 0:

@@ -492,6 +492,8 @@ class KernelTable:
     def __post_init__(self):
         self.r_grid = np.asarray(self.r_grid, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
+        if not (np.all(np.isfinite(self.r_grid)) and np.all(np.isfinite(self.values))):
+            raise ValueError("r_grid and kernel values must be finite")
         if np.any(np.diff(self.r_grid) <= 0):
             raise ValueError("r_grid must be strictly increasing")
         if np.any(self.values <= 0):
@@ -831,9 +833,7 @@ def split_check(
         vol = np.sinh(r) ** (n - 1)
         if which == "near":
             return k1 * (fx - avg) * vol
-        if which == "k2_inner":
-            return k2 * avg * vol
-        if which == "k2_outer":
+        if which == "k2":
             return k2 * avg * vol
         if which == "k1_outer":
             return k1 * avg * vol
@@ -844,13 +844,13 @@ def split_check(
     k1_outer = 0.0
     if r_active > 1.0:
         far = -area * integrate(
-            lambda r: piece(r, "k2_outer"), 1.0, r_active, cfg=cfg
+            lambda r: piece(r, "k2"), 1.0, r_active, cfg=cfg
         ).value
         k1_outer = area * integrate(
             lambda r: piece(r, "k1_outer"), 1.0, r_active, cfg=cfg
         ).value
     k2_inner = area * integrate(
-        lambda r: piece(r, "k2_inner"), 0.0, min(1.0, r_active), cfg=cfg
+        lambda r: piece(r, "k2"), 0.0, min(1.0, r_active), cfg=cfg
     ).value
     rho_h = _k1_tail_constant(n)
     remainder = -k2_inner - k1_outer + rho_h * fx

@@ -10,10 +10,8 @@ continued fraction for large), and the error function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "Accuracy",
     "EULER_GAMMA",
     "euler_gamma_harmonic",
     "gamma_ln",
@@ -58,26 +56,6 @@ def euler_gamma_harmonic(n0: int = 16, levels: int = 12) -> float:
             for j in range(1, len(table))
         ]
     return table[0]
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Absolute/relative tolerance pair; at least one must be positive."""
-
-    abs_tol: float = 0.0
-    rel_tol: float = 0.0
-
-    def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.abs_tol == 0 and self.rel_tol == 0:
-            raise ValueError("at least one tolerance must be positive")
-
-    def bound_for(self, reference: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(reference))
-
-    def within(self, value: float, reference: float) -> bool:
-        return abs(value - reference) <= self.bound_for(reference)
 
 
 # Stirling series coefficients B_{2k} / (2k (2k-1)) for log Gamma.

@@ -250,6 +250,15 @@ class TestBochnerRoutes:
         b = eu.log_pointwise(bump, [0.0])
         assert a == pytest.approx(b, abs=1e-4)
 
+    # grid nodes where the heat rule once ran a Gauss-Legendre panel across
+    # the support edge and the gap reached 2e-4 to 6e-4
+    @pytest.mark.parametrize("x", [0.140625, 0.28125, 0.328125, 0.421875])
+    def test_log_matches_pointwise_across_support_edge(self, x):
+        bump = eu.registry(1)["bump"]
+        a = eu.log_bochner_point(bump, [x])
+        b = eu.log_pointwise(bump, [x])
+        assert abs(a - b) <= 1e-6 * max(abs(b), 1e-2)
+
     def test_frac_matches_pointwise_on_bump(self):
         bump = eu.registry(1)["bump"]
         a = eu.frac_bochner_point(bump, [0.0], 0.5)
@@ -264,6 +273,13 @@ class TestBochnerRoutes:
         assert eu.frac_bochner_point(gauss, [0.0], 0.5) == pytest.approx(
             math.sqrt(2.0 / math.pi), abs=1e-3
         )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("s", [0.26, 0.5, 0.74])
+    def test_frac_gaussian_chi_square_moment(self, n, s):
+        gauss = eu.registry(n)["gaussian"]
+        target = 2.0 ** s * gamma(0.5 * n + s) / gamma(0.5 * n)
+        assert abs(eu.frac_bochner_point(gauss, np.zeros(n), s) - target) <= 1e-7
 
 
 class TestPeriodizationShift:

@@ -301,6 +301,21 @@ class TestKernelTable:
         with pytest.raises(ValueError):
             hy.KernelTable(3, 0.5, [0.5, 1.0], [1.0, 2.0], "time_quadrature")
 
+    @pytest.mark.parametrize(
+        "r_grid, values",
+        [
+            ([1.0, 2.0], [math.nan, math.nan]),
+            ([1.0, 2.0], [2.0, math.nan]),
+            ([1.0, 2.0], [math.inf, 1.0]),
+            ([1.0, math.nan], [2.0, 1.0]),
+            ([1.0, math.inf], [2.0, 1.0]),
+        ],
+        ids=["nan-values", "nan-value", "inf-value", "nan-radius", "inf-radius"],
+    )
+    def test_rejects_non_finite(self, r_grid, values):
+        with pytest.raises(ValueError, match="finite"):
+            hy.KernelTable(3, None, r_grid, values, "time_quadrature")
+
     def test_build_and_serialize(self, tmp_path):
         table = hy.build_kernel_table(
             3, "frac", np.linspace(0.5, 4.0, 8), s=0.5, route="bessel_closed_form"

@@ -256,19 +256,5 @@ class TestErf:
         assert sf.erf(1.0) == pytest.approx(ERF_AT_ONE, abs=1e-13)
 
 
-class TestAccuracy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sf.Accuracy(0.0, 0.0)
-        with pytest.raises(ValueError):
-            sf.Accuracy(-1.0, 1.0)
-
-    def test_bounds(self):
-        acc = sf.Accuracy(abs_tol=1e-6, rel_tol=1e-3)
-        assert acc.bound_for(10.0) == pytest.approx(1e-2)
-        assert acc.within(10.0 + 5e-3, 10.0)
-        assert not acc.within(10.2, 10.0)
-
-
 def test_gamma_constant_oracle():
     assert abs(sf.EULER_GAMMA - sf.euler_gamma_harmonic()) <= 1e-12
