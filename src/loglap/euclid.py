@@ -26,6 +26,7 @@ import numpy as np
 from . import reporting
 from .quadrature import (
     DEFAULT_CONFIG,
+    NonConvergenceError,
     QuadratureConfig,
     SingularityHint,
     integrate,
@@ -668,65 +669,102 @@ def frac_bochner_point(
 
 _IMG_THETA = 2.0 * math.pi * (np.arange(256) + 0.5) / 256.0
 _IMG_COS = np.cos(_IMG_THETA)
+_LATTICE_BLOCK = 1 << 16  # elements per temporary array in lattice sums
 
 
 def _image_potential(
-    f: TestFunction, center: np.ndarray, power: float, cfg: QuadratureConfig
+    f: TestFunction, centers: np.ndarray, power: float, cfg: QuadratureConfig
 ) -> float:
-    """int f(y) |center - y|^(-power) dy for a center outside the support.
+    """sum_j int f(y) |c_j - y|^(-power) dy over centers c_j, shape (J, n),
+    all outside the support.
 
-    Integrated in polar coordinates around the support center, where the
-    kernel is smooth; the angular factor is resolved by a midpoint rule
-    whose error decays geometrically in rho/dist.
+    One integral over rho of the summed kernels, in polar coordinates around
+    the support center, where every kernel is smooth. In 2-D the angular
+    mean is the Poisson kernel 1/(D^2 - rho^2) for power 2, and otherwise a
+    midpoint rule whose error decays geometrically in rho/D.
     """
     n = f.dimension
-    dist = float(np.linalg.norm(center))
-    if dist - f.far_radius <= 0:
+    dist = np.linalg.norm(centers, axis=1)
+    if np.any(dist - f.far_radius <= 0):
         raise ValueError("image overlaps the support")
+    d = dist[:, None]
     if n == 1:
 
-        def g1(rho):
-            rho = np.asarray(rho, dtype=float)
-            return f.profile(rho) * (
-                (dist - rho) ** (-power) + (dist + rho) ** (-power)
-            )
+        def g(rho):
+            kern = (d - rho) ** (-power) + (d + rho) ** (-power)
+            return f.profile(rho) * np.sum(kern, axis=0)
 
-        return integrate(g1, 0.0, f.far_radius, cfg=cfg).value
+    elif power == 2.0:
 
-    def g2(rho):
-        rho = np.asarray(rho, dtype=float)
-        d2 = (
-            dist * dist
-            + rho[:, None] ** 2
-            - 2.0 * dist * rho[:, None] * _IMG_COS[None, :]
-        )
-        angular = np.mean(d2 ** (-0.5 * power), axis=1) * (2.0 * math.pi)
-        return f.profile(rho) * rho * angular
+        def g(rho):
+            return f.profile(rho) * rho * np.sum(2.0 * math.pi / (d * d - rho * rho), axis=0)
 
-    return integrate(g2, 0.0, f.far_radius, cfg=cfg).value
+    else:
+
+        def g(rho):
+            angular = np.zeros_like(rho)
+            r = rho[:, None]
+            step = max(1, _LATTICE_BLOCK // (rho.size * _IMG_COS.size))
+            for lo in range(0, dist.size, step):
+                dj = dist[lo : lo + step, None, None]
+                d2 = dj * dj + r * r - 2.0 * dj * r * _IMG_COS
+                angular += np.mean(d2 ** (-0.5 * power), axis=2).sum(axis=0)
+            return f.profile(rho) * rho * angular * (2.0 * math.pi)
+
+    res = integrate(g, 0.0, f.far_radius, cfg=cfg)
+    if not res.converged:
+        raise NonConvergenceError(f"image potential of {f.id}, power {power}")
+    return res.value
 
 
-def _cell_potential_1d(x1: float, j: int, L: float) -> float:
-    """int over cell j of |x - y|^(-1) dy in one dimension."""
+def _image_centers(x: np.ndarray, length: float, images: int) -> tuple[np.ndarray, np.ndarray]:
+    """(j, x - L j) over the nonzero lattice points j in [-images, images]^n."""
+    jr = np.arange(-images, images + 1)
+    grids = np.meshgrid(*([jr] * x.size), indexing="ij")
+    j = np.stack([g.ravel() for g in grids], axis=1)
+    j = j[np.any(j != 0, axis=1)]
+    return j, x - length * j
+
+
+def _cell_potential_1d(x1: float, j: np.ndarray, L: float) -> np.ndarray:
+    """int over cells j of |x - y|^(-1) dy in one dimension."""
     lo, hi = j * L - 0.5 * L, j * L + 0.5 * L
-    if lo > x1:
-        return math.log((hi - x1) / (lo - x1))
-    return math.log((x1 - lo) / (x1 - hi))
+    right = lo > x1
+    return np.log(np.where(right, (hi - x1) / (lo - x1), (x1 - lo) / (x1 - hi)))
 
 
 _CELL_GL = np.polynomial.legendre.leggauss(24)
 
 
-def _cell_potential_2d(x: np.ndarray, j: tuple[int, int], L: float) -> float:
-    """int over square cell j of |x - y|^(-2) dy (cell away from x)."""
+def _cell_potential_2d(x: np.ndarray, j: np.ndarray, L: float) -> float:
+    """sum over square cells j, shape (J, 2), of int |x - y|^(-2) dy (cells
+    away from x)."""
     gx, gw = _CELL_GL
-    y1 = j[0] * L + 0.5 * L * gx
-    y2 = j[1] * L + 0.5 * L * gx
+    d1 = j[:, 0, None] * L + 0.5 * L * gx - x[0]
+    d2 = j[:, 1, None] * L + 0.5 * L * gx - x[1]
+    vals = d1[:, :, None] ** 2 + d2[:, None, :] ** 2
+    np.reciprocal(vals, out=vals)
     w = 0.5 * L * gw
-    d1 = y1[:, None] - x[0]
-    d2 = y2[None, :] - x[1]
-    vals = 1.0 / (d1 * d1 + d2 * d2)
-    return float(w @ vals @ w)
+    return float(np.einsum("a,jab,b->", w, vals, w))
+
+
+def _far_lattice_sum(
+    x: np.ndarray, length: float, images: int, box: int, term: Callable
+) -> float:
+    """sum of term(|x - L j|^2) over j in [-box, box]^2 outside
+    [-images, images]^2, in blocks of rows."""
+    jr = np.arange(-box, box + 1)
+    c2 = x[1] - length * jr
+    near2 = np.abs(jr) <= images
+    rows = max(1, _LATTICE_BLOCK // jr.size)
+    total = 0.0
+    for lo in range(0, jr.size, rows):
+        j1 = jr[lo : lo + rows]
+        c1 = x[0] - length * j1
+        r2 = c1[:, None] ** 2 + c2[None, :] ** 2
+        far = ~((np.abs(j1) <= images)[:, None] & near2[None, :])
+        total += float(np.sum(term(r2[far])))
+    return total
 
 
 def _center_cell_potential(x: np.ndarray, L: float, n: int) -> float:
@@ -766,7 +804,8 @@ def log_periodization_shift(
       shift(x) = -rho_n m - c_n sum_j [I_j(x) - m C_j(x)] + c_n m C_0(x),
 
     with m the cell mean of f, I_j the image potential, C_j the cell
-    potential and C_0 the central cell minus the unit ball.
+    potential and C_0 the central cell minus the unit ball. The images
+    within the window are one integral of their summed potentials.
     """
     n = f.dimension
     if n not in (1, 2):
@@ -778,44 +817,22 @@ def log_periodization_shift(
     cn = constants(n)
     mass, m2 = f.moments()
     m = mass / length ** n
-    pair_sum = 0.0
+    j, centers = _image_centers(x, length, images)
+    images_sum = _image_potential(f, centers, float(n), cfg)
     if n == 1:
-        sigma2 = m2 / mass
-        for j in range(-images, images + 1):
-            if j == 0:
-                continue
-            center = np.array([x[0] - j * length])
-            pair_sum += _image_potential(f, center, 1.0, cfg) - m * _cell_potential_1d(
-                x[0], j, length
-            )
+        pair_sum = images_sum - m * float(np.sum(_cell_potential_1d(x[0], j[:, 0], length)))
         # quadrature images exhausted; monopole+quadrupole model beyond
-        for j in range(images + 1, 4000):
-            for sign in (1, -1):
-                c = abs(x[0] - sign * j * length)
-                i_j = mass * (1.0 / c + sigma2 / c ** 3)
-                c_j = _cell_potential_1d(x[0], sign * j, length)
-                pair_sum += i_j - m * c_j
+        sigma2 = m2 / mass
+        jf = np.arange(images + 1, 4000)
+        jf = np.concatenate([jf, -jf])
+        c = np.abs(x[0] - jf * length)
+        i_j = mass * (1.0 / c + sigma2 / c ** 3)
+        pair_sum += float(np.sum(i_j - m * _cell_potential_1d(x[0], jf, length)))
     else:
-        for j1 in range(-images, images + 1):
-            for j2 in range(-images, images + 1):
-                if j1 == 0 and j2 == 0:
-                    continue
-                center = x - length * np.array([j1, j2], dtype=float)
-                pair_sum += _image_potential(f, center, 2.0, cfg) - m * _cell_potential_2d(
-                    x, (j1, j2), length
-                )
+        pair_sum = images_sum - m * _cell_potential_2d(x, j, length)
         # paired far field: (m2/4 - m L^4 / 24) * Lap |c|^(-2), Lap r^-2 = 4 r^-4
         coef = m2 / 4.0 - m * length ** 4 / 24.0
-        jr = np.arange(-600, 601)
-        c2 = x[1] - length * jr
-        far_j2 = np.abs(jr) > images
-        # row by row: a 1201^2 lattice as one array costs ~67 MB of temporaries
-        for j1 in jr:
-            c1 = x[0] - length * j1
-            c4 = (c1 * c1 + c2 * c2) ** 2
-            if abs(j1) <= images:
-                c4 = c4[far_j2]
-            pair_sum += float(np.sum(4.0 * coef / c4))
+        pair_sum += _far_lattice_sum(x, length, images, 600, lambda r2: 4.0 * coef / (r2 * r2))
     c0 = _center_cell_potential(x, length, n)
     return -cn.rho_n * m - cn.c_n * pair_sum + cn.c_n * m * c0
 
@@ -849,32 +866,16 @@ def frac_periodization_shift(
         raise ValueError("nearest image would overlap the evaluation point")
     mass = f.l1_norm()
     a = n + 2.0 * s
-    total = 0.0
+    _, centers = _image_centers(x, length, images)
+    total = _image_potential(f, centers, a, cfg)
     if n == 1:
-        for j in range(-images, images + 1):
-            if j == 0:
-                continue
-            center = np.array([x[0] - j * length])
-            total += _image_potential(f, center, a, cfg)
         # monopole Hurwitz tails on both sides
         for sign in (1, -1):
             q0 = images + 1 + sign * (-x[0]) / length
             total += mass * length ** (-a) * _hurwitz_tail(a, q0)
     else:
-        for j1 in range(-images, images + 1):
-            for j2 in range(-images, images + 1):
-                if j1 == 0 and j2 == 0:
-                    continue
-                center = x - length * np.array([j1, j2], dtype=float)
-                total += _image_potential(f, center, a, cfg)
         box = 400
-        jr = np.arange(-box, box + 1)
-        j1g, j2g = np.meshgrid(jr, jr, indexing="ij")
-        mask = np.maximum(np.abs(j1g), np.abs(j2g)) > images
-        c1 = x[0] - length * j1g[mask]
-        c2 = x[1] - length * j2g[mask]
-        dist = np.sqrt(c1 * c1 + c2 * c2)
-        total += mass * float(np.sum(dist ** (-a)))
+        total += mass * _far_lattice_sum(x, length, images, box, lambda r2: np.sqrt(r2) ** (-a))
         # disc tail beyond the box: 2 pi int_R^inf r^(1-a) dr
         r_eff = (box + 0.5) * length
         total += mass * 2.0 * math.pi * r_eff ** (2.0 - a) / ((a - 2.0) * length ** 2)

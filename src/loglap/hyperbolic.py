@@ -26,6 +26,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     NonConvergenceError,
     QuadratureConfig,
+    _adaptive,
     integrate,
     integrate_semiinfinite,
 )
@@ -670,7 +671,7 @@ def _geodesic_average(
         w = _ANG_W / 2.0
     else:
         raise ValueError("geodesic averages implemented for n in {2, 3}")
-    arg = ch * np.cosh(r)[:, None] - sh * np.sinh(r)[:, None] * cos_t[None, :]
+    arg = ch * np.cosh(r)[..., None] - sh * np.sinh(r)[..., None] * cos_t
     d = np.arccosh(np.maximum(arg, 1.0))
     return f.profile(d) @ w
 
@@ -763,36 +764,49 @@ def log_bochner_h(
     fx = float(f.profile(np.array([x_dist]))[0])
     r_active = x_dist + f.support_radius
 
-    def deficit(t: float) -> float:
+    # the geodesic average of f is flat but not analytic at the radii where
+    # the sphere about x touches the support's boundary; the pieces between
+    # them are smooth in every row, so rows of one batch refine alike
+    edges = sorted({abs(x_dist - f.support_radius), r_active} - {0.0})
+
+    def radial(t: np.ndarray, r_hi: np.ndarray, weight) -> np.ndarray:
+        """|S^(n-1)| int_0^r_hi p(r, t) weight(avg f) sinh^(n-1) r dr at each
+        t: one batch per piece between the edges, row i mapping u in [0, 1]
+        onto its piece."""
+        t = t[:, None]
+        total = np.zeros(t.shape[0])
+        lo = np.zeros(t.shape)
+        for edge in [*edges, math.inf]:
+            hi = np.minimum(r_hi[:, None], edge)
+            if not np.any(hi > lo):
+                break
+            width = hi - lo
+
+            def g(u):
+                r = lo + width * u
+                avg = _geodesic_average(f, n, x_dist, r)
+                return heat_kernel(n, r, t) * weight(avg) * np.sinh(r) ** (n - 1) * width
+
+            res = _adaptive(g, 0.0, 1.0, cfg)
+            if not res.converged:
+                raise NonConvergenceError(f"log_bochner_h(n={n}, x={x_dist}): radial integral")
+            total += res.value
+            lo = hi
+        return area * total
+
+    def head(t):
         # f(x) - P_t f(x) = int p(r, t) (f(x) - avg f) dvol by mass 1
-        rmax = min(max(r_active + 2.0, 14.0 * math.sqrt(t) + (n - 1) * t), 60.0)
+        rmax = np.minimum(np.maximum(r_active + 2.0, 14.0 * np.sqrt(t) + (n - 1) * t), 60.0)
+        return (np.expm1(-t) * fx + radial(t, rmax, lambda avg: fx - avg)) / t
 
-        def g(r):
-            r = np.atleast_1d(np.asarray(r, dtype=float))
-            avg = _geodesic_average(f, n, x_dist, r)
-            return heat_kernel(n, r, t) * (fx - avg) * np.sinh(r) ** (n - 1)
+    def tail(t):
+        value = radial(t, np.full(t.shape, r_active), lambda avg: avg)
+        return (np.exp(-t) * fx - value) / t
 
-        return area * integrate(g, 0.0, rmax, cfg=cfg).value
-
-    def value_at(t: float) -> float:
-        def g(r):
-            r = np.atleast_1d(np.asarray(r, dtype=float))
-            avg = _geodesic_average(f, n, x_dist, r)
-            return heat_kernel(n, r, t) * avg * np.sinh(r) ** (n - 1)
-
-        return area * integrate(g, 0.0, r_active, cfg=cfg).value
-
-    def head(t: float) -> float:
-        return (math.expm1(-t) * fx + deficit(t)) / t
-
-    def tail(t: float) -> float:
-        return (math.exp(-t) * fx - value_at(t)) / t
-
-    def vec(fn):
-        return lambda arr: np.array([fn(float(v)) for v in np.atleast_1d(arr)])
-
-    head_part = integrate(vec(head), 0.0, 1.0, cfg=cfg)
-    tail_part = integrate_semiinfinite(vec(tail), 1.0, cfg=cfg)
+    head_part = integrate(head, 0.0, 1.0, cfg=cfg)
+    tail_part = integrate_semiinfinite(tail, 1.0, cfg=cfg)
+    if not (head_part.converged and tail_part.converged):
+        raise NonConvergenceError(f"log_bochner_h(n={n}, x={x_dist}): time integral")
     return head_part.value + tail_part.value
 
 

@@ -19,10 +19,11 @@ import numpy as np
 from . import reporting
 from .quadrature import (
     DEFAULT_CONFIG,
+    NonConvergenceError,
     QuadratureConfig,
+    _adaptive,
     frullani_log,
     integrate,
-    integrate_semiinfinite,
 )
 from .specfun import erf, gamma
 
@@ -348,59 +349,58 @@ def frac_discrepancy_halfline(
     fx = float(np.atleast_1d(f(np.array([x])))[0])
     norm = (4.0 * math.pi) ** -0.5
 
-    # work in the similarity variable z = (y - x)/sqrt(t): the density peak
-    # has unit width there at every t, so the quadrature cannot miss it
-    def semigroup_at(t: float) -> float:
-        rt = math.sqrt(t)
-        za = max(-45.0, (a_lo - x) / rt)
-        zb = min(45.0, (a_hi - x) / rt)
-        if za >= zb:
-            return 0.0
+    def heat_integrals(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P_t f(x), surviving mass) at each t, as one batch of integrals.
 
-        def g(z):
-            z = np.asarray(z, dtype=float)
-            kern = np.exp(-0.25 * z * z) - np.exp(-0.25 * (2.0 * x / rt + z) ** 2)
-            return norm * kern * f(x + rt * z)
+        Each works in the similarity variable z = (y - x)/sqrt(t), where the
+        density peak has unit width at every t, so the quadrature cannot
+        miss it; row i maps u in [0, 1] to z = za_i + (zb_i - za_i) u.
+        """
+        rt = np.sqrt(t)[:, None]
+        image = np.tile(2.0 * x / rt, (2, 1))  # the killed image sits at z = -2x/sqrt(t)
+        za = np.concatenate([np.maximum(-45.0, (a_lo - x) / rt), np.maximum(-x / rt, -45.0)])
+        zb = np.concatenate([np.minimum(45.0, (a_hi - x) / rt), np.full(rt.shape, 45.0)])
+        width = np.maximum(zb - za, 0.0)  # an empty support window integrates to 0
+        k = t.size
 
-        return integrate(g, za, zb, cfg=cfg).value
+        def g(u):
+            z = za + width * u
+            kern = norm * (np.exp(-0.25 * z * z) - np.exp(-0.25 * (image + z) ** 2))
+            y = x + rt * z[:k]
+            kern[:k] *= np.reshape(f(y.ravel()), y.shape)
+            return kern * width
 
-    def survived_mass(t: float) -> float:
-        rt = math.sqrt(t)
-        za = max(-x / rt, -45.0)
+        res = _adaptive(g, 0.0, 1.0, cfg)
+        if not res.converged:
+            raise NonConvergenceError(f"half-line semigroup at s={s}, x={x}")
+        return res.value[:k], res.value[k:]
 
-        def g(z):
-            z = np.asarray(z, dtype=float)
-            return norm * (
-                np.exp(-0.25 * z * z) - np.exp(-0.25 * (2.0 * x / rt + z) ** 2)
-            )
-
-        return integrate(g, za, 45.0, cfg=cfg).value
-
-    def vec(fn):
-        return lambda arr: np.array([fn(float(v)) for v in np.atleast_1d(arr)])
+    def routes(t: np.ndarray) -> np.ndarray:
+        """Route A, f(x) - P_t f(x), and route B, f(x) M_t - P_t f(x)."""
+        semigroup, mass = heat_integrals(t)
+        return np.stack([fx - semigroup, fx * mass - semigroup])
 
     pref = s / gamma(1.0 - s)
     t_floor = 1e-4
+    # below t_floor both integrands are linear in t up to terms that are
+    # identical in the two routes (the lost mass is e^(-x^2/4t) there);
+    # above it, flatten the t^-s singularity with t = v^(1/(1-s))
+    slope = routes(np.array([1e-3]))[:, 0] / 1e-3
+    analytic = slope * t_floor ** (1.0 - s) / (1.0 - s)
+    q = 1.0 / (1.0 - s)
 
-    def outer(fn) -> float:
-        # below t_floor both integrands are linear in t up to terms that are
-        # identical in the two routes (the lost mass is e^(-x^2/4t) there);
-        # above it, flatten the t^-s singularity with t = v^(1/(1-s))
-        slope = fn(1e-3) / 1e-3
-        analytic = slope * t_floor ** (1.0 - s) / (1.0 - s)
-        q = 1.0 / (1.0 - s)
+    def short(v):
+        t = v ** q
+        return routes(t) * t ** (-1.0 - s) * q * v ** (q - 1.0)
 
-        def short(v: float) -> float:
-            t = v ** q
-            return fn(t) * t ** (-1.0 - s) * q * v ** (q - 1.0)
+    def far(u):
+        # t = 1/u maps (1, inf) to (0, 1), as integrate_semiinfinite does
+        return routes(1.0 / u) * u ** (s - 1.0)
 
-        head = integrate(vec(short), t_floor ** (1.0 - s), 1.0, cfg=cfg)
-        tail = integrate_semiinfinite(
-            vec(lambda t: fn(t) * t ** (-1.0 - s)), 1.0, cfg=cfg
-        )
-        return pref * (analytic + head.value + tail.value)
-
-    a_val = outer(lambda t: fx - semigroup_at(t))
-    b_val = outer(lambda t: fx * survived_mass(t) - semigroup_at(t))
+    head = _adaptive(short, t_floor ** (1.0 - s), 1.0, cfg)
+    tail = _adaptive(far, 0.0, 1.0, cfg)
+    if not (head.converged and tail.converged):
+        raise NonConvergenceError(f"half-line discrepancy at s={s}, x={x}")
+    a_val, b_val = pref * (analytic + head.value + tail.value)
     v_s = massloss_vs(x, s, cfg=DEFAULT_CONFIG)
-    return DiscrepancyReport(a_val, b_val, v_s, fx)
+    return DiscrepancyReport(float(a_val), float(b_val), v_s, fx)

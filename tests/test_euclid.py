@@ -2,6 +2,7 @@
 the heat-quadrature route, cross-checked against each other and against
 closed-form Gaussian moments."""
 
+import itertools
 import json
 import math
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from loglap import euclid as eu
+from loglap.quadrature import NonConvergenceError, QuadratureConfig, integrate
 from loglap.specfun import EULER_GAMMA, digamma, gamma
 
 
@@ -325,6 +327,127 @@ class TestPeriodizationShift:
         bump = eu.registry(1)["bump"]
         with pytest.raises(ValueError):
             eu.log_periodization_shift(bump, 3.0, [1.2])
+
+
+def _image_potential_ref(f, center, power, cfg):
+    """One adaptive integral per lattice image, as the shifts once ran."""
+    dist = float(np.linalg.norm(center))
+    if f.dimension == 1:
+        g = lambda rho: f.profile(rho) * ((dist - rho) ** -power + (dist + rho) ** -power)
+    else:
+        cos = np.cos(2.0 * math.pi * (np.arange(256) + 0.5) / 256.0)
+
+        def g(rho):
+            d2 = dist * dist + rho[:, None] ** 2 - 2.0 * dist * rho[:, None] * cos
+            return f.profile(rho) * rho * np.mean(d2 ** (-0.5 * power), axis=1) * 2.0 * math.pi
+
+    return integrate(g, 0.0, f.far_radius, cfg=cfg).value
+
+
+def _cell_potential_ref(x, j, length):
+    """int over cell j of |x - y|^(-n) dy, one cell at a time."""
+    if x.size == 1:
+        lo, hi = j[0] * length - 0.5 * length, j[0] * length + 0.5 * length
+        if lo > x[0]:
+            return math.log((hi - x[0]) / (lo - x[0]))
+        return math.log((x[0] - lo) / (x[0] - hi))
+    gx, gw = np.polynomial.legendre.leggauss(24)
+    d1 = j[0] * length + 0.5 * length * gx - x[0]
+    d2 = j[1] * length + 0.5 * length * gx - x[1]
+    w = 0.5 * length * gw
+    return float(w @ (1.0 / (d1[:, None] ** 2 + d2[None, :] ** 2)) @ w)
+
+
+def _far_rows_ref(x, length, images, box, term):
+    """sum of term(|x - L j|^2) over the lattice box outside the window, row by row."""
+    total = 0.0
+    jr = np.arange(-box, box + 1)
+    c2 = x[1] - length * jr
+    for j1 in jr:
+        r2 = (x[0] - length * j1) ** 2 + c2 * c2
+        if abs(j1) <= images:
+            r2 = r2[np.abs(jr) > images]
+        total += float(np.sum(term(r2)))
+    return total
+
+
+def _shift_ref(f, length, x, images, cfg, s=None):
+    """log (s None) or fractional periodization shift, image by image."""
+    n = f.dimension
+    x = np.asarray(x, dtype=float)
+    power = n + 2.0 * s if s is not None else float(n)
+    mass, m2 = f.moments()
+    m = mass / length ** n
+    total = 0.0
+    for j in itertools.product(range(-images, images + 1), repeat=n):
+        if any(j):
+            j = np.array(j, dtype=float)
+            total += _image_potential_ref(f, x - length * j, power, cfg)
+            if s is None:
+                total -= m * _cell_potential_ref(x, j, length)
+    if s is not None:
+        if n == 1:
+            for sign in (1, -1):
+                q0 = images + 1 - sign * x[0] / length
+                total += mass * length ** (-power) * eu._hurwitz_tail(power, q0)
+        else:
+            total += mass * _far_rows_ref(x, length, images, 400, lambda r2: np.sqrt(r2) ** -power)
+            r_eff = 400.5 * length
+            total += mass * 2.0 * math.pi * r_eff ** (2.0 - power) / ((power - 2.0) * length ** 2)
+        return -eu.frac_constant(n, s).c_ns * total
+    if n == 1:
+        for j in range(images + 1, 4000):
+            for sign in (1, -1):
+                c = abs(x[0] - sign * j * length)
+                i_j = mass * (1.0 / c + m2 / mass / c ** 3)
+                total += i_j - m * _cell_potential_ref(x, [sign * j], length)
+    else:
+        coef = m2 / 4.0 - m * length ** 4 / 24.0
+        total += _far_rows_ref(x, length, images, 600, lambda r2: 4.0 * coef / (r2 * r2))
+    cn = eu.constants(n)
+    return -cn.rho_n * m - cn.c_n * total + cn.c_n * m * eu._center_cell_potential(x, length, n)
+
+
+class TestPeriodizationShiftEquivalence:
+    """The summed-image integrals reproduce the image-by-image algorithm."""
+
+    CFG = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("n,images", [(1, 12), (2, 3)])
+    @pytest.mark.parametrize("name", ["bump", "gaussian"])
+    @pytest.mark.parametrize("s", [None, 0.25, 0.75])
+    def test_matches_image_by_image(self, n, images, name, s):
+        f = eu.registry(n)[name]
+        x = [0.1875, -0.09375][:n]
+        if s is None:
+            got = eu.log_periodization_shift(f, 24.0, x, images=images, cfg=self.CFG)
+        else:
+            got = eu.frac_periodization_shift(f, 24.0, x, s, images=images, cfg=self.CFG)
+        ref = _shift_ref(f, 24.0, x, images, self.CFG, s)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    def test_frac_n2_pinned(self):
+        # values computed with the 801 x 801 meshgrid far tail this lattice
+        # sum replaced; on the Gaussian the image integrals agree to 1e-15
+        gauss = eu.registry(2)["gaussian"]
+        pinned = {
+            (0.0, 0.25): -0.002836045259601957,
+            (0.0, 0.75): -0.00011215012208320469,
+            (0.1875, 0.25): -0.002836143155312034,
+            (0.1875, 0.75): -0.00011216483640768152,
+        }
+        for (x1, s), value in pinned.items():
+            got = eu.frac_periodization_shift(gauss, 24.0, [x1, 0.0], s)
+            assert abs(got - value) <= 1e-13 * abs(value)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unconverged_raises(self, n):
+        f = eu.registry(n)["gaussian"]
+        cfg = QuadratureConfig(max_subdivisions=1)
+        with pytest.raises(NonConvergenceError):
+            eu.log_periodization_shift(f, 24.0, np.zeros(n), cfg=cfg)
+        with pytest.raises(NonConvergenceError):
+            eu.frac_periodization_shift(f, 24.0, np.zeros(n), 0.5, cfg=cfg)
 
 
 class TestLimits:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from loglap import hyperbolic as hy
-from loglap.quadrature import QuadratureConfig
+from loglap.quadrature import NonConvergenceError, QuadratureConfig
 from loglap.specfun import EULER_GAMMA, bessel_k, upper_gamma
 
 REL_CFG = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10, max_subdivisions=4000)
@@ -394,6 +394,22 @@ class TestPointwise:
         a = hy.log_pointwise_h(3, bump, 0.0)
         b = hy.log_bochner_h(3, bump, 0.0)
         assert a == pytest.approx(b, rel=1e-3)
+
+    def test_bochner_route_pinned(self):
+        bump = hy.hyper_registry()["bump"]
+        # at x = 0: the value with one adaptive radial integral per t-node
+        assert hy.log_bochner_h(3, bump, 0.0) == pytest.approx(0.774964110905583, rel=1e-10)
+        # at the support edge: nested scipy.integrate.quad (epsrel 1e-13 inside,
+        # 1e-12 outside) over the closed-form H^3 heat kernel and the same
+        # geodesic averages; per-node radial integrals were 4.6e-7 off here
+        assert hy.log_bochner_h(3, bump, 1.0) == pytest.approx(
+            -0.08895671586521911, rel=1e-10
+        )
+
+    def test_bochner_route_unconverged_raises(self):
+        bump = hy.hyper_registry()["bump"]
+        with pytest.raises(NonConvergenceError):
+            hy.log_bochner_h(3, bump, 0.0, cfg=QuadratureConfig(max_subdivisions=1))
 
     def test_split_identity(self):
         bump = hy.hyper_registry()["bump"]

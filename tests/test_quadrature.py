@@ -110,6 +110,92 @@ class TestSemiInfinite:
         assert res.value == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-11)
 
 
+def _batch(x):
+    """Three integrands of very different scale, one per row."""
+    return np.stack([np.sin(x), 1e6 * np.exp(-x) * x * x, 1e-6 * np.cos(3.0 * x)])
+
+
+class TestVectorIntegrands:
+    def test_components_match_scalar(self):
+        res = q.integrate(_batch, 0.0, 2.0)
+        assert res.value.shape == res.error_estimate.shape == (3,)
+        assert res.converged
+        cfg = q.DEFAULT_CONFIG
+        for i in range(3):
+            scalar = q.integrate(lambda x: _batch(x)[i], 0.0, 2.0)
+            tol = max(cfg.abs_tol, cfg.rel_tol * abs(scalar.value))
+            assert abs(res.value[i] - scalar.value) <= tol
+            assert res.error_estimate[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value[i]))
+
+    def test_single_row_batch(self):
+        res = q.integrate(lambda x: np.exp(np.sin(7.0 * x))[None, :], 0.0, 6.0)
+        scalar = q.integrate(lambda x: np.exp(np.sin(7.0 * x)), 0.0, 6.0)
+        assert res.value.shape == (1,)
+        assert res.value[0] == pytest.approx(scalar.value, rel=1e-10)
+
+    def test_wrong_shape_raises(self):
+        for bad in (
+            lambda x: np.ones(x.size + 1),
+            lambda x: np.ones((2, x.size - 1)),
+            lambda x: np.ones((2, 2, x.size)),
+            lambda x: np.ones((0, x.size)),
+        ):
+            with pytest.raises(ValueError, match="integrand must return"):
+                q.integrate(bad, 0.0, 1.0)
+
+    def test_shape_change_between_panels_raises(self):
+        def growing(x):
+            rows = 2 if x[0] < 0.5 else 3
+            return np.ones((rows, x.size)) * np.sin(10.0 * x)
+
+        with pytest.raises(ValueError, match="integrand must return"):
+            q.integrate(growing, 0.0, 1.0)
+        with pytest.raises(ValueError, match="integrand must return"):
+            q.integrate(lambda x: np.sin(10.0 * x) if x[0] < 0.5 else _batch(x), 0.0, 1.0)
+
+    def test_nan_row_raises(self):
+        def one_bad_row(x):
+            out = _batch(x)
+            out[1, 7] = np.nan
+            return out
+
+        with pytest.raises(q.NonFiniteIntegrandError):
+            q.integrate(one_bad_row, 0.0, 1.0)
+
+    def test_hint_map_passes_batches(self):
+        hint = q.SingularityHint("lower", "inverse_sqrt")
+        res = q.integrate(
+            lambda x: np.stack([1.0 / np.sqrt(x), np.cos(x) / np.sqrt(x)]), 0.0, 1.0, hint=hint
+        )
+        scalar = q.integrate(lambda x: np.cos(x) / np.sqrt(x), 0.0, 1.0, hint=hint)
+        assert res.value[0] == pytest.approx(2.0, abs=1e-12)
+        assert res.value[1] == pytest.approx(scalar.value, abs=1e-12)
+        upper = q.integrate(
+            lambda x: np.stack([1.0 / np.sqrt(1.0 - x), x]),
+            0.0,
+            1.0,
+            hint=q.SingularityHint("upper", "inverse_sqrt"),
+        )
+        assert upper.value == pytest.approx([2.0, 0.5], abs=1e-12)
+
+    def test_semiinfinite_map_passes_batches(self):
+        res = q.integrate_semiinfinite(
+            lambda t: np.stack([np.exp(-t), t ** 1.5 * np.exp(-t), np.exp(-t * t)]), 0.0
+        )
+        expected = [1.0, 0.75 * math.sqrt(math.pi), 0.5 * math.sqrt(math.pi)]
+        assert res.value == pytest.approx(expected, rel=1e-11)
+
+    def test_budget_exhaustion_flags(self):
+        cfg = q.QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=2)
+        res = q.integrate(lambda x: np.stack([np.exp(np.sin(7.0 * x)), x]), 0.0, 6.0, cfg=cfg)
+        assert not res.converged
+        assert np.all(np.isfinite(res.value))
+
+    def test_result_rejects_negative_component_error(self):
+        with pytest.raises(ValueError):
+            q.QuadResult(np.zeros(2), np.array([1e-3, -1e-3]), 15)
+
+
 class TestFrullani:
     def test_unity(self):
         assert q.frullani_log(1.0) == 0.0

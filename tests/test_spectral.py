@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from loglap import spectral as sp
-from loglap.quadrature import integrate
+from loglap.quadrature import NonConvergenceError, QuadratureConfig, integrate
 from loglap.specfun import gamma
 
 
@@ -249,3 +249,21 @@ class TestDiscrepancy:
     def test_potential_matches_standalone(self):
         rep = sp.frac_discrepancy_halfline(_bump, (1.0, 2.0), 0.5, 1.5)
         assert rep.potential == pytest.approx(sp.massloss_vs(1.5, 0.5), rel=1e-10)
+
+    def test_forms_match_pinned(self):
+        # both forms as computed with one adaptive inner integral per t-node
+        pinned = {
+            (0.5, 1.5): (0.0876253583579136, 0.07985195978450685),
+            (0.9, 1.5): (0.3904806553923324, 0.3888631379989356),
+            (0.5, 0.5): (-0.0018093894135165576, -0.0018093894135165576),
+        }
+        for (s, x), (deficit, difference) in pinned.items():
+            rep = sp.frac_discrepancy_halfline(_bump, (1.0, 2.0), s, x)
+            assert rep.deficit_form == pytest.approx(deficit, rel=1e-10)
+            assert rep.difference_form == pytest.approx(difference, rel=1e-10)
+
+    def test_unconverged_raises(self):
+        with pytest.raises(NonConvergenceError):
+            sp.frac_discrepancy_halfline(
+                _bump, (1.0, 2.0), 0.5, 1.5, cfg=QuadratureConfig(max_subdivisions=1)
+            )
