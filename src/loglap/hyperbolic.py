@@ -26,9 +26,11 @@ from .quadrature import (
     DEFAULT_CONFIG,
     NonConvergenceError,
     QuadratureConfig,
+    QuadResult,
     _adaptive,
     integrate,
     integrate_semiinfinite,
+    integrate_semiinfinite_rows,
 )
 from .specfun import EULER_GAMMA, bessel_k, gamma
 
@@ -206,7 +208,7 @@ def _panels(edges, gl_nodes=_K_GL_N, gl_weights=_K_GL_W):
 # even dimensions: singular-integral formula with x = r + u^2, on a graded
 # 320-node u-rule over [0, 1] that each (r, t) scales by its own umax
 _EVEN_U, _EVEN_W = _panels(np.linspace(0.0, 1.0, 11) ** 1.5, _EVEN_GL_N, _EVEN_GL_W)
-_EVEN_CHUNK = 1 << 18  # (r, t, u) elements per temporary array
+_EVEN_CHUNK = 1 << 12  # (r, t, u) elements per temporary array
 _ANCHOR_MAX = 0.02  # below this radius values come from the axis extension
 
 
@@ -383,54 +385,84 @@ def frac_kernel(
 
     route="time_quadrature" splits at t = 1 with the short-time substitution
     u = r^2/4t; route="bessel_closed_form" (n in {3, 5}) evaluates the exact
-    Bessel-term form obtained by m applications of the radial operator.
+    Bessel-term form obtained by m applications of the radial operator. The
+    value is the row of r in any `frac` table with the same arguments.
     """
-    if not (0.0 < s < 1.0):
+    return float(_frac_values(n, s, np.array([r], dtype=float), route, cfg)[0])
+
+
+def _frac_values(
+    n: int, s: float, r: np.ndarray, route: str, cfg: QuadratureConfig
+) -> np.ndarray:
+    if s is None or not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    if not (r > 0.0):
-        raise ValueError(f"r must be positive, got {r}")
+    _check_radii(r)
     if route == "bessel_closed_form":
         if n not in (3, 5):
             raise ValueError("closed Bessel form available for n in {3, 5} only")
         m = (n - 1) // 2
         pref = (-1.0) ** m * (n - 1.0) ** (s + 0.5) / (2.0 ** m * math.pi ** (0.5 * n))
-        return pref * float(_bessel_kernel_sum(n, s).evaluate(np.array(r)))
+        return pref * _bessel_kernel_sum(n, s).evaluate(r)
     if route != "time_quadrature":
         raise ValueError(f"unknown route {route!r}")
-
-    head = integrate_semiinfinite(
-        lambda u: heat_kernel(n, r, r * r / (4.0 * u)) * u ** (s - 1.0), 0.25 * r * r, cfg=cfg
-    )
-    tail = integrate_semiinfinite(lambda t: heat_kernel(n, r, t) * t ** (-1.0 - s), 1.0, cfg=cfg)
-    if not (head.converged and tail.converged):
-        raise NonConvergenceError(f"frac_kernel(n={n}, s={s}, r={r})")
+    head = _time_integral(n, r, s, 1, cfg)
+    tail = _time_integral(n, r, s, 2, cfg)
+    bad = np.flatnonzero(~(head.converged & tail.converged))
+    if bad.size:
+        raise NonConvergenceError(f"frac_kernel(n={n}, s={s}, r={float(r[bad[0]])})")
     return (4.0 / (r * r)) ** s * head.value + tail.value
+
+
+def _check_radii(r: np.ndarray) -> None:
+    if not np.all(r > 0.0):
+        raise ValueError(f"r must be positive, got {r[~(r > 0.0)][0]}")
+
+
+def _time_integral(
+    n: int, r: np.ndarray, s: float, part: int, cfg: QuadratureConfig
+) -> QuadResult:
+    """Row i: int p_n(r_i, t) t^(-1-s) dt over t in (0, 1] in u = r_i^2/4t,
+    without the factor (4/r_i^2)^s (part 1), or over t in (1, inf) (part 2).
+
+    One independent adaptive integral per radius, all in lockstep; each
+    step's nodes of row i reach `heat_kernel` in one call, paired with r_i
+    alone, so its axis anchor sees the same t whatever the other rows are.
+    """
+    if part == 1:
+        rr = r * r
+
+        def f(i, u):
+            return heat_kernel(n, r[i, None], rr[i, None] / (4.0 * u)) * u ** (s - 1.0)
+
+        return integrate_semiinfinite_rows(f, 0.25 * rr, cfg)
+
+    def f(i, t):
+        return heat_kernel(n, r[i, None], t) * t ** (-1.0 - s)
+
+    return integrate_semiinfinite_rows(f, np.ones(r.shape), cfg)
 
 
 # ---------------------------------------------------------------------------
 # logarithmic kernels K1 (short time) and K2 (long time)
 
 
-def _log_kernel(n: int, r: float, part: int, cfg: QuadratureConfig) -> float:
-    """K1 (part 1, short time) or K2 (part 2, long time) at one radius."""
-    if not (r > 0.0):
-        raise ValueError(f"r must be positive, got {r}")
-    if part == 1:  # short time in u = r^2/4t
-        res = integrate_semiinfinite(
-            lambda u: heat_kernel(n, r, r * r / (4.0 * u)) / u, 0.25 * r * r, cfg=cfg
-        )
-    else:
-        res = integrate_semiinfinite(lambda t: heat_kernel(n, r, t) / t, 1.0, cfg=cfg)
-    if not res.converged:
-        raise NonConvergenceError(f"log_kernels(n={n}, r={r}): K{part}")
+def _log_values(n: int, r: np.ndarray, part: int, cfg: QuadratureConfig) -> np.ndarray:
+    """K1 (part 1, short time) or K2 (part 2, long time) at each radius."""
+    _check_radii(r)
+    res = _time_integral(n, r, 0.0, part, cfg)
+    bad = np.flatnonzero(~res.converged)
+    if bad.size:
+        raise NonConvergenceError(f"log_kernels(n={n}, r={float(r[bad[0]])}): K{part}")
     return res.value
 
 
 def log_kernels(
     n: int, r: float, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> tuple[float, float]:
-    """(K1, K2) = (int_0^1, int_1^inf) of p_n(r, t) dt/t, adaptively."""
-    return _log_kernel(n, r, 1, cfg), _log_kernel(n, r, 2, cfg)
+    """(K1, K2) = (int_0^1, int_1^inf) of p_n(r, t) dt/t, adaptively; the
+    rows of r in `log1` and `log2` tables."""
+    r = np.array([r], dtype=float)
+    return float(_log_values(n, r, 1, cfg)[0]), float(_log_values(n, r, 2, cfg)[0])
 
 
 # fixed composite rules of log_kernel_values: K1 in u = r^2/4t on a + edges,
@@ -452,27 +484,6 @@ def log_kernel_values(n: int, r_values) -> tuple[np.ndarray, np.ndarray]:
     k1 = np.sum(heat_kernel(n, r, a / u) / u * _K1_W, axis=-1)
     # K2: int_1^inf p/t dt with w = 1/t
     k2 = np.sum(heat_kernel(n, r, 1.0 / _K2_V) / _K2_V * _K2_W, axis=-1)
-    return k1, k2
-
-
-def log_kernels_flat(n: int, r: float) -> tuple[float, float]:
-    """Same split integrals with the Euclidean Gaussian kernel (sanity path).
-
-    Closed forms: K1 = pi^(-n/2) r^-n Gamma(n/2, r^2/4) and
-    K2 = pi^(-n/2) r^-n (Gamma(n/2) - Gamma(n/2, r^2/4)).
-    """
-
-    def short(u):
-        u = np.asarray(u, dtype=float)
-        tt = r * r / (4.0 * u)
-        return (4.0 * math.pi * tt) ** (-0.5 * n) * np.exp(-u) / u
-
-    def long_time(t):
-        t = np.asarray(t, dtype=float)
-        return (4.0 * math.pi * t) ** (-0.5 * n) * np.exp(-r * r / (4.0 * t)) / t
-
-    k1 = integrate_semiinfinite(short, 0.25 * r * r).value
-    k2 = integrate_semiinfinite(long_time, 1.0).value
     return k1, k2
 
 
@@ -528,22 +539,23 @@ def build_kernel_table(
 ) -> KernelTable:
     """Tabulate a radial kernel over r_grid.
 
-    kind: "frac" (needs s), "log1"/"log2", or "heat" (needs t). Heat tables
-    are one array evaluation; the other kinds integrate row by row.
+    kind: "frac" (needs s), "log1"/"log2", or "heat" (needs t). Heat and
+    Bessel closed-form tables are one array evaluation; the time-quadrature
+    kinds run one independent adaptive integral per radius, all rows in
+    lockstep, so every row equals its one-point table bit for bit.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if kind == "heat":
         values = heat_kernel(n, r_grid, t)
     elif kind == "frac":
-        values = [frac_kernel(n, s, float(r), route=route, cfg=cfg) for r in r_grid]
+        values = _frac_values(n, s, r_grid, route, cfg)
     elif kind in ("log1", "log2"):
-        part = 1 if kind == "log1" else 2
-        values = [_log_kernel(n, float(r), part, cfg) for r in r_grid]
+        values = _log_values(n, r_grid, 1 if kind == "log1" else 2, cfg)
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
     parameter = s if kind == "frac" else t if kind == "heat" else None
     table_route = route if kind == "frac" else "time_quadrature"
-    return KernelTable(n, parameter, r_grid, np.array(values), table_route, cfg, kind)
+    return KernelTable(n, parameter, r_grid, values, table_route, cfg, kind)
 
 
 class IllConditionedError(ValueError):

@@ -1,18 +1,31 @@
 """Adaptive 1-D quadrature and the scalar integral identities built on it.
 
 The engine is a vectorized Gauss-Kronrod 7-15 pair with worst-panel-first
-subdivision (QUADPACK, Piessens et al. 1983). Integrands receive a numpy
-array of k nodes and return either the matching (k,) array of values or an
-(m, k) batch: m integrals over the same interval, one per row. A batch
-shares its panels, as in scipy.integrate.quad_vec: the heap is keyed by each
-panel's largest component error, the result is converged once every
-component meets max(abs_tol, rel_tol |I_i|), and QuadResult.value and
-error_estimate are (m,) arrays. A (k,) integrand takes the scalar
-arithmetic unchanged. Semi-infinite ranges are folded to (0, 1] by
-u = 1/(1 + t - a), which behaves well for both exponential and Gaussian
-tails. Endpoint singularities of inverse-square-root or logarithmic type are
-removed analytically by the substitution u^2 = x - a before subdividing;
-both maps pass (m, k) values through.
+subdivision (QUADPACK, Piessens et al. 1983). It runs in three modes:
+
+- scalar: `integrate` and `integrate_semiinfinite` with an integrand that
+  maps (k,) nodes to (k,) values;
+- shared panels: the same entry points with an integrand that returns an
+  (m, k) batch, m integrals over one interval, as in scipy.integrate.quad_vec.
+  The heap is keyed by each panel's largest component error, the result is
+  converged once every component meets max(abs_tol, rel_tol |I_i|), and
+  QuadResult.value and error_estimate are (m,) arrays. Use it when the rows
+  need refinement in the same places (the inner level of an iterated
+  integral);
+- independent rows: `integrate_semiinfinite_rows`, m integrals that run the
+  scalar algorithm each on its own (own heap, totals, subdivision budget and
+  tolerance test) but in lockstep, so each step makes one integrand call for
+  the children of every unconverged row. Use it when the rows refine in
+  different places (one kernel-table row per radius). A row's result does
+  not depend on the other rows: whole-grid and one-row runs agree bit for
+  bit as long as the integrand's value at a row's nodes depends on that row
+  alone.
+
+Semi-infinite ranges are folded to (0, 1] by u = 1/(1 + t - a), which
+behaves well for both exponential and Gaussian tails. Endpoint
+singularities of inverse-square-root or logarithmic type are removed
+analytically by the substitution u^2 = x - a before subdividing; both maps
+pass (m, k) values through.
 
 Inside loglap the batched levels of iterated integrals call `_adaptive`
 directly, so `integrate` and `integrate_semiinfinite` see scalar integrands
@@ -40,6 +53,7 @@ __all__ = [
     "NonFiniteIntegrandError",
     "integrate",
     "integrate_semiinfinite",
+    "integrate_semiinfinite_rows",
     "frullani_log",
     "verify_scalar_identities",
 ]
@@ -121,12 +135,13 @@ DEFAULT_CONFIG = QuadratureConfig()
 @dataclass(frozen=True)
 class QuadResult:
     """An integral with its error estimate; value and error_estimate are
-    floats for a (k,) integrand and (m,) arrays for an (m, k) one."""
+    floats for a (k,) integrand and (m,) arrays for an (m, k) one or for m
+    independent rows, whose `converged` is an (m,) bool array, row by row."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
     evaluations: int
-    converged: bool = True
+    converged: bool | np.ndarray = True
 
     def __post_init__(self):
         err = self.error_estimate
@@ -140,7 +155,7 @@ class QuadResult:
             self.value + other.value,
             self.error_estimate + other.error_estimate,
             self.evaluations + other.evaluations,
-            self.converged and other.converged,
+            self.converged & other.converged,
         )
 
 
@@ -201,12 +216,25 @@ def _panel(f, a: float, b: float, shape=None):
     if not np.all(finite):
         bad = x[~np.all(finite, axis=0)][0]
         raise NonFiniteIntegrandError(f"integrand not finite near x={bad!r}")
-    # the scalar rule above, row by row
-    resk = h * (fv @ _WK)
-    resg = h * (fv @ _WG)
-    resabs = abs(h) * (np.abs(fv) @ _WK)
-    mean = resk / (b - a)
-    resasc = abs(h) * (np.abs(fv - mean[:, None]) @ _WK)
+    return _rows_rule(fv, h, b - a)
+
+
+def _weigh(fv: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # einsum, not `fv @ w`: BLAS gemv rounds a row differently depending on
+    # the other rows of the batch, einsum sums every row the same way
+    return np.einsum("ij,j->i", fv, w)
+
+
+def _rows_rule(fv: np.ndarray, h, width):
+    """The scalar rule of `_panel` applied to each row of (p, 15) node
+    values, with half-widths h and widths `width`, scalars or (p,) arrays;
+    row i's numbers depend on row i alone."""
+    resk = h * _weigh(fv, _WK)
+    resg = h * _weigh(fv, _WG)
+    habs = np.abs(h)
+    resabs = habs * _weigh(np.abs(fv), _WK)
+    mean = resk / width
+    resasc = habs * _weigh(np.abs(fv - mean[:, None]), _WK)
     err = np.abs(resk - resg)
     scaled = (resasc != 0.0) & (err != 0.0)
     ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=scaled)
@@ -259,6 +287,75 @@ def _adaptive(f, a: float, b: float, cfg: QuadratureConfig) -> QuadResult:
     return QuadResult(total_val, total_err, evals, converged=True)
 
 
+def _row_values(f, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    fv = np.asarray(f(rows, x), dtype=float)
+    if fv.shape != x.shape:
+        raise ValueError(
+            f"integrand must return {x.shape} values for {x.shape} nodes, got {fv.shape}"
+        )
+    finite = np.isfinite(fv)
+    if not np.all(finite):
+        raise NonFiniteIntegrandError(f"integrand not finite near x={x[~finite][0]!r}")
+    return fv
+
+
+def _adaptive_rows(f, m: int, a: float, b: float, cfg: QuadratureConfig) -> QuadResult:
+    """m independent integrals over (a, b), subdivided in lockstep.
+
+    f(rows, x) maps row indices (p,) and their panels' nodes (p, 15) to the
+    values (p, 15). Each row runs `_adaptive`'s scalar algorithm on its own
+    heap, totals and budget; each step pops the worst panel of every
+    unconverged row and evaluates all their children in one call to f.
+    """
+    h = 0.5 * (b - a)
+    x = np.broadcast_to(0.5 * (a + b) + h * _NODES, (m, _NODES.size))
+    total_val, total_err = _rows_rule(_row_values(f, np.arange(m), x), h, b - a)
+    heaps = [[(-e, 0, a, b, v, e)] for v, e in zip(total_val.tolist(), total_err.tolist())]
+    counter = 1
+    splits = np.zeros(m, dtype=int)
+    converged = np.ones(m, dtype=bool)
+    evals = 15 * m
+    while True:
+        open_ = total_err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_val))
+        spent = open_ & (splits >= cfg.max_subdivisions)
+        converged[spent] = False
+        work = np.flatnonzero(open_ & ~spent)
+        if not work.size:
+            break
+        split = []  # (row, a, mid, b, value, error) of the panels to halve
+        for i in work.tolist():
+            _, _, pa, pb, pv, pe = heapq.heappop(heaps[i])
+            mid = 0.5 * (pa + pb)
+            if mid <= pa or mid >= pb:
+                # interval at floating-point resolution; accept as is
+                heapq.heappush(heaps[i], (0.0, counter, pa, pb, pv, 0.0 * pe))
+                counter += 1
+                total_err[i] = total_err[i] - pe
+                continue
+            split.append((i, pa, mid, pb, pv, pe))
+        if not split:
+            continue
+        rows, pa, mid, pb, pv, pe = map(np.array, zip(*split))
+        lo, hi = np.concatenate([pa, mid]), np.concatenate([mid, pb])
+        h = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + h[:, None] * _NODES
+        v, e = _rows_rule(_row_values(f, np.concatenate([rows, rows]), x), h, hi - lo)
+        q = rows.size
+        v1, v2, e1, e2 = v[:q], v[q:], e[:q], e[q:]
+        total_val[rows] = total_val[rows] + (v1 + v2 - pv)
+        total_err[rows] = total_err[rows] + (e1 + e2 - pe)
+        splits[rows] += 1
+        evals += 30 * q
+        for i, a1, m1, b1, va, vb, ea, eb in zip(
+            rows.tolist(), pa.tolist(), mid.tolist(), pb.tolist(),
+            v1.tolist(), v2.tolist(), e1.tolist(), e2.tolist(),
+        ):
+            heapq.heappush(heaps[i], (-ea, counter, a1, m1, va, ea))
+            heapq.heappush(heaps[i], (-eb, counter + 1, m1, b1, vb, eb))
+            counter += 2
+    return QuadResult(total_val, total_err, evals, converged)
+
+
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -296,14 +393,39 @@ def integrate_semiinfinite(
 
     def g(u):
         u = np.asarray(u, dtype=float)
-        t = a - 1.0 + 1.0 / u
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fv = np.asarray(f(t), dtype=float)
-            out = fv / (u * u)
-        out = np.where(fv == 0.0, 0.0, out)
-        return out
+        return _folded(f, a - 1.0 + 1.0 / u, u)
 
     return _adaptive(g, 0.0, 1.0, cfg)
+
+
+def integrate_semiinfinite_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+) -> QuadResult:
+    """Row i: the integral of f over (a[i], infinity), via u = 1/(1 + t - a[i]).
+
+    f(rows, t) receives row indices (p,) and nodes (p, k), one row of t per
+    index, and returns (p, k) values. The rows are independent integrals
+    subdivided in lockstep (see the module docstring): value,
+    error_estimate and converged are (m,) arrays.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 1 or a.size < 1 or not np.all(np.isfinite(a)):
+        raise ValueError(f"need a nonempty 1-d array of finite lower endpoints, got {a!r}")
+
+    def g(rows, u):
+        return _folded(lambda t: f(rows, t), a[rows, None] - 1.0 + 1.0 / u, u)
+
+    return _adaptive_rows(g, a.size, 0.0, 1.0, cfg)
+
+
+def _folded(f, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """f(t) dt/du = f(t)/u^2 at u = 1/(1 + t - a), exactly 0 where f is."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fv = np.asarray(f(t), dtype=float)
+        out = fv / (u * u)
+    return np.where(fv == 0.0, 0.0, out)
 
 
 def frullani_log(lam: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

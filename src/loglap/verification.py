@@ -434,8 +434,7 @@ def suite_hyperbolic() -> VerifyReport:
             0.15,
             statement="same asymptotic, power factor",
         )
-        rr = np.linspace(0.01, 0.1, 7)
-        k2near = np.array([hyperbolic.log_kernels(n, float(r))[1] for r in rr])
+        k2near = hyperbolic.build_kernel_table(n, "log2", np.linspace(0.01, 0.1, 7)).values
         rep.add(
             f"k2-const-n{n}",
             f"long-time log kernel flat near the diagonal, n={n}",
@@ -501,10 +500,12 @@ def suite_hyperbolic() -> VerifyReport:
     worst = 0.0
     for n in (3, 5):
         for s in (0.25, 0.5, 0.75):
-            for r in (0.5, 1.0, 2.0, 4.0):
-                a = hyperbolic.frac_kernel(n, s, r, route="time_quadrature")
-                b = hyperbolic.frac_kernel(n, s, r, route="bessel_closed_form")
-                worst = max(worst, abs(a - b) / abs(b))
+            a, b = (
+                hyperbolic.build_kernel_table(n, "frac", [0.5, 1.0, 2.0, 4.0], s=s, route=route)
+                .values
+                for route in ("time_quadrature", "bessel_closed_form")
+            )
+            worst = max(worst, float(np.max(np.abs(a - b) / np.abs(b))))
     rep.add(
         "frac-dual-route",
         "time quadrature vs Bessel closed form on the (n, s, r) grid",

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from loglap import euclid as eu
-from loglap.quadrature import NonConvergenceError, QuadratureConfig, integrate
+from loglap.quadrature import (
+    NonConvergenceError,
+    QuadratureConfig,
+    integrate,
+    integrate_semiinfinite,
+)
 from loglap.specfun import EULER_GAMMA, digamma, gamma
 
 
@@ -476,6 +481,19 @@ class TestFlatKernels:
         total = eu.k1_flat(n, r) + eu.k2_flat(n, r)
         expected = math.pi ** -1.5 * gamma(1.5) * r ** -3.0
         assert total == pytest.approx(expected, rel=1e-12)
+
+    def test_k1_k2_match_heat_time_integrals(self):
+        # K1 and K2 split the time integral of the Gaussian heat kernel at t = 1
+        r = 1.0
+        for n in (1, 2, 3):
+
+            def heat(t):
+                return (4.0 * math.pi * t) ** (-0.5 * n) * np.exp(-r * r / (4.0 * t))
+
+            k1 = integrate_semiinfinite(lambda u: heat(r * r / (4.0 * u)) / u, 0.25 * r * r)
+            k2 = integrate_semiinfinite(lambda t: heat(t) / t, 1.0)
+            assert eu.k1_flat(n, r) == pytest.approx(k1.value, abs=1e-10)
+            assert eu.k2_flat(n, r) == pytest.approx(k2.value, abs=1e-10)
 
     def test_frac_kernel_flat(self):
         assert eu.frac_kernel_flat(1, 0.5, 2.0) == pytest.approx(

@@ -10,7 +10,7 @@ import pytest
 
 from loglap import hyperbolic as hy
 from loglap.quadrature import NonConvergenceError, QuadratureConfig
-from loglap.specfun import EULER_GAMMA, bessel_k, upper_gamma
+from loglap.specfun import EULER_GAMMA, bessel_k
 
 REL_CFG = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10, max_subdivisions=4000)
 
@@ -186,6 +186,20 @@ class TestHeatKernel:
             hy.heat_kernel(3, 1.0, np.array([1.0, math.nan]))
 
 
+class TestEvenChunks:
+    def test_chunk_size_does_not_change_values(self, monkeypatch):
+        # sums run along the u-axis of each (r, t) pair, so blocking the
+        # pairs differently leaves every value bit for bit the same
+        r = np.linspace(0.0, 6.0, 40)[:, None]
+        t = np.geomspace(0.01, 5.0, 30)
+        for n in (2, 4):
+            values = []
+            for chunk in (1 << 10, 1 << 20):
+                monkeypatch.setattr(hy, "_EVEN_CHUNK", chunk)
+                values.append(hy.heat_kernel(n, r, t).tobytes())
+            assert values[0] == values[1]
+
+
 class TestEnvelope:
     def test_point_values(self):
         assert hy.dm_envelope(3, 0.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
@@ -254,17 +268,6 @@ class TestFracKernel:
 
 
 class TestLogKernels:
-    def test_flat_space_closed_form(self):
-        n, r = 3, 1.0
-        k1, k2 = hy.log_kernels_flat(n, r)
-        half = 0.5 * n
-        k1_exact = math.pi ** -1.5 * upper_gamma(half, 0.25 * r * r)
-        assert k1 == pytest.approx(k1_exact, abs=1e-10)
-        from loglap.specfun import gamma
-
-        k2_exact = math.pi ** -1.5 * (gamma(half) - upper_gamma(half, 0.25))
-        assert k2 == pytest.approx(k2_exact, abs=1e-10)
-
     def test_positive_decreasing(self):
         rs = [0.2, 0.5, 1.0, 2.0, 4.0]
         for n in (2, 3):
@@ -334,19 +337,73 @@ class TestKernelTable:
         assert meta["t"] == 1.0 and "s" not in meta
 
     def test_batched_matches_row_by_row(self, tmp_path):
-        # a whole-grid build and one-point builds give the same bytes
+        # a whole-grid build and one-point builds give the same bytes; the
+        # grid reaches below 0.02, where the heat kernel's axis anchor applies
         grid = np.linspace(0.005, 4.0, 8)
         cases = [(n, "heat", {"t": 0.3}) for n in (2, 3, 4, 5)]
-        cases.append((3, "log2", {}))
+        for n in (2, 3, 4, 5):
+            for cfg in (hy.DEFAULT_CONFIG, REL_CFG):
+                cases += [(n, "log1", {"cfg": cfg}), (n, "log2", {"cfg": cfg})]
+                cases.append((n, "frac", {"s": 0.37, "cfg": cfg}))
+        cases += [(n, "frac", {"s": 0.37, "route": "bessel_closed_form"}) for n in (3, 5)]
         for n, kind, extra in cases:
             whole = hy.build_kernel_table(n, kind, grid, **extra)
             rows = [hy.build_kernel_table(n, kind, [r], **extra).values[0] for r in grid]
-            by_row = hy.KernelTable(n, whole.parameter, grid, rows, whole.route, kind=kind)
+            by_row = hy.KernelTable(
+                n, whole.parameter, grid, rows, whole.route, whole.cfg, kind=kind
+            )
             whole.to_csv(tmp_path / "a.csv")
             by_row.to_csv(tmp_path / "b.csv")
             for suffix in (".csv", ".csv.json"):
                 a = (tmp_path / f"a{suffix}").read_bytes()
-                assert a == (tmp_path / f"b{suffix}").read_bytes()
+                assert a == (tmp_path / f"b{suffix}").read_bytes(), (n, kind, extra)
+
+    def test_point_functions_are_table_rows(self):
+        grid = np.array([0.005, 0.5, 3.0])
+        for n in (2, 3, 4, 5):
+            routes = ["time_quadrature"] + (["bessel_closed_form"] if n % 2 else [])
+            for route in routes:
+                table = hy.build_kernel_table(n, "frac", grid, s=0.37, route=route)
+                points = [hy.frac_kernel(n, 0.37, float(r), route=route) for r in grid]
+                assert table.values.tobytes() == np.array(points).tobytes()
+            k1 = hy.build_kernel_table(n, "log1", grid).values
+            k2 = hy.build_kernel_table(n, "log2", grid).values
+            pairs = np.array([hy.log_kernels(n, float(r)) for r in grid])
+            assert pairs.tobytes() == np.stack([k1, k2], axis=1).tobytes()
+
+    def test_unconverged_row_names_its_radius(self):
+        # at s = 0.5 the short-time integral of r = 0.3 needs 8 subdivisions,
+        # the other rows at most 5
+        cfg = QuadratureConfig(max_subdivisions=6)
+        grid = [0.005, 0.3, 0.9, 2.5]
+        with pytest.raises(NonConvergenceError, match=r"^frac_kernel\(n=3, s=0.5, r=0.3\)$"):
+            hy.build_kernel_table(3, "frac", grid, s=0.5, cfg=cfg)
+        one = QuadratureConfig(max_subdivisions=1)
+        with pytest.raises(NonConvergenceError, match=r"r=0.005\): K1"):
+            hy.build_kernel_table(3, "log1", grid, cfg=one)
+        with pytest.raises(NonConvergenceError, match=r"r=0.005\): K2"):
+            hy.build_kernel_table(3, "log2", grid, cfg=one)
+
+    def test_one_heat_kernel_call_per_step(self, monkeypatch):
+        # lockstep rows: a table makes one heat-kernel call for the first
+        # panels and one per step, as many as its most subdivided row needs
+        real = hy.heat_kernel
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hy, "heat_kernel", counting)
+
+        def count(grid):
+            calls.clear()
+            hy.build_kernel_table(3, "log1", grid)
+            return len(calls)
+
+        grid = np.linspace(0.15, 6.0, 48)
+        most = max(count([r]) for r in grid)  # 1 + that row's subdivisions
+        assert count(grid) <= most
 
 
 class TestAsymptFit:

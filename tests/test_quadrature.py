@@ -196,6 +196,91 @@ class TestVectorIntegrands:
             q.QuadResult(np.zeros(2), np.array([1e-3, -1e-3]), 15)
 
 
+# rows that need refinement in different places: e^(-c t) cos(w t)
+_RATES = np.array([0.5, 1.0, 3.0, 10.0, 0.2])
+_FREQS = np.array([0.0, 2.0, 7.0, 1.0, 5.0])
+
+
+def _damped(i, t):
+    return np.exp(-_RATES[i, None] * t) * np.cos(_FREQS[i, None] * t)
+
+
+def _damped_exact(a):
+    c, w = _RATES, _FREQS
+    return np.exp(-c * a) * (c * np.cos(w * a) - w * np.sin(w * a)) / (c * c + w * w)
+
+
+class TestIndependentRows:
+    def test_rows_match_closed_form(self):
+        a = np.array([0.0, 0.5, 1.0, 0.0, 2.0])
+        res = q.integrate_semiinfinite_rows(_damped, a)
+        assert res.value.shape == res.error_estimate.shape == res.converged.shape == (5,)
+        assert np.all(res.converged)
+        exact = _damped_exact(a)
+        assert np.all(np.abs(res.value - exact) <= 1e-10 * np.abs(exact) + 1e-12)
+
+    def test_rows_match_scalar_engine(self):
+        a = np.array([0.0, 0.5, 1.0, 0.0, 2.0])
+        res = q.integrate_semiinfinite_rows(_damped, a)
+        for i in range(a.size):
+            scalar = q.integrate_semiinfinite(lambda t: _damped(np.array([i]), t[None])[0], a[i])
+            assert res.value[i] == pytest.approx(scalar.value, rel=1e-13, abs=1e-15)
+
+    def test_row_does_not_depend_on_the_batch(self):
+        # bit for bit: alone, in the whole batch, and in reverse order
+        a = np.array([0.0, 0.5, 1.0, 0.0, 2.0])
+        whole = q.integrate_semiinfinite_rows(_damped, a)
+        for i in range(a.size):
+            alone = q.integrate_semiinfinite_rows(
+                lambda rows, t: _damped(np.full(rows.shape, i), t), a[i : i + 1]
+            )
+            assert alone.value.tobytes() == whole.value[i : i + 1].tobytes()
+            assert alone.error_estimate.tobytes() == whole.error_estimate[i : i + 1].tobytes()
+        order = np.arange(a.size)[::-1]
+        reverse = q.integrate_semiinfinite_rows(lambda rows, t: _damped(order[rows], t), a[order])
+        assert reverse.value[::-1].tobytes() == whole.value.tobytes()
+
+    def test_budget_is_per_row(self):
+        a = np.zeros(5)
+        splits = [
+            (q.integrate_semiinfinite_rows(
+                lambda rows, t: _damped(np.full(rows.shape, i), t), a[:1]
+            ).evaluations - 15) // 30
+            for i in range(5)
+        ]
+        cfg = q.QuadratureConfig(max_subdivisions=int(np.median(splits)))
+        res = q.integrate_semiinfinite_rows(_damped, a, cfg)
+        assert res.converged.tolist() == [s <= cfg.max_subdivisions for s in splits]
+
+    def test_results_add_row_by_row(self):
+        cfg = q.QuadratureConfig(max_subdivisions=10)
+        head = q.integrate_semiinfinite_rows(_damped, np.zeros(5), cfg)
+        tail = q.integrate_semiinfinite_rows(_damped, np.ones(5), cfg)
+        total = head + tail
+        assert not np.all(head.converged)
+        assert total.converged.tolist() == (head.converged & tail.converged).tolist()
+        assert total.value.tolist() == (head.value + tail.value).tolist()
+
+    def test_nan_raises(self):
+        def bad(rows, t):
+            out = _damped(rows, t)
+            out[rows == 3] = np.nan
+            return out
+
+        with pytest.raises(q.NonFiniteIntegrandError):
+            q.integrate_semiinfinite_rows(bad, np.zeros(5))
+
+    def test_wrong_shape_raises(self):
+        for bad in (lambda rows, t: t[:, :-1], lambda rows, t: t[:-1], lambda rows, t: t[..., None]):
+            with pytest.raises(ValueError):
+                q.integrate_semiinfinite_rows(bad, np.zeros(3))
+
+    @pytest.mark.parametrize("a", [np.zeros((2, 2)), np.array([]), np.array([0.0, np.inf])])
+    def test_bad_lower_endpoints_raise(self, a):
+        with pytest.raises(ValueError, match="lower endpoints"):
+            q.integrate_semiinfinite_rows(_damped, a)
+
+
 class TestFrullani:
     def test_unity(self):
         assert q.frullani_log(1.0) == 0.0
