@@ -32,7 +32,7 @@ from .quadrature import (
     integrate,
     integrate_semiinfinite,
 )
-from .specfun import EULER_GAMMA, digamma, exp_integral_e1, gamma, upper_gamma
+from .specfun import EULER_GAMMA, bessel_i0e, digamma, exp_integral_e1, gamma, upper_gamma
 
 __all__ = [
     "EuclideanConstants",
@@ -210,8 +210,8 @@ def _bump_profile(rho):
     rho = np.asarray(rho, dtype=float)
     out = np.zeros_like(rho)
     inside = rho < 1.0
-    r2 = np.where(inside, rho * rho, 0.0)
-    out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    r = rho[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - r * r))
     return out
 
 
@@ -273,10 +273,11 @@ class PeriodicGridFunction:
         return -0.5 * self.length + i * self.spacing
 
     def freq_sq(self) -> np.ndarray:
-        """|xi_k|^2 on the full n-dimensional mode grid."""
+        """|xi_k|^2 on the half spectrum of np.fft.rfftn: every axis holds
+        all N frequencies except the last, which holds 0..N/2."""
         xi = 2.0 * math.pi * np.fft.fftfreq(self.points, d=self.spacing)
-        grids = np.meshgrid(*([xi] * self.n), indexing="ij")
-        return sum(g * g for g in grids)
+        last = 2.0 * math.pi * np.fft.rfftfreq(self.points, d=self.spacing)
+        return sum(np.ix_(*([xi * xi] * (self.n - 1) + [last * last])))
 
     @classmethod
     def from_function(
@@ -284,8 +285,7 @@ class PeriodicGridFunction:
     ) -> "PeriodicGridFunction":
         i = np.arange(points)
         coords = -0.5 * length + i * (length / points)
-        grids = np.meshgrid(*([coords] * n), indexing="ij")
-        rho = np.sqrt(sum(g * g for g in grids))
+        rho = np.sqrt(sum(np.ix_(*([coords * coords] * n))))
         profile = f.profile if isinstance(f, TestFunction) else f
         return cls(n, length, points, profile(rho))
 
@@ -326,9 +326,10 @@ class PeriodicGridFunction:
 
 
 def _apply_multiplier(grid: PeriodicGridFunction, mult: np.ndarray) -> PeriodicGridFunction:
-    spectrum = np.fft.fftn(grid.samples) * mult
-    out = np.fft.ifftn(spectrum).real
-    return grid.with_samples(out)
+    """Multiply the half spectrum (rfftn layout, see freq_sq) by mult."""
+    axes = tuple(range(grid.n))
+    spectrum = np.fft.rfftn(grid.samples, axes=axes) * mult
+    return grid.with_samples(np.fft.irfftn(spectrum, s=grid.samples.shape, axes=axes))
 
 
 def heat_apply(grid: PeriodicGridFunction, t: float) -> PeriodicGridFunction:
@@ -479,11 +480,14 @@ def frac_pointwise(
     def mid(r):
         return (fx - sphere_average(f, x, r)) * r ** (-1.0 - 2.0 * s)
 
-    # below r_floor the difference f(x) - avg f is quadratic to 1e-7 but the
-    # evaluated difference is rounding noise amplified by r^(-1-2s); use the
-    # fitted quadratic coefficient and integrate that piece in closed form
-    r_floor = 2e-3
-    curv = (fx - float(sphere_average(f, x, np.array([r_floor]))[0])) / r_floor ** 2
+    # below r_floor the difference f(x) - avg f is c r^2 + O(r^4), but the
+    # evaluated difference is rounding noise amplified by r^(-1-2s); the
+    # curvature c is Richardson-extrapolated from r_floor and r_floor/2 and
+    # that piece integrates in closed form
+    r_floor = 2e-4
+    radii = np.array([r_floor, 0.5 * r_floor])
+    quot = (fx - sphere_average(f, x, radii)) / radii ** 2
+    curv = float(4.0 * quot[1] - quot[0]) / 3.0
     analytic_near = curv * r_floor ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     v_floor = r_floor ** (2.0 - 2.0 * s)
     near_part = integrate(near_sub, v_floor, 1.0, cfg=cfg)
@@ -493,11 +497,15 @@ def frac_pointwise(
 
 
 # ---------------------------------------------------------------------------
-# heat semigroup at a point (composite fixed rule) and Bochner routes
+# heat semigroup of a radial function (radial Bessel-kernel rule) and the
+# Bochner routes
 
-_U_PANELS = np.array([0.0, 1.5, 3.0, 4.5, 6.0, 8.0, 10.0, 13.0])
-_U_CAP = 17.0  # the Gaussian weight e^(-u^2/4) is below 5e-32 past it
+# the Gaussian weight e^(-v^2/4) is below 5e-32 past |v| = 17
+_V_EDGES = np.array([-17.0, -10.0, -6.0, -3.0, 0.0, 3.0, 6.0, 10.0, 17.0])
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# splits at rho = 0.9 R and R: a bump's flat approach to its support edge
+# costs one panel of 24 nodes 1e-8 (relative), the graded pair 5e-16
+_SUPPORT_CUTS = np.array([0.9, 1.0])
 
 
 @functools.cache
@@ -505,65 +513,59 @@ def _heat_norm(n: int) -> float:
     return (4.0 * math.pi) ** (-0.5 * n) * sphere_area(n)
 
 
-def _heat_rule(
-    f: TestFunction, x: np.ndarray, t: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Radii, weights and cutoff u_max of the heat integral at time t.
+def _angular_mean(n: int, z: np.ndarray) -> np.ndarray:
+    """A_n(z) = e^(-z) Gamma(n/2) (z/2)^(1-n/2) I_(n/2-1)(z), the mean of
+    e^(z (cos theta - 1)) over the unit sphere S^(n-1)."""
+    if n == 1:
+        return 0.5 * (1.0 + np.exp(-2.0 * z))
+    if n == 2:
+        return bessel_i0e(z)
+    if n == 3:
+        with np.errstate(invalid="ignore"):
+            return np.where(z > 0.0, -np.expm1(-2.0 * z) / (2.0 * z), 1.0)
+    raise ValueError(f"no radial heat rule for n={n}")
 
-    e^{t Lap} g(x) = norm int_0^inf avg g(sqrt(t) u) e^(-u^2/4) u^(n-1) du,
-    with avg the spherical average about x. The average of f vanishes past
-    u = (R + |x|) / sqrt(t), R the far radius, and is not analytic at
-    u = |R - |x|| / sqrt(t) when f has compact support of radius R, where
-    the sphere crosses the edge of the support. The 24-point Gauss-Legendre
-    panels end at the first (or at u = 17) and are split at the second. The
-    weights carry the Gaussian factor and the normalization.
+
+def _radial_heat(f: TestFunction, xn: float, t: np.ndarray, deficit: bool) -> np.ndarray:
+    """e^{t Lap} f(x) at |x| = xn for each time in the (T,) array t, or
+    f(x) - e^{t Lap} f(x) when `deficit` is set.
+
+    For radial f the angular mean of the Gaussian is closed form:
+
+      e^{t Lap} f(x) = int_0^inf f(rho) (4 pi t)^(-n/2) |S^(n-1)| rho^(n-1)
+                       e^(-(|x| - rho)^2 / 4t) A_n(|x| rho / 2t) d rho.
+
+    Each t integrates in v = (rho - |x|)/sqrt(t) on 24-point Gauss-Legendre
+    panels over _V_EDGES, clipped at rho = 0 and split at _SUPPORT_CUTS:
+    the support edge rho = R, where a compactly supported f is not analytic,
+    and 0.9 R. The value stops at the far radius. The deficit integrates
+    f(x) - f(rho) over the whole Gaussian, so the small-t cancellation
+    happens inside the integrand and no f(x) (1 - sum of weights) term
+    enters. Every t gets the same panel layout (clipped panels have zero
+    width), and each row's sum depends on its own t alone.
     """
     n = f.dimension
-    xn = float(np.linalg.norm(x))
-    rt = math.sqrt(t)
-    umax = min(_U_CAP, (f.far_radius + xn) / rt)
-    edge = abs(f.support_radius - xn) / rt
-    cuts = [*_U_PANELS[_U_PANELS < umax], umax]
-    if 0.0 < edge < umax:
-        cuts = sorted([*cuts, edge])
-    cuts = np.asarray(cuts)
-    half = 0.5 * np.diff(cuts)[:, None]
-    u = (cuts[:-1, None] + half * (_GL_NODES + 1.0)).ravel()
-    w = (half * _GL_WEIGHTS).ravel() * np.exp(-0.25 * u * u) * u ** (n - 1)
-    return rt * u, _heat_norm(n) * w, umax
-
-
-def _heat_deficit(f: TestFunction, x: np.ndarray, t: float) -> float:
-    """f(x) - (heat semigroup at time t applied to f)(x), stable as t -> 0.
-
-    Written as a single Gaussian integral of f(x) - avg f so the small-t
-    cancellation happens inside the integrand; the part of the Gaussian
-    beyond the support of f integrates in closed form.
-    """
-    n = f.dimension
-    fx = float(f.eval_radial(np.linalg.norm(x)))
-    r, w, umax = _heat_rule(f, x, t)
-    deficit = float(w @ (fx - sphere_average(f, x, r)))
-    if umax < _U_CAP:
-        # beyond umax the average vanishes: remainder fx * int_umax^inf ...
-        deficit += fx * _heat_norm(n) * 2.0 ** (n - 1) * upper_gamma(
-            0.5 * n, 0.25 * umax * umax
-        )
-    return deficit
-
-
-def _heat_value(f: TestFunction, x: np.ndarray, t: float) -> float:
-    """(heat semigroup at time t applied to f)(x) for t of order 1 or larger."""
-    r, w, _ = _heat_rule(f, x, t)
-    return float(w @ sphere_average(f, x, r))
-
-
-def _vec(fn):
-    def wrapped(arr):
-        arr = np.atleast_1d(np.asarray(arr, dtype=float))
-        return np.array([fn(float(v)) for v in arr])
-
-    return wrapped
+    t = np.asarray(t, dtype=float)
+    rt = np.sqrt(t)[:, None]
+    lo = np.maximum(-xn / rt, _V_EDGES[0])
+    top = _V_EDGES[-1] if deficit else (f.far_radius - xn) / rt
+    hi = np.clip(top, lo, _V_EDGES[-1])
+    fixed = np.broadcast_to(_V_EDGES, (t.size, _V_EDGES.size))
+    edges = (_SUPPORT_CUTS * f.support_radius - xn) / rt
+    cuts = np.sort(np.concatenate([fixed, lo, edges], axis=1), axis=1)
+    cuts = np.clip(cuts, lo, hi)
+    half = 0.5 * np.diff(cuts, axis=1)[:, :, None]
+    v = cuts[:, :-1, None] + half * (_GL_NODES + 1.0)
+    rho = np.maximum(xn + rt[:, :, None] * v, 0.0)
+    w = (half * _GL_WEIGHTS) * np.exp(-0.25 * v * v)
+    if n > 1:
+        w *= (rho / rt[:, :, None]) ** (n - 1)
+    w *= _angular_mean(n, xn * rho / (2.0 * t[:, None, None]))
+    values = f.profile(rho)
+    if deficit:
+        values = float(f.eval_radial(xn)) - values
+    rows = t.size
+    return _heat_norm(n) * np.einsum("ij,ij->i", w.reshape(rows, -1), values.reshape(rows, -1))
 
 
 _T_TAYLOR = 1e-8
@@ -571,7 +573,7 @@ _T_FAR = 1e4
 _TAU_FAR = math.log(_T_FAR)
 
 
-def _deficit_slope(f: TestFunction, x: np.ndarray) -> float:
+def _deficit_slope(f: TestFunction, xn: float) -> float:
     """lim_{t->0} (f(x) - e^{t Lap} f(x)) / t, from two small-t samples.
 
     The quotient is a + b t + O(t^2); Richardson extrapolation from t0 and
@@ -579,24 +581,37 @@ def _deficit_slope(f: TestFunction, x: np.ndarray) -> float:
     t0 = 1e-6 and would bias the closed-form piece below t = 1e-8.
     """
     t0 = 1e-6
-    return (
-        2.0 * _heat_deficit(f, x, t0) / t0
-        - _heat_deficit(f, x, 2.0 * t0) / (2.0 * t0)
-    )
+    d1, d2 = _radial_heat(f, xn, np.array([t0, 2.0 * t0]), deficit=True)
+    return 2.0 * d1 / t0 - d2 / (2.0 * t0)
 
 
-def _heat_far_tail(f: TestFunction, x: np.ndarray, p: float) -> float:
+def _short_deficit(f: TestFunction, xn: float, slope: float, t: np.ndarray) -> np.ndarray:
+    """f(x) - e^{t Lap} f(x) for the times t < 1 of one panel; below
+    t = 1e-8 its linear term."""
+    deficit = slope * t
+    late = t >= _T_TAYLOR
+    deficit[late] = _radial_heat(f, xn, t[late], deficit=True)
+    return deficit
+
+
+def _heat_far_tail(f: TestFunction, xn: float, p: float) -> float:
     """int_{T_FAR}^inf (e^{t Lap} f)(x) t^(-1-p) dt in closed form.
 
     Past T_FAR the semigroup is its two-term expansion
     (4 pi t)^(-n/2) (mass - m2 / (4 t)), m2 the second moment about x.
     """
     n = f.dimension
-    mass, m2 = f.moments(float(np.linalg.norm(x)))
+    mass, m2 = f.moments(xn)
     a = 0.5 * n + p
     return (4.0 * math.pi) ** (-0.5 * n) * (
         mass * _T_FAR ** (-a) / a - 0.25 * m2 * _T_FAR ** (-a - 1.0) / (a + 1.0)
     )
+
+
+def _converged_value(res, route: str, piece: str) -> float:
+    if not res.converged:
+        raise NonConvergenceError(f"{route}: {piece}-time integral did not converge")
+    return res.value
 
 
 def log_bochner_point(
@@ -606,25 +621,26 @@ def log_bochner_point(
 
     int_0^inf (e^-t f(x) - e^{t Lap} f(x)) / t dt, split at t = 1. Over
     (1, 1e4) it is integrated in tau = log t, where the integrand is smooth;
-    the far tail uses the two-term heat expansion in closed form.
+    the far tail uses the two-term heat expansion in closed form. Each
+    Gauss-Kronrod panel evaluates the semigroup at its 15 times in one call.
     """
     _check_dini(f)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    fx = float(f.eval_radial(np.linalg.norm(x)))
-    slope = _deficit_slope(f, x)
+    xn = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    fx = float(f.eval_radial(xn))
+    slope = _deficit_slope(f, xn)
 
-    def head(t: float) -> float:
-        deficit = slope * t if t < _T_TAYLOR else _heat_deficit(f, x, t)
-        return (math.expm1(-t) * fx + deficit) / t
+    def head(t):
+        return (np.expm1(-t) * fx + _short_deficit(f, xn, slope, t)) / t
 
-    def mid(tau: float) -> float:
-        t = math.exp(tau)
-        return math.exp(-t) * fx - _heat_value(f, x, t)
+    def mid(tau):
+        t = np.exp(tau)
+        return np.exp(-t) * fx - _radial_heat(f, xn, t, deficit=False)
 
-    head_part = integrate(_vec(head), 0.0, 1.0, cfg=cfg)
-    mid_part = integrate(_vec(mid), 0.0, _TAU_FAR, cfg=cfg)
-    analytic = fx * exp_integral_e1(_T_FAR) - _heat_far_tail(f, x, 0.0)
-    return head_part.value + mid_part.value + analytic
+    route = f"log_bochner_point({f.id}, |x|={xn!r})"
+    head_part = _converged_value(integrate(head, 0.0, 1.0, cfg=cfg), route, "short")
+    mid_part = _converged_value(integrate(mid, 0.0, _TAU_FAR, cfg=cfg), route, "long")
+    analytic = fx * exp_integral_e1(_T_FAR) - _heat_far_tail(f, xn, 0.0)
+    return head_part + mid_part + analytic
 
 
 def frac_bochner_point(
@@ -636,31 +652,32 @@ def frac_bochner_point(
     the deficit is its linear term and that piece integrates in closed form.
     Past t = 1 the f(x) term gives f(x)/s, the semigroup term is integrated
     in tau = log t up to t = 1e4, and its far tail uses the two-term heat
-    expansion in closed form.
+    expansion in closed form. Each Gauss-Kronrod panel evaluates the
+    semigroup at its 15 times in one call.
     """
     _check_dini(f)
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    fx = float(f.eval_radial(np.linalg.norm(x)))
-    slope = _deficit_slope(f, x)
+    xn = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    fx = float(f.eval_radial(xn))
+    slope = _deficit_slope(f, xn)
     q = 1.0 / (1.0 - s)
 
-    def short_sub(v: float) -> float:
+    def short_sub(v):
         t = v ** q
-        deficit = slope * t if t < _T_TAYLOR else _heat_deficit(f, x, t)
-        return deficit * t ** (-1.0 - s) * q * v ** (q - 1.0)
+        return _short_deficit(f, xn, slope, t) * t ** (-1.0 - s) * q * v ** (q - 1.0)
 
-    def mid(tau: float) -> float:
-        return _heat_value(f, x, math.exp(tau)) * math.exp(-s * tau)
+    def mid(tau):
+        return _radial_heat(f, xn, np.exp(tau), deficit=False) * np.exp(-s * tau)
 
+    route = f"frac_bochner_point({f.id}, |x|={xn!r}, s={s!r})"
     v_lo = _T_TAYLOR ** (1.0 - s)
     analytic_head = slope * _T_TAYLOR ** (1.0 - s) / (1.0 - s)
-    short_part = integrate(_vec(short_sub), v_lo, 1.0, cfg=cfg)
-    mid_part = integrate(_vec(mid), 0.0, _TAU_FAR, cfg=cfg)
-    far = fx / s - mid_part.value - _heat_far_tail(f, x, s)
+    short_part = _converged_value(integrate(short_sub, v_lo, 1.0, cfg=cfg), route, "short")
+    mid_part = _converged_value(integrate(mid, 0.0, _TAU_FAR, cfg=cfg), route, "long")
+    far = fx / s - mid_part - _heat_far_tail(f, xn, s)
     pref = s / gamma(1.0 - s)
-    return pref * (analytic_head + short_part.value + far)
+    return pref * (analytic_head + short_part + far)
 
 
 # ---------------------------------------------------------------------------
@@ -935,17 +952,21 @@ def limits_report(
         grid = f
     else:
         grid = PeriodicGridFunction.from_function(f, f.dimension, length, points)
-    spectrum = np.fft.fftn(grid.samples)
+    spectrum = np.fft.rfftn(grid.samples, axes=tuple(range(grid.n)))
     q2 = grid.freq_sq()
     nonzero = q2 > 0.0
     spectrum = np.where(nonzero, spectrum, 0.0)  # mean-zero part
     q2safe = np.where(nonzero, q2, 1.0)
     logq = np.where(nonzero, np.log(q2safe), 0.0)
-    # discrete L^2 norm via Parseval: ||g||^2 = (L^n / N^2n) sum |G_k|^2
+    # discrete L^2 norm via Parseval: ||g||^2 = (L^n / N^2n) sum |G_k|^2 over
+    # the full spectrum; on the half spectrum the modes whose conjugate is
+    # not stored (last-axis index 1..N/2-1) count twice
     scale = grid.length ** grid.n / grid.points ** (2 * grid.n)
+    twice = np.full(q2.shape[-1], 2.0)
+    twice[[0, -1]] = 1.0
 
     def norm_of(mult):
-        return math.sqrt(scale * float(np.sum(np.abs(mult * spectrum) ** 2)))
+        return math.sqrt(scale * float(np.sum(twice * np.abs(mult * spectrum) ** 2)))
 
     e0, e1, quot = [], [], []
     for s in s_grid:

@@ -199,7 +199,7 @@ def embedding_counterexample(epsilon: float, n_list) -> list[tuple[int, float, f
     f_acc = 0.0
     g_acc = 0.0
     prev = 2
-    chunk = 1_000_000
+    chunk = 1 << 16  # 512 kB temporaries
     for n in n_list:
         k_start = prev
         while k_start <= n:

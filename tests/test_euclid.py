@@ -171,6 +171,36 @@ class TestPeriodicGrid:
         rhs = 2.0 * eu.log_multiplier(ga).samples - 3.0 * eu.log_multiplier(gb).samples
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
+    def test_freq_sq_is_half_spectrum(self):
+        for n in (1, 2, 3):
+            grid = eu.PeriodicGridFunction(n, 10.0, 8, np.zeros((8,) * n))
+            assert grid.freq_sq().shape == (8,) * (n - 1) + (5,)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_half_spectrum_matches_full_fft(self, n):
+        # test-local reference: the whole mode grid through fftn / ifftn
+        grid = eu.PeriodicGridFunction.from_function(eu.registry(n)["bump"], n, 12.0, 64)
+        xi = 2.0 * math.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+        q = sum(g * g for g in np.meshgrid(*([xi] * n), indexing="ij"))
+        logq = np.log(np.where(q > 0.0, q, 1.0)) * (q > 0.0)
+        spectrum = np.fft.fftn(grid.samples)
+        cases = [
+            (eu.log_multiplier(grid), logq),
+            (eu.frac_multiplier(grid, 0.3), q ** 0.3),
+            (eu.heat_apply(grid, 0.2), np.exp(-0.2 * q)),
+            (eu.laplacian_multiplier(grid), -q),
+        ]
+        for out, mult in cases:
+            ref = np.fft.ifftn(spectrum * mult).real
+            assert out.samples.shape == ref.shape
+            assert np.max(np.abs(out.samples - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_from_function_radii(self):
+        grid = eu.PeriodicGridFunction.from_function(lambda r: r, 3, 6.0, 8)
+        c = grid.axis_coords()
+        i, j, k = 1, 6, 3
+        assert grid.samples[i, j, k] == math.sqrt(c[i] ** 2 + c[j] ** 2 + c[k] ** 2)
+
     def test_csv_serialization(self, tmp_path):
         grid = eu.PeriodicGridFunction.from_function(
             eu.registry(2)["bump"], 2, 10.0, 8
@@ -244,6 +274,15 @@ class TestFracPointwise:
         with pytest.raises(ValueError):
             eu.frac_pointwise(gauss, [0.0], 1.5)
 
+    def test_bump_near_curvature(self):
+        # a one-sample quadratic fit below r = 2e-3 left this point 1.9e-5 off
+        # the torus multiplier minus its periodization shift (4096- to
+        # 65536-point grids: -0.1660664199) and off the Bochner route
+        bump = eu.registry(1)["bump"]
+        val = eu.frac_pointwise(bump, [0.75], 0.75)
+        assert abs(val + 0.1660664199) <= 3e-8 * 0.166
+        assert abs(val - eu.frac_bochner_point(bump, [0.75], 0.75)) <= 2e-8 * 0.166
+
 
 class TestBochnerRoutes:
     def test_zero_function(self):
@@ -281,12 +320,144 @@ class TestBochnerRoutes:
             math.sqrt(2.0 / math.pi), abs=1e-3
         )
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("s", [0.26, 0.5, 0.74])
     def test_frac_gaussian_chi_square_moment(self, n, s):
         gauss = eu.registry(n)["gaussian"]
         target = 2.0 ** s * gamma(0.5 * n + s) / gamma(0.5 * n)
         assert abs(eu.frac_bochner_point(gauss, np.zeros(n), s) - target) <= 1e-7
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_log_gaussian_chi_square_moment(self, n):
+        gauss = eu.registry(n)["gaussian"]
+        target = digamma(0.5 * n) + math.log(2.0)
+        assert abs(eu.log_bochner_point(gauss, np.zeros(n)) - target) <= 1e-8
+
+    # every third node of the 512-point L = 24 torus grid in [0, 1.55]
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("s", [None, 0.25, 0.5, 0.75])
+    def test_bump_matches_pointwise_on_grid_nodes(self, n, s):
+        bump = eu.registry(n)["bump"]
+        worst = 0.0
+        for k in range(0, 34, 3):
+            x = np.zeros(n)
+            x[0] = k * 24.0 / 512
+            if s is None:
+                a, b = eu.log_bochner_point(bump, x), eu.log_pointwise(bump, x)
+            else:
+                a, b = eu.frac_bochner_point(bump, x, s), eu.frac_pointwise(bump, x, s)
+            worst = max(worst, abs(a - b) / max(abs(b), 1e-2))
+        assert worst <= 1e-7
+
+    # the pointwise route's 2048-direction sphere rule limits this gap
+    @pytest.mark.parametrize("xn", [0.0, 0.3, 0.6, 0.9375])
+    def test_bump_matches_pointwise_n3(self, xn):
+        bump = eu.registry(3)["bump"]
+        x = np.array([xn, 0.0, 0.0])
+        pairs = [(eu.log_bochner_point(bump, x), eu.log_pointwise(bump, x))] + [
+            (eu.frac_bochner_point(bump, x, s), eu.frac_pointwise(bump, x, s)) for s in (0.25, 0.75)
+        ]
+        for a, b in pairs:
+            assert abs(a - b) <= 1e-6 * max(abs(b), 1e-2)
+
+    def test_bump_n3_outside_support_exact(self):
+        # f(x) = 0 at |x| = a > 1, so log(-Lap) f(x) = -2 int_0^inf avg_r f / r dr;
+        # with the 3-d spherical mean (1/2ar) int_{|a-r|}^{a+r} f(rho) rho d rho
+        # the r-integral is closed form, leaving one integral over rho
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 25
+        a = mp.mpf("1.2")
+        g = lambda r: mp.e ** (-1 / (1 - r * r)) * r / (2 * a) * (1 / (a - r) - 1 / (a + r))
+        ref = float(-2 * mp.quad(g, [0, 0.5, 0.9, 0.99, 1]))
+        val = eu.log_bochner_point(eu.registry(3)["bump"], [1.2, 0.0, 0.0])
+        assert abs(val - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_heat_call_per_panel(self, n, monkeypatch):
+        calls, integrals = [], []
+        heat, integrate_ = eu._radial_heat, eu.integrate
+
+        def counted_heat(*args, **kwargs):
+            calls.append(np.size(args[2]))
+            return heat(*args, **kwargs)
+
+        def counted_integrate(*args, **kwargs):
+            before = len(calls)
+            res = integrate_(*args, **kwargs)
+            integrals.append((len(calls) - before, res.evaluations))
+            return res
+
+        monkeypatch.setattr(eu, "_radial_heat", counted_heat)
+        monkeypatch.setattr(eu, "integrate", counted_integrate)
+        bump = eu.registry(n)["bump"]
+        x = np.full(n, 0.3)
+        for route in (lambda: eu.log_bochner_point(bump, x), lambda: eu.frac_bochner_point(bump, x, 0.4)):
+            calls.clear()
+            integrals.clear()
+            route()
+            # the two-sample deficit slope, then one call per 15-node panel
+            # of the short- and long-time integrals (the moments of the far
+            # tail are integrals that make no heat call)
+            outer = [(c, e) for c, e in integrals if c]
+            assert calls[0] == 2
+            assert len(outer) == 2
+            assert all(15 * c == e for c, e in outer)
+            assert len(calls) == 1 + sum(c for c, _ in outer)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unconverged_raises(self, n):
+        bump = eu.registry(n)["bump"]
+        cfg = QuadratureConfig(max_subdivisions=1)
+        with pytest.raises(NonConvergenceError, match="log_bochner_point"):
+            eu.log_bochner_point(bump, np.full(n, 0.3), cfg=cfg)
+        with pytest.raises(NonConvergenceError, match="frac_bochner_point"):
+            eu.frac_bochner_point(bump, np.full(n, 0.3), 0.5, cfg=cfg)
+
+
+class TestRadialHeat:
+    """The heat semigroup on radial f behind the Bochner routes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gaussian_closed_form(self, n):
+        # e^{t Lap} e^(-|y|^2/2) at |x| = a: (1+2t)^(-n/2) e^(-a^2/(2(1+2t)))
+        gauss = eu.registry(n)["gaussian"]
+        t = np.geomspace(1e-6, 1e4, 41)
+        for a in (0.0, 0.3, 1.0, 2.5, 5.0):
+            exact = (1.0 + 2.0 * t) ** (-0.5 * n) * np.exp(-a * a / (2.0 * (1.0 + 2.0 * t)))
+            value = eu._radial_heat(gauss, a, t, deficit=False)
+            assert np.max(np.abs(value / exact - 1.0)) <= 1e-11
+            # f(x) - e^{t Lap} f(x), without cancellation, for the short times
+            short = t[t <= 1.0]
+            exact_deficit = -math.exp(-0.5 * a * a) * np.expm1(
+                a * a * short / (1.0 + 2.0 * short) - 0.5 * n * np.log1p(2.0 * short)
+            )
+            deficit = eu._radial_heat(gauss, a, short, deficit=True)
+            assert np.all(np.abs(deficit - exact_deficit) <= 1e-9 * short)
+
+    def test_bump_value_resolved_at_support_edge(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 25
+        bump = eu.registry(1)["bump"]
+        for a, t in ((0.0, 1.0), (1.2, 1.0), (0.5, 10.0)):
+            a_, t_ = mp.mpf(a), mp.mpf(t)
+            kernel = lambda r: (4 * mp.pi * t_) ** -0.5 * (
+                mp.e ** (-(a_ - r) ** 2 / (4 * t_)) + mp.e ** (-(a_ + r) ** 2 / (4 * t_))
+            )
+            ref = float(mp.quad(lambda r: mp.e ** (-1 / (1 - r * r)) * kernel(r), [0, 0.5, 0.9, 0.99, 1]))
+            value = eu._radial_heat(bump, a, np.array([t]), deficit=False)[0]
+            assert abs(value - ref) <= 1e-14 * ref
+
+    def test_batched_row_equals_single_time(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3):
+            for name in ("bump", "gaussian"):
+                f = eu.registry(n)[name]
+                for a in (0.0, 0.3, 0.97, 1.4):
+                    t = np.exp(rng.uniform(math.log(1e-8), math.log(1e4), 15))
+                    for deficit in (True, False):
+                        row = eu._radial_heat(f, a, t, deficit)
+                        one = [eu._radial_heat(f, a, t[i : i + 1], deficit)[0] for i in range(t.size)]
+                        assert np.array_equal(row, one)
 
 
 class TestPeriodizationShift:

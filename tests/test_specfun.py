@@ -256,5 +256,32 @@ class TestErf:
         assert sf.erf(1.0) == pytest.approx(ERF_AT_ONE, abs=1e-13)
 
 
+class TestBesselI0e:
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        # both sides of every switch between the series and Hankel pieces
+        edges = [v for e in (2.0, 22.0, 100.0) for v in (e * (1 - 1e-12), e, e * (1 + 1e-12))]
+        z = np.concatenate(
+            [[0.0, 1e-300, 1e-8], np.linspace(0.0, 120.0, 601), np.geomspace(120.0, 1e9, 120), edges]
+        )
+        ref = np.array([float(mp.besseli(0, mp.mpf(v)) * mp.exp(-mp.mpf(v))) for v in z])
+        assert np.max(np.abs(sf.bessel_i0e(z) / ref - 1.0)) <= 5e-15
+
+    def test_shape_and_elementwise(self):
+        z = np.array([[0.0, 1.5], [30.0, 2e5]])
+        out = sf.bessel_i0e(z)
+        assert out.shape == z.shape
+        assert out[0, 0] == 1.0
+        for i, j in np.ndindex(z.shape):
+            assert sf.bessel_i0e(z[i : i + 1, j]) == out[i, j]
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            sf.bessel_i0e(np.array([1.0, -1e-3]))
+        with pytest.raises(ValueError):
+            sf.bessel_i0e(np.array([np.nan]))
+
+
 def test_gamma_constant_oracle():
     assert abs(sf.EULER_GAMMA - sf.euler_gamma_harmonic()) <= 1e-12

@@ -138,6 +138,14 @@ class TestEmbeddingCounterexample:
         assert g_diff >= 6.0
         assert f_diff <= 1e-3
 
+    def test_chunked_sums_match_one_sum(self):
+        # checkpoints that straddle the summation chunks, against one fsum each
+        rows = sp.embedding_counterexample(0.25, [70000, 140000])
+        for n, f_sum, g_sum in rows:
+            k = np.arange(2, n + 1, dtype=float)
+            assert f_sum == pytest.approx(math.fsum(k ** -0.5 / (k * np.log(k) ** 2)), rel=1e-13)
+            assert g_sum == pytest.approx(math.fsum(1.0 / k), rel=1e-13)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sp.embedding_counterexample(0.0, [100])
