@@ -193,8 +193,8 @@ def _cmd_apply(args) -> int:
                 rows.append(list(x) + [val])
             header = [f"x{i + 1}" for i in range(args.n)] + ["value"]
         else:
-            if args.n not in (2, 3):
-                return _fail_args("hyperbolic pointwise operators cover n in {2, 3}")
+            if args.n not in (2, 3, 4, 5):
+                return _fail_args("hyperbolic pointwise operators cover n in 2..5")
             if args.op != "log":
                 return _fail_args("hyperbolic apply supports --op log")
             if args.route == "multiplier":

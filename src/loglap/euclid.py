@@ -26,11 +26,13 @@ import numpy as np
 from . import reporting
 from .quadrature import (
     DEFAULT_CONFIG,
-    NonConvergenceError,
     QuadratureConfig,
     SingularityHint,
+    _edge_breaks,
     integrate,
     integrate_semiinfinite,
+    sphere_area,
+    sphere_mean,
 )
 from .specfun import EULER_GAMMA, bessel_i0e, digamma, exp_integral_e1, gamma, upper_gamma
 
@@ -69,11 +71,6 @@ OUTER_TIME_CFG = QuadratureConfig(abs_tol=1e-10, rel_tol=3e-9, max_subdivisions=
 
 # ---------------------------------------------------------------------------
 # constants
-
-
-def sphere_area(n: int) -> float:
-    """Surface area |S^(n-1)| = 2 pi^(n/2) / Gamma(n/2)."""
-    return 2.0 * math.pi ** (0.5 * n) / gamma(0.5 * n)
 
 
 @dataclass(frozen=True)
@@ -147,7 +144,10 @@ class SmoothnessTooLowError(ValueError):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Radial analytic test function with known support and regularity."""
+    """Radial test function with known support and regularity; `breaks`
+    are the radii, ascending, where the profile is not analytic and the
+    radial rules split (the last, and by default only, one the edge of a
+    compact support)."""
 
     id: str
     dimension: int
@@ -156,12 +156,15 @@ class TestFunction:
     smoothness: str = "smooth"  # "smooth" | "holder"
     holder_beta: float | None = None
     fourier: Callable[[np.ndarray], np.ndarray] | None = None
+    breaks: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.smoothness == "holder" and not (self.holder_beta and self.holder_beta > 0):
             raise SmoothnessTooLowError(
                 f"{self.id}: holder class requires a positive exponent"
             )
+        breaks = _edge_breaks(self.id, self.breaks, self.support_radius)
+        object.__setattr__(self, "breaks", breaks)
 
     def eval_radial(self, rho):
         return self.profile(np.asarray(rho, dtype=float))
@@ -235,8 +238,10 @@ def registry(n: int) -> dict[str, TestFunction]:
         "gaussian": TestFunction(
             "gaussian", n, _gaussian_profile, math.inf, "smooth", None, gaussian_fourier
         ),
-        "bump": TestFunction("bump", n, _bump_profile, 1.0, "smooth"),
-        "plateau": TestFunction("plateau", n, _plateau_profile, 1.0, "holder", 1.0),
+        "bump": TestFunction("bump", n, _bump_profile, 1.0, "smooth", breaks=(0.9, 1.0)),
+        "plateau": TestFunction(
+            "plateau", n, _plateau_profile, 1.0, "holder", 1.0, breaks=(0.5, 1.0)
+        ),
     }
 
 
@@ -367,55 +372,22 @@ def laplacian_multiplier(grid: PeriodicGridFunction) -> PeriodicGridFunction:
 # spherical averages and pointwise singular integrals
 
 
-def _sphere_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit directions and weights (summing to 1) for the average over S^(n-1)."""
-    if n == 1:
-        dirs = np.array([[1.0], [-1.0]])
-        w = np.array([0.5, 0.5])
-    elif n == 2:
-        m = 256
-        theta = 2.0 * math.pi * np.arange(m) / m
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        w = np.full(m, 1.0 / m)
-    elif n == 3:
-        nu, nphi = 32, 64
-        u, wu = np.polynomial.legendre.leggauss(nu)
-        phi = 2.0 * math.pi * np.arange(nphi) / nphi
-        su = np.sqrt(1.0 - u * u)
-        dirs = np.stack(
-            [
-                (su[:, None] * np.cos(phi)[None, :]).ravel(),
-                (su[:, None] * np.sin(phi)[None, :]).ravel(),
-                np.broadcast_to(u[:, None], (nu, nphi)).ravel(),
-            ],
-            axis=1,
-        )
-        w = (wu[:, None] / 2.0 * np.full(nphi, 1.0 / nphi)[None, :]).ravel()
-    else:
-        raise ValueError(f"no spherical rule for n={n}")
-    return dirs, w
-
-
-_SPHERE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _sphere(n: int):
-    if n not in _SPHERE_CACHE:
-        _SPHERE_CACHE[n] = _sphere_rule(n)
-    return _SPHERE_CACHE[n]
+def _flat_dist(q: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(q, 0.0))
 
 
 def sphere_average(f: TestFunction, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Average of f over the sphere of radius r centered at x (vector in r)."""
-    n = f.dimension
-    dirs, w = _sphere(n)
+    """Average of f over the sphere of radius r centered at x (vector in r).
+
+    Without breaks (the Gaussian) the rule stops at the far radius, where the
+    routes truncate f: the Gaussian's means about |x| = 8 are 1e-7 off over
+    the whole sphere, 1e-13 off stopped at radius 12.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    xn = math.sqrt(float(x @ x))
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    xdot = dirs @ x  # (M,)
-    x2 = float(x @ x)
-    d2 = x2 + r[:, None] ** 2 + 2.0 * r[:, None] * xdot[None, :]
-    rho = np.sqrt(np.maximum(d2, 0.0))
-    return f.profile(rho) @ w
+    cuts = np.square(f.breaks or (f.far_radius,))
+    return sphere_mean(f.profile, f.dimension, xn * xn + r * r, 2.0 * xn * r, _flat_dist, cuts)
 
 
 def _check_dini(f: TestFunction):
@@ -438,8 +410,9 @@ def log_pointwise(
     n = f.dimension
     x = np.atleast_1d(np.asarray(x, dtype=float))
     cn = constants(n)
-    fx = float(f.eval_radial(np.linalg.norm(x)))
-    rmax = f.far_radius + float(np.linalg.norm(x)) + 1.0
+    xn = float(np.linalg.norm(x))
+    fx = float(f.eval_radial(xn))
+    rmax = f.far_radius + xn + 1.0
 
     def near(r):
         return (fx - sphere_average(f, x, r)) / r
@@ -447,9 +420,10 @@ def log_pointwise(
     def far(r):
         return sphere_average(f, x, r) / r
 
-    near_part = integrate(near, 0.0, 1.0, cfg=cfg)
-    far_part = integrate(far, 1.0, rmax, cfg=cfg)
-    return 2.0 * near_part.value - 2.0 * far_part.value + cn.rho_n * fx
+    route = f"log_pointwise({f.id}, |x|={xn!r})"
+    near_part = integrate(near, 0.0, 1.0, cfg=cfg).checked(f"{route}: near")
+    far_part = integrate(far, 1.0, rmax, cfg=cfg).checked(f"{route}: far")
+    return 2.0 * near_part - 2.0 * far_part + cn.rho_n * fx
 
 
 def frac_pointwise(
@@ -466,8 +440,9 @@ def frac_pointwise(
         raise ValueError(f"s must lie in (0, 1), got {s}")
     n = f.dimension
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    fx = float(f.eval_radial(np.linalg.norm(x)))
-    rmax = f.far_radius + float(np.linalg.norm(x)) + 1.0
+    xn = float(np.linalg.norm(x))
+    fx = float(f.eval_radial(xn))
+    rmax = f.far_radius + xn + 1.0
     pref = frac_constant(n, s).c_ns * sphere_area(n)
     p = 1.0 / (2.0 - 2.0 * s)
 
@@ -490,10 +465,11 @@ def frac_pointwise(
     curv = float(4.0 * quot[1] - quot[0]) / 3.0
     analytic_near = curv * r_floor ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     v_floor = r_floor ** (2.0 - 2.0 * s)
-    near_part = integrate(near_sub, v_floor, 1.0, cfg=cfg)
-    mid_part = integrate(mid, 1.0, rmax, cfg=cfg)
+    route = f"frac_pointwise({f.id}, |x|={xn!r}, s={s!r})"
+    near_part = integrate(near_sub, v_floor, 1.0, cfg=cfg).checked(f"{route}: near")
+    mid_part = integrate(mid, 1.0, rmax, cfg=cfg).checked(f"{route}: far")
     tail = fx * rmax ** (-2.0 * s) / (2.0 * s)
-    return pref * (analytic_near + near_part.value + mid_part.value + tail)
+    return pref * (analytic_near + near_part + mid_part + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +479,6 @@ def frac_pointwise(
 # the Gaussian weight e^(-v^2/4) is below 5e-32 past |v| = 17
 _V_EDGES = np.array([-17.0, -10.0, -6.0, -3.0, 0.0, 3.0, 6.0, 10.0, 17.0])
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-# splits at rho = 0.9 R and R: a bump's flat approach to its support edge
-# costs one panel of 24 nodes 1e-8 (relative), the graded pair 5e-16
-_SUPPORT_CUTS = np.array([0.9, 1.0])
 
 
 @functools.cache
@@ -536,9 +509,9 @@ def _radial_heat(f: TestFunction, xn: float, t: np.ndarray, deficit: bool) -> np
                        e^(-(|x| - rho)^2 / 4t) A_n(|x| rho / 2t) d rho.
 
     Each t integrates in v = (rho - |x|)/sqrt(t) on 24-point Gauss-Legendre
-    panels over _V_EDGES, clipped at rho = 0 and split at _SUPPORT_CUTS:
-    the support edge rho = R, where a compactly supported f is not analytic,
-    and 0.9 R. The value stops at the far radius. The deficit integrates
+    panels over _V_EDGES, clipped at rho = 0 and split at f.breaks (the
+    bump's 0.9 resolves its flat approach to the edge: 5e-16 where one panel
+    left 1e-8). The value stops at the far radius. The deficit integrates
     f(x) - f(rho) over the whole Gaussian, so the small-t cancellation
     happens inside the integrand and no f(x) (1 - sum of weights) term
     enters. Every t gets the same panel layout (clipped panels have zero
@@ -551,7 +524,7 @@ def _radial_heat(f: TestFunction, xn: float, t: np.ndarray, deficit: bool) -> np
     top = _V_EDGES[-1] if deficit else (f.far_radius - xn) / rt
     hi = np.clip(top, lo, _V_EDGES[-1])
     fixed = np.broadcast_to(_V_EDGES, (t.size, _V_EDGES.size))
-    edges = (_SUPPORT_CUTS * f.support_radius - xn) / rt
+    edges = (np.asarray(f.breaks, dtype=float) - xn) / rt
     cuts = np.sort(np.concatenate([fixed, lo, edges], axis=1), axis=1)
     cuts = np.clip(cuts, lo, hi)
     half = 0.5 * np.diff(cuts, axis=1)[:, :, None]
@@ -608,12 +581,6 @@ def _heat_far_tail(f: TestFunction, xn: float, p: float) -> float:
     )
 
 
-def _converged_value(res, route: str, piece: str) -> float:
-    if not res.converged:
-        raise NonConvergenceError(f"{route}: {piece}-time integral did not converge")
-    return res.value
-
-
 def log_bochner_point(
     f: TestFunction, x, cfg: QuadratureConfig = OUTER_TIME_CFG
 ) -> float:
@@ -637,8 +604,8 @@ def log_bochner_point(
         return np.exp(-t) * fx - _radial_heat(f, xn, t, deficit=False)
 
     route = f"log_bochner_point({f.id}, |x|={xn!r})"
-    head_part = _converged_value(integrate(head, 0.0, 1.0, cfg=cfg), route, "short")
-    mid_part = _converged_value(integrate(mid, 0.0, _TAU_FAR, cfg=cfg), route, "long")
+    head_part = integrate(head, 0.0, 1.0, cfg=cfg).checked(f"{route}: short-time")
+    mid_part = integrate(mid, 0.0, _TAU_FAR, cfg=cfg).checked(f"{route}: long-time")
     analytic = fx * exp_integral_e1(_T_FAR) - _heat_far_tail(f, xn, 0.0)
     return head_part + mid_part + analytic
 
@@ -673,8 +640,8 @@ def frac_bochner_point(
     route = f"frac_bochner_point({f.id}, |x|={xn!r}, s={s!r})"
     v_lo = _T_TAYLOR ** (1.0 - s)
     analytic_head = slope * _T_TAYLOR ** (1.0 - s) / (1.0 - s)
-    short_part = _converged_value(integrate(short_sub, v_lo, 1.0, cfg=cfg), route, "short")
-    mid_part = _converged_value(integrate(mid, 0.0, _TAU_FAR, cfg=cfg), route, "long")
+    short_part = integrate(short_sub, v_lo, 1.0, cfg=cfg).checked(f"{route}: short-time")
+    mid_part = integrate(mid, 0.0, _TAU_FAR, cfg=cfg).checked(f"{route}: long-time")
     far = fx / s - mid_part - _heat_far_tail(f, xn, s)
     pref = s / gamma(1.0 - s)
     return pref * (analytic_head + short_part + far)
@@ -728,10 +695,9 @@ def _image_potential(
                 angular += np.mean(d2 ** (-0.5 * power), axis=2).sum(axis=0)
             return f.profile(rho) * rho * angular * (2.0 * math.pi)
 
-    res = integrate(g, 0.0, f.far_radius, cfg=cfg)
-    if not res.converged:
-        raise NonConvergenceError(f"image potential of {f.id}, power {power}")
-    return res.value
+    return integrate(g, 0.0, f.far_radius, cfg=cfg).checked(
+        f"image potential of {f.id}, power {power}"
+    )
 
 
 def _image_centers(x: np.ndarray, length: float, images: int) -> tuple[np.ndarray, np.ndarray]:

@@ -28,11 +28,14 @@ from .quadrature import (
     QuadratureConfig,
     QuadResult,
     _adaptive,
+    _edge_breaks,
     integrate,
     integrate_semiinfinite,
     integrate_semiinfinite_rows,
+    sphere_area,
+    sphere_mean,
 )
-from .specfun import EULER_GAMMA, bessel_k, gamma
+from .specfun import EULER_GAMMA, bessel_k
 
 __all__ = [
     "RadialTerm",
@@ -623,19 +626,24 @@ def asympt_fit(
 
 @dataclass(frozen=True)
 class HyperRadialFunction:
-    """Radial profile supported in a geodesic ball of radius support_radius."""
+    """Radial profile supported in a geodesic ball of radius support_radius;
+    `breaks` are the radii, ascending, where it is not analytic, the last
+    (by default the only) one the support edge."""
 
     id: str
     profile: Callable[[np.ndarray], np.ndarray]
     support_radius: float
     smoothness: str = "smooth"  # "smooth" | "holder"
     holder_alpha: float | None = None
+    breaks: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.smoothness == "holder" and not (
             self.holder_alpha and self.holder_alpha > 0
         ):
             raise ValueError("holder class requires a positive exponent")
+        breaks = _edge_breaks(self.id, self.breaks, self.support_radius)
+        object.__setattr__(self, "breaks", breaks)
 
 
 def _hyper_bump(rho):
@@ -648,7 +656,7 @@ def _hyper_bump(rho):
 
 def hyper_registry() -> dict[str, HyperRadialFunction]:
     return {
-        "bump": HyperRadialFunction("bump", _hyper_bump, 1.0, "smooth"),
+        "bump": HyperRadialFunction("bump", _hyper_bump, 1.0, "smooth", breaks=(0.9, 1.0)),
         "tent": HyperRadialFunction(
             "tent",
             lambda rho: np.maximum(0.0, 1.0 - np.asarray(rho, dtype=float)),
@@ -659,37 +667,20 @@ def hyper_registry() -> dict[str, HyperRadialFunction]:
     }
 
 
-_ANG_U, _ANG_W = np.polynomial.legendre.leggauss(64)
-_ANG_THETA_2D = math.pi * (np.arange(128) + 0.5) / 128.0
+def _geodesic_dist(q: np.ndarray) -> np.ndarray:
+    """d from q = cosh d - 1, without arccosh's cancellation near d = 0."""
+    return 2.0 * np.arcsinh(np.sqrt(0.5 * np.maximum(q, 0.0)))
 
 
-def _geodesic_average(
-    f: HyperRadialFunction, n: int, x_dist: float, r: np.ndarray
-) -> np.ndarray:
-    """Average of f over the geodesic sphere of radius r about a point at
-    distance x_dist from the symmetry center of f.
-
-    cosh d = cosh(x_dist) cosh(r) - sinh(x_dist) sinh(r) cos(theta).
-    """
+def _geodesic_average(profile, n: int, x_dist: float, r, breaks=()) -> np.ndarray:
+    """Average of profile(d(y, o)) over the geodesic spheres of radius r
+    about a point at distance x_dist from o, split at the radii `breaks`:
+    cosh d - 1 = 2 sinh^2((x_dist - r)/2) + sinh x_dist sinh r (1 - cos theta)."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if x_dist == 0.0:
-        return f.profile(r)
-    ch, sh = math.cosh(x_dist), math.sinh(x_dist)
-    if n == 2:
-        cos_t = np.cos(_ANG_THETA_2D)
-        w = np.full(cos_t.shape, 1.0 / cos_t.size)
-    elif n == 3:
-        cos_t = _ANG_U
-        w = _ANG_W / 2.0
-    else:
-        raise ValueError("geodesic averages implemented for n in {2, 3}")
-    arg = ch * np.cosh(r)[..., None] - sh * np.sinh(r)[..., None] * cos_t
-    d = np.arccosh(np.maximum(arg, 1.0))
-    return f.profile(d) @ w
-
-
-def _sphere_area_h(n: int) -> float:
-    return 2.0 * math.pi ** (0.5 * n) / gamma(0.5 * n)
+    b = math.sinh(x_dist) * np.sinh(r)
+    a = 2.0 * np.sinh(0.5 * (x_dist - r)) ** 2 + b
+    cuts = 2.0 * np.sinh(0.5 * np.asarray(breaks, dtype=float)) ** 2
+    return sphere_mean(profile, n, a, b, _geodesic_dist, cuts)
 
 
 _R_INFINITY = 16.0  # K1 * volume growth is ~ e^(-r^2/4 + (n-1)r/2): dead by 16
@@ -700,14 +691,14 @@ POINTWISE_H_CFG = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8, max_subdivisions
 @functools.cache
 def _k1_tail_constant(n: int) -> float:
     """rho_n^H = |S^(n-1)| int_1^inf K1(r) sinh^(n-1) r dr + Gamma'(1)."""
-    area = _sphere_area_h(n)
+    area = sphere_area(n)
 
     def g(r):
         k1, _ = log_kernel_values(n, r)
         return k1 * np.sinh(r) ** (n - 1)
 
     res = integrate(g, 1.0, _R_INFINITY, cfg=POINTWISE_H_CFG)
-    return area * res.value - EULER_GAMMA
+    return area * res.checked(f"K1 tail constant (n={n})") - EULER_GAMMA
 
 
 def log_pointwise_h(
@@ -725,43 +716,38 @@ def log_pointwise_h(
         raise ValueError("f must be smooth or positively Holder continuous")
     if x_dist < 0:
         raise ValueError("x_dist must be nonnegative")
-    area = _sphere_area_h(n)
+    area = sphere_area(n)
     fx = float(f.profile(np.array([x_dist]))[0])
+    route = f"log_pointwise_h(n={n}, {f.id}, x={x_dist!r})"
     if x_dist > f.support_radius + 0.5:
         # support is disjoint from the unit ball around x: the value reduces
         # to -int (K1 + K2)(d(x, y)) f(y) dvol, integrated around the center
         # of f where the support subtends order-one angles
-        def far_form(rho):
-            rho = np.atleast_1d(np.asarray(rho, dtype=float))
-            ch, sh = math.cosh(x_dist), math.sinh(x_dist)
-            if n == 3:
-                cos_t, w = _ANG_U, _ANG_W / 2.0
-            else:
-                cos_t = np.cos(_ANG_THETA_2D)
-                w = np.full(cos_t.shape, 1.0 / cos_t.size)
-            arg = ch * np.cosh(rho)[:, None] - sh * np.sinh(rho)[:, None] * cos_t[None, :]
-            d = np.arccosh(np.maximum(arg, 1.0))
+        def k_sum(d):
             k1, k2 = log_kernel_values(n, d.ravel())
-            ksum = ((k1 + k2).reshape(d.shape)) @ w
+            return (k1 + k2).reshape(d.shape)
+
+        def far_form(rho):
+            ksum = _geodesic_average(k_sum, n, x_dist, rho)
             return f.profile(rho) * ksum * np.sinh(rho) ** (n - 1)
 
-        return -area * integrate(far_form, 0.0, f.support_radius, cfg=cfg).value
+        far = integrate(far_form, 0.0, f.support_radius, cfg=cfg)
+        return -area * far.checked(f"{route}: far form")
     r_active = x_dist + f.support_radius
 
     def core(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
         k1, k2 = log_kernel_values(n, r)
-        avg = _geodesic_average(f, n, x_dist, r)
+        avg = _geodesic_average(f.profile, n, x_dist, r, f.breaks)
         return (k1 * (fx - avg) - k2 * avg) * np.sinh(r) ** (n - 1)
 
     def k1_only(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
         k1, _ = log_kernel_values(n, r)
         return k1 * np.sinh(r) ** (n - 1)
 
-    value = area * integrate(core, 0.0, r_active, cfg=cfg).value
+    value = area * integrate(core, 0.0, r_active, cfg=cfg).checked(f"{route}: core")
     if fx != 0.0:
-        value += fx * area * integrate(k1_only, r_active, _R_INFINITY, cfg=cfg).value
+        tail = integrate(k1_only, r_active, _R_INFINITY, cfg=cfg)
+        value += fx * area * tail.checked(f"{route}: K1 tail")
     return value - EULER_GAMMA * fx
 
 
@@ -772,9 +758,10 @@ def log_bochner_h(
     cfg: QuadratureConfig = POINTWISE_H_CFG,
 ) -> float:
     """Independent time-quadrature route: int (e^-t f(x) - P_t f(x)) / t dt."""
-    area = _sphere_area_h(n)
+    area = sphere_area(n)
     fx = float(f.profile(np.array([x_dist]))[0])
     r_active = x_dist + f.support_radius
+    route = f"log_bochner_h(n={n}, x={x_dist})"
 
     # the geodesic average of f is flat but not analytic at the radii where
     # the sphere about x touches the support's boundary; the pieces between
@@ -796,13 +783,10 @@ def log_bochner_h(
 
             def g(u):
                 r = lo + width * u
-                avg = _geodesic_average(f, n, x_dist, r)
+                avg = _geodesic_average(f.profile, n, x_dist, r, f.breaks)
                 return heat_kernel(n, r, t) * weight(avg) * np.sinh(r) ** (n - 1) * width
 
-            res = _adaptive(g, 0.0, 1.0, cfg)
-            if not res.converged:
-                raise NonConvergenceError(f"log_bochner_h(n={n}, x={x_dist}): radial integral")
-            total += res.value
+            total += _adaptive(g, 0.0, 1.0, cfg).checked(f"{route}: radial")
             lo = hi
         return area * total
 
@@ -815,11 +799,9 @@ def log_bochner_h(
         value = radial(t, np.full(t.shape, r_active), lambda avg: avg)
         return (np.exp(-t) * fx - value) / t
 
-    head_part = integrate(head, 0.0, 1.0, cfg=cfg)
-    tail_part = integrate_semiinfinite(tail, 1.0, cfg=cfg)
-    if not (head_part.converged and tail_part.converged):
-        raise NonConvergenceError(f"log_bochner_h(n={n}, x={x_dist}): time integral")
-    return head_part.value + tail_part.value
+    head_part = integrate(head, 0.0, 1.0, cfg=cfg).checked(f"{route}: short-time")
+    tail_part = integrate_semiinfinite(tail, 1.0, cfg=cfg).checked(f"{route}: long-time")
+    return head_part + tail_part
 
 
 @dataclass
@@ -848,36 +830,27 @@ def split_check(
     the remainder collects -int_{B_1} K2 f, -int_{complement} K1 f and the
     tail constant rho_n^H f(x); their sum must reproduce the direct value.
     """
-    area = _sphere_area_h(n)
+    area = sphere_area(n)
     fx = float(f.profile(np.array([x_dist]))[0])
     r_active = x_dist + f.support_radius
+    route = f"split_check(n={n}, {f.id}, x={x_dist!r})"
 
-    def piece(r, which: str):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        k1, k2 = log_kernel_values(n, r)
-        avg = _geodesic_average(f, n, x_dist, r)
-        vol = np.sinh(r) ** (n - 1)
-        if which == "near":
-            return k1 * (fx - avg) * vol
-        if which == "k2":
-            return k2 * avg * vol
-        if which == "k1_outer":
-            return k1 * avg * vol
-        raise ValueError(which)
+    def radial(weight, lo: float, hi: float) -> float:
+        """|S^(n-1)| int_lo^hi weight(K1, K2, avg f) sinh^(n-1) r dr."""
 
-    near = area * integrate(lambda r: piece(r, "near"), 0.0, 1.0, cfg=cfg).value
-    far = 0.0
-    k1_outer = 0.0
+        def g(r):
+            k1, k2 = log_kernel_values(n, r)
+            avg = _geodesic_average(f.profile, n, x_dist, r, f.breaks)
+            return weight(k1, k2, avg) * np.sinh(r) ** (n - 1)
+
+        return area * integrate(g, lo, hi, cfg=cfg).checked(f"{route}: ({lo}, {hi})")
+
+    near = radial(lambda k1, k2, avg: k1 * (fx - avg), 0.0, 1.0)
+    far = k1_outer = 0.0
     if r_active > 1.0:
-        far = -area * integrate(
-            lambda r: piece(r, "k2"), 1.0, r_active, cfg=cfg
-        ).value
-        k1_outer = area * integrate(
-            lambda r: piece(r, "k1_outer"), 1.0, r_active, cfg=cfg
-        ).value
-    k2_inner = area * integrate(
-        lambda r: piece(r, "k2"), 0.0, min(1.0, r_active), cfg=cfg
-    ).value
+        far = -radial(lambda k1, k2, avg: k2 * avg, 1.0, r_active)
+        k1_outer = radial(lambda k1, k2, avg: k1 * avg, 1.0, r_active)
+    k2_inner = radial(lambda k1, k2, avg: k2 * avg, 0.0, min(1.0, r_active))
     rho_h = _k1_tail_constant(n)
     remainder = -k2_inner - k1_outer + rho_h * fx
     direct = log_pointwise_h(n, f, x_dist, cfg=cfg)
@@ -886,7 +859,7 @@ def split_check(
 
 def heat_mass(n: int, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Total heat-kernel mass |S^(n-1)| int p_n(r, t) sinh^(n-1) r dr."""
-    area = _sphere_area_h(n)
+    area = sphere_area(n)
     rmax = (n - 1) * t + 14.0 * math.sqrt(t) + 12.0
 
     def g(r):
@@ -903,14 +876,8 @@ def chapman_kolmogorov_residual(t: float, s: float, dist: float) -> float:
     """|int p_t(x, y) p_s(y, z) dvol(y) - p_{t+s}(d(x,z))| on H^3."""
     n = 3
     rr, wr = _CK_R, _CK_W
-    p_t = heat_kernel(n, rr, t)
-    ch, sh = math.cosh(dist), math.sinh(dist)
-    arg = ch * np.cosh(rr)[:, None] - sh * np.sinh(rr)[:, None] * _ANG_U[None, :]
-    d = np.arccosh(np.maximum(arg, 1.0))
-    inner = heat_kernel(n, d, s) @ (_ANG_W / 2.0)
-    total = 2.0 * math.pi * 2.0 * float(
-        (wr * p_t * np.sinh(rr) ** 2) @ inner
-    )
+    inner = _geodesic_average(lambda d: heat_kernel(n, d, s), n, dist, rr)
+    total = 4.0 * math.pi * float((wr * heat_kernel(n, rr, t) * np.sinh(rr) ** 2) @ inner)
     return abs(total - heat_kernel(n, dist, t + s))
 
 
@@ -949,7 +916,7 @@ def kernel_norms(
     radii = [float(r) for r in r_trunc_list]
     if sorted(radii) != radii:
         raise ValueError("truncation radii must increase")
-    area = _sphere_area_h(n)
+    area = sphere_area(n)
 
     def k2_pow(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -993,7 +960,7 @@ def kernel_norms(
 
 
 def _lp_norm_radial(f: HyperRadialFunction, n: int, p: float) -> float:
-    area = _sphere_area_h(n)
+    area = sphere_area(n)
     res = integrate(
         lambda r: np.abs(f.profile(np.atleast_1d(r))) ** p
         * np.sinh(np.atleast_1d(r)) ** (n - 1),
@@ -1007,7 +974,7 @@ def _energy_inequality(
     n: int, f: HyperRadialFunction, p: float, q: float, cfg: QuadratureConfig
 ) -> tuple[float, float]:
     """LHS = int |R_n(f; x)| |f(x)| dvol against the Young-type bound."""
-    area = _sphere_area_h(n)
+    area = sphere_area(n)
     rho_h = _k1_tail_constant(n)
     # |remainder(x)| |f(x)| is smooth on the support; a short Gauss rule
     # suffices and each node costs a full split evaluation

@@ -1,4 +1,5 @@
-"""Adaptive 1-D quadrature and the scalar integral identities built on it.
+"""Adaptive 1-D quadrature, the mean over spheres in R^n and H^n
+(`sphere_mean`), and the scalar integral identities built on them.
 
 The engine is a vectorized Gauss-Kronrod 7-15 pair with worst-panel-first
 subdivision (QUADPACK, Piessens et al. 1983). It runs in three modes:
@@ -54,6 +55,8 @@ __all__ = [
     "integrate",
     "integrate_semiinfinite",
     "integrate_semiinfinite_rows",
+    "sphere_area",
+    "sphere_mean",
     "frullani_log",
     "verify_scalar_identities",
 ]
@@ -109,7 +112,8 @@ class NonConvergenceError(RuntimeError):
     """Subdivision budget exhausted before the tolerance was met.
 
     The engine itself never raises this; it returns the best estimate with
-    converged=False. Callers that cannot carry the flag raise it instead.
+    converged=False. Callers that cannot carry the flag raise it instead,
+    through QuadResult.checked.
     """
 
 
@@ -149,6 +153,13 @@ class QuadResult:
             raise ValueError("error_estimate must be nonnegative")
         if self.evaluations < 1:
             raise ValueError("evaluations must be >= 1")
+
+    def checked(self, what: str) -> float | np.ndarray:
+        """The value, or NonConvergenceError naming `what` when the result
+        (any row of it) is unconverged."""
+        if not np.all(self.converged):
+            raise NonConvergenceError(f"{what}: integral did not converge")
+        return self.value
 
     def __add__(self, other: "QuadResult") -> "QuadResult":
         return QuadResult(
@@ -426,6 +437,76 @@ def _folded(f, t: np.ndarray, u: np.ndarray) -> np.ndarray:
         fv = np.asarray(f(t), dtype=float)
         out = fv / (u * u)
     return np.where(fv == 0.0, 0.0, out)
+
+
+# 24-point Gauss-Legendre on [0, 1], as offsets down from a panel's top
+_SPHERE_NODES, _SPHERE_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_SPHERE_NODES = 0.5 * (1.0 - _SPHERE_NODES)
+_SPHERE_WEIGHTS = 0.5 * _SPHERE_WEIGHTS
+
+
+def sphere_area(n: int) -> float:
+    """Surface area |S^(n-1)| = 2 pi^(n/2) / Gamma(n/2)."""
+    return 2.0 * math.pi ** (0.5 * n) / gamma(0.5 * n)
+
+
+def _edge_breaks(name: str, breaks, support_radius: float) -> tuple[float, ...]:
+    """A radial function's breaks, checked to ascend to its support edge,
+    where sphere_mean stops; a compact support without breaks has its edge."""
+    breaks = tuple(breaks) or ((support_radius,) if math.isfinite(support_radius) else ())
+    if list(breaks) != sorted(breaks) or (breaks and breaks[-1] != support_radius):
+        raise ValueError(f"{name}: breaks must ascend to the support edge, got {breaks!r}")
+    return breaks
+
+
+def sphere_mean(
+    profile: Callable[[np.ndarray], np.ndarray],
+    n: int,
+    a,
+    b,
+    dist: Callable[[np.ndarray], np.ndarray],
+    cuts=(),
+) -> np.ndarray:
+    """Mean over S^(n-1) of profile(dist(a - b cos theta)), theta the angle
+    to a fixed axis, for arrays a and b >= 0 of one shape: the mean of a
+    radial f over spheres about x (R^n: d^2 = |x|^2 + r^2 - 2|x| r cos theta).
+
+    theta runs over 24-point Gauss-Legendre panels against sin^(n-2) theta,
+    split where a - b cos theta crosses each of the ascending `cuts` (the
+    images of the radii where the profile is not analytic) and stopped at
+    the last, the support edge past which the profile vanishes. With no cuts
+    it is one panel over [0, pi], which resolves a profile that varies on
+    the scale of the sphere; for n = 1 it is the two points theta = 0, pi.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not b.any():
+        # every sphere lies at one distance (its center or radius is 0): one
+        # evaluation, not 24 per panel
+        return profile(dist(a))
+    if n == 1:
+        values = profile(dist(np.stack([a - b, a + b])))
+        return 0.5 * (values[0] + values[1])
+    a, b = a[..., None], b[..., None]
+    cuts = np.asarray(cuts, dtype=float)
+    if cuts.size:
+        # the crossing angles; b = 0 gives cos = +-inf (nan on a cut), a
+        # sphere on one side of the cut
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hi = np.arccos(np.fmin(np.fmax((a - cuts) / b, -1.0), 1.0))
+    else:
+        hi = np.full(a.shape, math.pi)
+    width = hi.copy()
+    width[..., 1:] -= hi[..., :-1]
+    width = width[..., None]
+    cos = np.cos(hi[..., None] - width * _SPHERE_NODES)
+    w = width * _SPHERE_WEIGHTS
+    if n > 2:
+        # sin^(n-2) theta from cos theta: one transcendental per node, not two
+        w = w * (1.0 - cos * cos) ** (0.5 * (n - 2))
+    values = profile(dist(a[..., None] - b[..., None] * cos))
+    # the weight's integral over [0, pi]
+    norm = math.sqrt(math.pi) * math.gamma(0.5 * (n - 1)) / math.gamma(0.5 * n)
+    return np.einsum("...ij,...ij->...", w, values) / norm
 
 
 def frullani_log(lam: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

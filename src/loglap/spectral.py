@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import reporting
 from .quadrature import (
     DEFAULT_CONFIG,
     NonConvergenceError,
@@ -280,27 +279,6 @@ def massloss_vs(
         - (x ** 5 / (160.0 * rp)) * t0 ** (-s - 2.5) / (s + 2.5)
     )
     return s / gamma(1.0 - s) * (head_part.value + tail)
-
-
-def counterexample_to_csv(path, epsilon: float, n_list) -> None:
-    """Emit the dichotomy partial sums as CSV with a JSON metadata sidecar."""
-    rows = embedding_counterexample(epsilon, n_list)
-    reporting.write_csv(path, ["N", "F", "G"], rows)
-    reporting.write_json(
-        str(path) + ".json",
-        {"epsilon": epsilon, "coefficients": "1/(sqrt(k) log k)", "lambda_k": "1/k"},
-    )
-
-
-def massloss_sweep(x: float, s_list) -> list[tuple[float, float]]:
-    """(s, V_s(x)) rows for a decreasing grid of exponents."""
-    return [(float(s), massloss_vs(x, float(s))) for s in s_list]
-
-
-def massloss_sweep_to_csv(path, x: float, s_list) -> None:
-    rows = massloss_sweep(x, s_list)
-    reporting.write_csv(path, ["s", "V_s"], rows)
-    reporting.write_json(str(path) + ".json", {"x": x, "model": "killed half line"})
 
 
 def massloss_limit_exact(x: float, s: float) -> float:

@@ -178,6 +178,27 @@ class TestApplyCommand:
         header, rows = read_rows(out)
         assert header == ["x_dist", "value"] and len(rows) == 1
 
+    def test_hyperbolic_pointwise_n5(self, tmp_path):
+        from loglap import hyperbolic
+
+        out = tmp_path / "h5.csv"
+        rc = main_rc(
+            "apply", "--space", "hyperbolic", "--op", "log", "--fn", "bump",
+            "--n", "5", "--x-dist", "0.5", "--out", str(out),
+        )
+        assert rc == 0
+        value = read_rows(out)[1][0][1]
+        bump = hyperbolic.hyper_registry()["bump"]
+        assert value == pytest.approx(hyperbolic.log_pointwise_h(5, bump, 0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("n", ["1", "6"])
+    def test_hyperbolic_dimension_out_of_range_exits_2(self, tmp_path, n):
+        rc = main_rc(
+            "apply", "--space", "hyperbolic", "--op", "log", "--fn", "bump",
+            "--n", n, "--out", str(tmp_path / "h.csv"),
+        )
+        assert rc == 2
+
 
 class TestVerifyCommand:
     def test_identities_suite_passes(self, tmp_path):

@@ -89,6 +89,14 @@ class TestRegistry:
         with pytest.raises(eu.SmoothnessTooLowError):
             eu.TestFunction("bad", 1, lambda r: r, 1.0, "holder", 0.0)
 
+    def test_breaks(self):
+        reg = eu.registry(2)
+        assert reg["bump"].breaks == (0.9, 1.0)
+        assert reg["plateau"].breaks == (0.5, 1.0)
+        assert reg["gaussian"].breaks == ()
+        with pytest.raises(ValueError):
+            eu.TestFunction("short", 1, eu._bump_profile, 1.0, breaks=(0.9,))
+
 
 class TestPeriodicGrid:
     def test_validation(self):
@@ -274,6 +282,15 @@ class TestFracPointwise:
         with pytest.raises(ValueError):
             eu.frac_pointwise(gauss, [0.0], 1.5)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unconverged_raises(self, n):
+        bump = eu.registry(n)["bump"]
+        cfg = QuadratureConfig(max_subdivisions=1)
+        with pytest.raises(NonConvergenceError, match="log_pointwise"):
+            eu.log_pointwise(bump, np.full(n, 0.3), cfg=cfg)
+        with pytest.raises(NonConvergenceError, match="frac_pointwise"):
+            eu.frac_pointwise(bump, np.full(n, 0.3), 0.5, cfg=cfg)
+
     def test_bump_near_curvature(self):
         # a one-sample quadratic fit below r = 2e-3 left this point 1.9e-5 off
         # the torus multiplier minus its periodization shift (4096- to
@@ -282,6 +299,20 @@ class TestFracPointwise:
         val = eu.frac_pointwise(bump, [0.75], 0.75)
         assert abs(val + 0.1660664199) <= 3e-8 * 0.166
         assert abs(val - eu.frac_bochner_point(bump, [0.75], 0.75)) <= 2e-8 * 0.166
+
+
+def _bump_n3_outside_reference() -> float:
+    """log(-Lap) of the 3-d bump at |x| = 1.2, by mpmath.
+
+    f(x) = 0 at |x| = a > 1, so log(-Lap) f(x) = -2 int_0^inf avg_r f / r dr;
+    with the 3-d spherical mean (1/2ar) int_{|a-r|}^{a+r} f(rho) rho d rho
+    the r-integral is closed form, leaving one integral over rho.
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 25
+    a = mp.mpf("1.2")
+    g = lambda r: mp.e ** (-1 / (1 - r * r)) * r / (2 * a) * (1 / (a - r) - 1 / (a + r))
+    return float(-2 * mp.quad(g, [0, 0.5, 0.9, 0.99, 1]))
 
 
 class TestBochnerRoutes:
@@ -349,7 +380,8 @@ class TestBochnerRoutes:
             worst = max(worst, abs(a - b) / max(abs(b), 1e-2))
         assert worst <= 1e-7
 
-    # the pointwise route's 2048-direction sphere rule limits this gap
+    # the split theta-rule put the pointwise sphere means at round-off; the
+    # largest gap left is 4.6e-8, frac at s = 0.75 and |x| = 0.9375
     @pytest.mark.parametrize("xn", [0.0, 0.3, 0.6, 0.9375])
     def test_bump_matches_pointwise_n3(self, xn):
         bump = eu.registry(3)["bump"]
@@ -358,19 +390,36 @@ class TestBochnerRoutes:
             (eu.frac_bochner_point(bump, x, s), eu.frac_pointwise(bump, x, s)) for s in (0.25, 0.75)
         ]
         for a, b in pairs:
-            assert abs(a - b) <= 1e-6 * max(abs(b), 1e-2)
+            assert abs(a - b) <= 1e-7 * max(abs(b), 1e-2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gaussian_far_from_center(self, n):
+        # spheres about |x| = 8 see the Gaussian as a narrow cap: one
+        # theta-panel over the whole sphere left log 7.6e-8 (2-d) and 3.9e-7
+        # (3-d) off; stopped at the far radius it is within 7.4e-10
+        gauss = eu.registry(n)["gaussian"]
+        x = np.zeros(n)
+        x[0] = 8.0
+        a, b = eu.log_pointwise(gauss, x), eu.log_bochner_point(gauss, x)
+        assert abs(a - b) <= 5e-9 * abs(b)
+        a, b = eu.frac_pointwise(gauss, x, 0.5), eu.frac_bochner_point(gauss, x, 0.5)
+        assert abs(a - b) <= 5e-9 * abs(b)
 
     def test_bump_n3_outside_support_exact(self):
-        # f(x) = 0 at |x| = a > 1, so log(-Lap) f(x) = -2 int_0^inf avg_r f / r dr;
-        # with the 3-d spherical mean (1/2ar) int_{|a-r|}^{a+r} f(rho) rho d rho
-        # the r-integral is closed form, leaving one integral over rho
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 25
-        a = mp.mpf("1.2")
-        g = lambda r: mp.e ** (-1 / (1 - r * r)) * r / (2 * a) * (1 / (a - r) - 1 / (a + r))
-        ref = float(-2 * mp.quad(g, [0, 0.5, 0.9, 0.99, 1]))
         val = eu.log_bochner_point(eu.registry(3)["bump"], [1.2, 0.0, 0.0])
+        ref = _bump_n3_outside_reference()
         assert abs(val - ref) <= 1e-10 * abs(ref)
+
+    def test_bump_n3_outside_support_pointwise(self):
+        # the 32 x 64-direction sphere rule missed the cap where spheres
+        # about |x| = 1.2 meet the support: log was 5.7e-6 off, frac 6.8e-6
+        bump = eu.registry(3)["bump"]
+        x = np.array([1.2, 0.0, 0.0])
+        ref = _bump_n3_outside_reference()
+        assert abs(eu.log_pointwise(bump, x) - ref) <= 1e-9 * abs(ref)
+        for s in (0.25, 0.5, 0.75):
+            exact = eu.frac_bochner_point(bump, x, s)
+            assert abs(eu.frac_pointwise(bump, x, s) - exact) <= 1e-8 * abs(exact)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_heat_call_per_panel(self, n, monkeypatch):

@@ -457,11 +457,47 @@ class TestPointwise:
         # at x = 0: the value with one adaptive radial integral per t-node
         assert hy.log_bochner_h(3, bump, 0.0) == pytest.approx(0.774964110905583, rel=1e-10)
         # at the support edge: nested scipy.integrate.quad (epsrel 1e-13 inside,
-        # 1e-12 outside) over the closed-form H^3 heat kernel and the same
-        # geodesic averages; per-node radial integrals were 4.6e-7 off here
+        # 1e-12 outside) over the closed-form H^3 heat kernel and 64-node
+        # geodesic averages, which the split theta-rule moved by 1.3e-11;
+        # per-node radial integrals were 4.6e-7 off here
         assert hy.log_bochner_h(3, bump, 1.0) == pytest.approx(
             -0.08895671586521911, rel=1e-10
         )
+
+    def test_bochner_route_outside_support(self):
+        # at x = 2 the geodesic spheres meet the support in a cap that the
+        # 64-node average missed: the route was 5.1e-4 (relative) off here
+        bump = hy.hyper_registry()["bump"]
+        a = hy.log_pointwise_h(3, bump, 2.0)
+        b = hy.log_bochner_h(3, bump, 2.0)
+        assert abs(a - b) <= 1e-8 * abs(a)
+
+    @pytest.mark.parametrize("x", [0.0, 0.5])
+    def test_matches_bochner_route_h5(self, x):
+        bump = hy.hyper_registry()["bump"]
+        a = hy.log_pointwise_h(5, bump, x)
+        assert abs(a - hy.log_bochner_h(5, bump, x)) <= 1e-10 * abs(a)
+
+    def test_matches_bochner_route_h4(self):
+        bump = hy.hyper_registry()["bump"]
+        a = hy.log_pointwise_h(4, bump, 0.0)
+        assert abs(a - hy.log_bochner_h(4, bump, 0.0)) <= 1e-8 * abs(a)
+
+    def test_pointwise_unconverged_raises(self):
+        bump = hy.hyper_registry()["bump"]
+        cfg = QuadratureConfig(max_subdivisions=1)
+        with pytest.raises(NonConvergenceError, match="core"):
+            hy.log_pointwise_h(3, bump, 0.5, cfg=cfg)
+        with pytest.raises(NonConvergenceError, match="far form"):
+            hy.log_pointwise_h(3, bump, 2.0, cfg=cfg)
+        with pytest.raises(NonConvergenceError, match="split_check"):
+            hy.split_check(3, bump, 0.5, cfg=cfg)
+
+    def test_breaks(self):
+        reg = hy.hyper_registry()
+        assert reg["bump"].breaks == (0.9, 1.0) and reg["tent"].breaks == (1.0,)
+        with pytest.raises(ValueError):
+            hy.HyperRadialFunction("late", hy._hyper_bump, 1.0, breaks=(0.9, 2.0))
 
     def test_bochner_route_unconverged_raises(self):
         bump = hy.hyper_registry()["bump"]

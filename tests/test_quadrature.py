@@ -318,6 +318,99 @@ class TestFrullani:
             assert q.frullani_log(7.5, cfg) == pytest.approx(math.log(7.5), abs=1e-10)
 
 
+def _flat_dist(q_):
+    return np.sqrt(np.maximum(q_, 0.0))
+
+
+def _bump_cap_reference(mp, n, a, b, dist, cuts):
+    """mpmath mean over S^(n-1) of the unit bump at dist(a - b cos theta),
+    split where a - b cos theta crosses `cuts`, the images of the radii 0.9
+    and 1."""
+    mp.mp.dps = 20
+    bump = lambda rho: mp.e ** (-1 / (1 - rho * rho)) if rho < 1 else mp.mpf(0)
+    a, b = mp.mpf(a), mp.mpf(b)
+    points = [mp.mpf(0)]
+    for cut in cuts:
+        cos = (a - cut) / b
+        if -1 < cos < 1:
+            points.append(mp.acos(cos))
+    points.append(mp.pi)
+    mean = mp.quad(lambda th: bump(dist(a - b * mp.cos(th))) * mp.sin(th) ** (n - 2), points)
+    return float(mean / mp.quad(lambda th: mp.sin(th) ** (n - 2), [0, mp.pi]))
+
+
+class TestSphereMean:
+    """The one angular rule behind every sphere and geodesic-sphere mean."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gaussian_closed_form(self, n):
+        # the mean of e^(-d^2/4t) over the sphere of radius r about x is
+        # e^(-(|x| - r)^2/4t) A_n(|x| r/2t); one panel resolves the
+        # exponent's z = |x| r/2t up to 10, the largest here
+        from loglap.euclid import _angular_mean
+
+        r = np.array([0.2, 1.0, 2.5])
+        for xn in (0.3, 1.0, 2.0):
+            for t in (0.25, 1.0, 4.0):
+                gauss = lambda d: np.exp(-d * d / (4.0 * t))
+                mean = q.sphere_mean(gauss, n, xn * xn + r * r, 2.0 * xn * r, _flat_dist)
+                exact = np.exp(-((xn - r) ** 2) / (4.0 * t)) * _angular_mean(n, xn * r / (2.0 * t))
+                assert np.max(np.abs(mean / exact - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_constant_has_mean_one(self, n):
+        a, b = np.array([1.0, 2.0, 5.0]), np.array([0.5, 1.5, 1.0])
+        one = lambda d: np.ones_like(d)
+        assert np.max(np.abs(q.sphere_mean(one, n, a, b, _flat_dist) - 1.0)) <= 1e-15
+        # a last cut past every sphere keeps it whole; a support edge
+        # below every sphere leaves nothing of it
+        whole = q.sphere_mean(one, n, a, b, _flat_dist, cuts=(1.0, 10.0))
+        assert np.max(np.abs(whole - 1.0)) <= 1e-15
+        inside = lambda d: 1.0 * (d <= 0.5)
+        assert np.all(q.sphere_mean(inside, n, a, b, _flat_dist, cuts=(0.25,)) == 0.0)
+
+    def test_zero_radius_is_the_profile(self):
+        a = np.array([0.25, 0.81, 2.0])
+        tent = lambda d: np.maximum(0.0, 1.0 - d)
+        mean = q.sphere_mean(tent, 3, a, np.zeros(3), _flat_dist, cuts=(1.0,))
+        assert np.array_equal(mean, tent(_flat_dist(a)))
+
+    def test_bump_caps_match_mpmath(self):
+        # spheres about points inside and outside the support of the bump,
+        # in R^n (d^2 = a - b cos theta) and H^n (cosh d = a - b cos theta)
+        from loglap import euclid as eu, hyperbolic as hy
+
+        mp = pytest.importorskip("mpmath")
+        flat_cuts = (mp.mpf("0.81"), mp.mpf(1))
+        geodesic_cuts = (mp.cosh(mp.mpf("0.9")), mp.cosh(1))
+        for n in (2, 3):
+            bump = eu.registry(n)["bump"]
+            for xn in (0.6, 1.2):
+                x = np.zeros(n)
+                x[0] = xn
+                for r in (0.3, 0.7, 1.0, 2.0):
+                    a, b = xn * xn + r * r, 2.0 * xn * r
+                    ref = _bump_cap_reference(mp, n, a, b, mp.sqrt, flat_cuts)
+                    assert abs(eu.sphere_average(bump, x, [r])[0] - ref) <= 5e-15
+        bump = hy.hyper_registry()["bump"]
+        for n in (2, 3, 5):
+            for xd in (0.6, 1.2):
+                for r in (0.3, 0.7, 1.0, 2.0):
+                    a, b = math.cosh(xd) * math.cosh(r), math.sinh(xd) * math.sinh(r)
+                    ref = _bump_cap_reference(mp, n, a, b, mp.acosh, geodesic_cuts)
+                    mean = hy._geodesic_average(bump.profile, n, xd, [r], bump.breaks)[0]
+                    assert abs(mean - ref) <= 5e-15
+
+    def test_breaks_end_at_the_support_edge(self):
+        assert q._edge_breaks("f", (0.9, 1.0), 1.0) == (0.9, 1.0)
+        assert q._edge_breaks("f", (), 1.0) == (1.0,)
+        assert q._edge_breaks("f", (), math.inf) == ()
+        with pytest.raises(ValueError):
+            q._edge_breaks("f", (1.0, 0.9), 1.0)
+        with pytest.raises(ValueError):
+            q._edge_breaks("f", (0.9,), 1.0)
+
+
 class TestScalarIdentities:
     def test_report_passes(self):
         rep = q.verify_scalar_identities([1, 2, 3, 4, 5, 6])

@@ -152,26 +152,6 @@ class TestEmbeddingCounterexample:
         with pytest.raises(ValueError):
             sp.embedding_counterexample(0.25, [5])
 
-    def test_csv_emission(self, tmp_path):
-        import json
-
-        path = tmp_path / "dichotomy.csv"
-        sp.counterexample_to_csv(path, 0.25, [100, 1000])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "N,F,G" and len(lines) == 3
-        meta = json.loads((tmp_path / "dichotomy.csv.json").read_text())
-        assert meta["epsilon"] == 0.25
-
-    def test_sweep_emission(self, tmp_path):
-        import json
-
-        path = tmp_path / "vs.csv"
-        sp.massloss_sweep_to_csv(path, 1.0, [0.2, 0.1])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "s,V_s" and len(lines) == 3
-        meta = json.loads((tmp_path / "vs.csv.json").read_text())
-        assert meta["x"] == 1.0
-
 
 class TestHalfLine:
     def test_short_time_mass(self):
