@@ -131,7 +131,8 @@ def bochner_prefactor_numeric(
     )
     tail = integrate_semiinfinite(integrand, 1.0, cfg=cfg)
     pref = s / gamma(1.0 - s)
-    return pref * (head.value + tail.value) * r ** (n + 2.0 * s)
+    what = f"bochner_prefactor_numeric(n={n}, s={s}, r={r})"
+    return pref * (head + tail).checked(what) * r ** (n + 2.0 * s)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +194,7 @@ class TestFunction:
             self.far_radius,
             cfg=DEFAULT_CONFIG,
         )
-        return sphere_area(self.dimension) * res.value
+        return sphere_area(self.dimension) * res.checked(f"{self.id}: moment {power}")
 
     def l1_norm(self) -> float:
         """Integral of f over R^n (profile is nonnegative in the registry)."""
@@ -589,7 +590,8 @@ def log_bochner_point(
     int_0^inf (e^-t f(x) - e^{t Lap} f(x)) / t dt, split at t = 1. Over
     (1, 1e4) it is integrated in tau = log t, where the integrand is smooth;
     the far tail uses the two-term heat expansion in closed form. Each
-    Gauss-Kronrod panel evaluates the semigroup at its 15 times in one call.
+    subdivision step evaluates the semigroup at all its times (15, then 30)
+    in one call.
     """
     _check_dini(f)
     xn = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
@@ -619,8 +621,8 @@ def frac_bochner_point(
     the deficit is its linear term and that piece integrates in closed form.
     Past t = 1 the f(x) term gives f(x)/s, the semigroup term is integrated
     in tau = log t up to t = 1e4, and its far tail uses the two-term heat
-    expansion in closed form. Each Gauss-Kronrod panel evaluates the
-    semigroup at its 15 times in one call.
+    expansion in closed form. Each subdivision step evaluates the semigroup
+    at all its times (15, then 30) in one call.
     """
     _check_dini(f)
     if not (0.0 < s < 1.0):
@@ -651,8 +653,6 @@ def frac_bochner_point(
 # exact spectral-vs-pointwise shift induced by periodization + mean removal
 
 
-_IMG_THETA = 2.0 * math.pi * (np.arange(256) + 0.5) / 256.0
-_IMG_COS = np.cos(_IMG_THETA)
 _LATTICE_BLOCK = 1 << 16  # elements per temporary array in lattice sums
 
 
@@ -663,9 +663,11 @@ def _image_potential(
     all outside the support.
 
     One integral over rho of the summed kernels, in polar coordinates around
-    the support center, where every kernel is smooth. In 2-D the angular
-    mean is the Poisson kernel 1/(D^2 - rho^2) for power 2, and otherwise a
-    midpoint rule whose error decays geometrically in rho/D.
+    the support center, where every kernel is smooth. In 2-D the mean of
+    |c - y|^(-power) over the circle |y| = rho is, with D = |c|,
+    D^(-power) 2F1(power/2, power/2; 1; rho^2/D^2): the Poisson kernel
+    1/(D^2 - rho^2) for power 2, and otherwise the series, summed until a
+    term falls below 1e-17 of the sum (rho^2/D^2 < 1 off the support).
     """
     n = f.dimension
     dist = np.linalg.norm(centers, axis=1)
@@ -684,16 +686,19 @@ def _image_potential(
             return f.profile(rho) * rho * np.sum(2.0 * math.pi / (d * d - rho * rho), axis=0)
 
     else:
+        half = 0.5 * power
+        scale = d ** (-power)
 
         def g(rho):
-            angular = np.zeros_like(rho)
-            r = rho[:, None]
-            step = max(1, _LATTICE_BLOCK // (rho.size * _IMG_COS.size))
-            for lo in range(0, dist.size, step):
-                dj = dist[lo : lo + step, None, None]
-                d2 = dj * dj + r * r - 2.0 * dj * r * _IMG_COS
-                angular += np.mean(d2 ** (-0.5 * power), axis=2).sum(axis=0)
-            return f.profile(rho) * rho * angular * (2.0 * math.pi)
+            z = (rho / d) ** 2
+            term = np.ones_like(z)
+            mean = term.copy()
+            k = 0
+            while np.any(term > 1e-17 * mean):
+                term *= z * ((half + k) / (k + 1.0)) ** 2
+                mean += term
+                k += 1
+            return f.profile(rho) * rho * np.sum(scale * mean, axis=0) * (2.0 * math.pi)
 
     return integrate(g, 0.0, f.far_radius, cfg=cfg).checked(
         f"image potential of {f.id}, power {power}"

@@ -866,7 +866,7 @@ def heat_mass(n: int, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float
         r = np.atleast_1d(np.asarray(r, dtype=float))
         return heat_kernel(n, r, t) * np.sinh(r) ** (n - 1)
 
-    return area * integrate(g, 0.0, rmax, cfg=cfg).value
+    return area * integrate(g, 0.0, rmax, cfg=cfg).checked(f"heat_mass(n={n}, t={t})")
 
 
 _CK_R, _CK_W = _panels(np.linspace(0.0, 14.0, 29))
@@ -927,7 +927,9 @@ def kernel_norms(
     acc = 0.0
     prev = 0.0
     for rt in radii:
-        acc += integrate(k2_pow, prev, rt, cfg=cfg).value
+        acc += integrate(k2_pow, prev, rt, cfg=cfg).checked(
+            f"kernel_norms(n={n}, p={p}): ({prev}, {rt})"
+        )
         prev = rt
         norms.append((area * acc) ** (1.0 / p))
     rates = []
@@ -948,7 +950,7 @@ def kernel_norms(
 
         report.weighted_l1 = area * integrate(
             weighted, 0.0, f.support_radius, cfg=cfg
-        ).value
+        ).checked(f"kernel_norms(n={n}): weighted L1 of {f.id}")
     if f is not None and energy_pq is not None:
         pe, qe = energy_pq
         if abs(1.0 / qe + 2.0 / pe - 2.0) > 1e-12:
@@ -967,7 +969,7 @@ def _lp_norm_radial(f: HyperRadialFunction, n: int, p: float) -> float:
         0.0,
         f.support_radius,
     )
-    return (area * res.value) ** (1.0 / p)
+    return (area * res.checked(f"L^{p} norm of {f.id}")) ** (1.0 / p)
 
 
 def _energy_inequality(
@@ -998,10 +1000,11 @@ def _energy_inequality(
         k1, _ = log_kernel_values(n, r)
         return k1 ** q * np.sinh(r) ** (n - 1)
 
-    k2_q = (area * integrate(k2_ball, 0.0, 1.0, cfg=cfg).value) ** (1.0 / q)
-    k1_q = (area * integrate(k1_outside, 1.0, _R_INFINITY, cfg=cfg).value) ** (
-        1.0 / q
-    )
+    what = f"energy inequality (n={n}, q={q})"
+    k2_q = (area * integrate(k2_ball, 0.0, 1.0, cfg=cfg).checked(f"{what}: K2")) ** (1.0 / q)
+    k1_q = (
+        area * integrate(k1_outside, 1.0, _R_INFINITY, cfg=cfg).checked(f"{what}: K1")
+    ) ** (1.0 / q)
     fp = _lp_norm_radial(f, n, p)
     f2 = _lp_norm_radial(f, n, 2.0)
     rhs = k2_q * fp ** 2 + k1_q * fp ** 2 + abs(rho_h) * f2 ** 2

@@ -1,26 +1,30 @@
 """Adaptive 1-D quadrature, the mean over spheres in R^n and H^n
 (`sphere_mean`), and the scalar integral identities built on them.
 
-The engine is a vectorized Gauss-Kronrod 7-15 pair with worst-panel-first
-subdivision (QUADPACK, Piessens et al. 1983). It runs in three modes:
+One engine integrates everything: a vectorized Gauss-Kronrod 7-15 pair with
+worst-panel-first subdivision (QUADPACK, Piessens et al. 1983) over R rows
+of m components each (`_adaptive_rows`). Every row has its own interval,
+panel heap (keyed by a panel's largest component error), totals and
+subdivision budget, and is converged once every component meets
+max(abs_tol, rel_tol |I|). The rows advance in lockstep: each step pops the
+worst panel of every open row and evaluates the children of all of them in
+one integrand call. A row's result does not depend on the other rows, bit
+for bit, as long as the integrand's value at a row's nodes depends on that
+row alone. The entry points are its special cases:
 
 - scalar: `integrate` and `integrate_semiinfinite` with an integrand that
-  maps (k,) nodes to (k,) values;
+  maps (k,) nodes to (k,) values are one row of one component;
 - shared panels: the same entry points with an integrand that returns an
-  (m, k) batch, m integrals over one interval, as in scipy.integrate.quad_vec.
-  The heap is keyed by each panel's largest component error, the result is
-  converged once every component meets max(abs_tol, rel_tol |I_i|), and
-  QuadResult.value and error_estimate are (m,) arrays. Use it when the rows
-  need refinement in the same places (the inner level of an iterated
-  integral);
-- independent rows: `integrate_semiinfinite_rows`, m integrals that run the
-  scalar algorithm each on its own (own heap, totals, subdivision budget and
-  tolerance test) but in lockstep, so each step makes one integrand call for
-  the children of every unconverged row. Use it when the rows refine in
-  different places (one kernel-table row per radius). A row's result does
-  not depend on the other rows: whole-grid and one-row runs agree bit for
-  bit as long as the integrand's value at a row's nodes depends on that row
-  alone.
+  (m, k) batch are one row of m components, as in scipy.integrate.quad_vec,
+  and QuadResult.value and error_estimate are (m,) arrays. Use it when the
+  components need refinement in the same places (the inner level of an
+  iterated integral);
+- independent rows: `integrate_semiinfinite_rows` runs m rows of one
+  component. Use it when the rows refine in different places (one
+  kernel-table row per radius).
+
+A one-row integrand sees the 15 nodes of the whole interval first, then the
+30 nodes of both halves of the panel split at each step.
 
 Semi-infinite ranges are folded to (0, 1] by u = 1/(1 + t - a), which
 behaves well for both exponential and Gaussian tails. Endpoint
@@ -140,7 +144,8 @@ DEFAULT_CONFIG = QuadratureConfig()
 class QuadResult:
     """An integral with its error estimate; value and error_estimate are
     floats for a (k,) integrand and (m,) arrays for an (m, k) one or for m
-    independent rows, whose `converged` is an (m,) bool array, row by row."""
+    independent rows, whose `converged` is an (m,) bool array, row by row
+    (the engine's own (R, m) arrays for R rows of m components)."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
@@ -187,184 +192,126 @@ class SingularityHint:
 NO_SINGULARITY = SingularityHint()
 
 
-def _panel(f, a: float, b: float, shape=None):
-    """Kronrod-15 estimate with embedded Gauss-7 error on one panel.
+def _rows_rule(f, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Kronrod-15 estimates with embedded Gauss-7 errors (QUADPACK's qk15)
+    of the panels (lo[j], hi[j]) of rows[j], lo < hi, as a (p, 2, m) array
+    of values [:, 0] and errors [:, 1].
 
-    f maps the (k,) nodes to (k,) values or to an (m, k) batch. `shape` is
-    the value shape the previous panels returned: () or (m,), None on the
-    first panel.
+    Panel j's numbers depend on its own node values alone, whatever the
+    batch: each component's sums are separate dot products (`vecdot`), where
+    BLAS gemv (`fv @ w`) would round a row differently depending on the
+    other rows of the batch.
     """
-    h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    x = c + h * _NODES
-    fv = np.asarray(f(x), dtype=float)
-    if fv.shape == x.shape and not shape:
-        if not np.all(np.isfinite(fv)):
-            bad = x[~np.isfinite(fv)][0]
-            raise NonFiniteIntegrandError(f"integrand not finite near x={bad!r}")
-        resk = h * float(_WK @ fv)
-        resg = h * float(_WG @ fv)
-        resabs = abs(h) * float(_WK @ np.abs(fv))
-        mean = resk / (b - a)
-        resasc = abs(h) * float(_WK @ np.abs(fv - mean))
-        err = abs(resk - resg)
-        if resasc != 0.0 and err != 0.0:
-            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-        err = max(err, 50.0 * _EPS * resabs)
-        return resk, err
-    if (
-        shape == ()
-        or fv.ndim != 2
-        or fv.shape[0] < 1
-        or fv.shape[1] != x.size
-        or (shape is not None and fv.shape[:1] != shape)
-    ):
-        raise ValueError(
-            "integrand must return (k,) or (m, k) values for (k,) nodes, "
-            f"got {fv.shape} for {x.shape}"
-        )
-    finite = np.isfinite(fv)
-    if not np.all(finite):
-        bad = x[~np.all(finite, axis=0)][0]
+    width = (hi - lo)[:, None]
+    h = 0.5 * width
+    x = 0.5 * (lo + hi)[:, None] + h * _NODES
+    fv = f(rows, x)
+    if not np.isfinite(fv).all():
+        bad = x[~np.isfinite(fv).all(axis=1)][0]
         raise NonFiniteIntegrandError(f"integrand not finite near x={bad!r}")
-    return _rows_rule(fv, h, b - a)
+    fv = np.ascontiguousarray(fv)
+    resk = h * np.vecdot(fv, _WK)
+    err = np.abs(resk - h * np.vecdot(fv, _WG))
+    resabs = h * np.vecdot(np.abs(fv), _WK)
+    resasc = h * np.vecdot(np.abs(fv - (resk / width)[..., None]), _WK)
+    # err -> resasc min(1, 200 err/resasc)^1.5 where resasc > 0
+    live = resasc > 0.0
+    ratio = np.minimum(200.0 * err, resasc)
+    np.divide(ratio, resasc, out=ratio, where=live)
+    err = np.maximum(np.where(live, resasc * ratio ** 1.5, err), 50.0 * _EPS * resabs)
+    return np.array((resk, err)).swapaxes(0, 1)
 
 
-def _weigh(fv: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # einsum, not `fv @ w`: BLAS gemv rounds a row differently depending on
-    # the other rows of the batch, einsum sums every row the same way
-    return np.einsum("ij,j->i", fv, w)
-
-
-def _rows_rule(fv: np.ndarray, h, width):
-    """The scalar rule of `_panel` applied to each row of (p, 15) node
-    values, with half-widths h and widths `width`, scalars or (p,) arrays;
-    row i's numbers depend on row i alone."""
-    resk = h * _weigh(fv, _WK)
-    resg = h * _weigh(fv, _WG)
-    habs = np.abs(h)
-    resabs = habs * _weigh(np.abs(fv), _WK)
-    mean = resk / width
-    resasc = habs * _weigh(np.abs(fv - mean[:, None]), _WK)
-    err = np.abs(resk - resg)
-    scaled = (resasc != 0.0) & (err != 0.0)
-    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=scaled)
-    err = np.where(scaled, resasc * np.minimum(1.0, ratio ** 1.5), err)
-    err = np.maximum(err, 50.0 * _EPS * resabs)
-    return resk, err
-
-
-def _adaptive(f, a: float, b: float, cfg: QuadratureConfig) -> QuadResult:
-    """Worst-panel-first subdivision of (a, b).
-
-    For an (m, k) integrand the heap is keyed by each panel's largest
-    component error, and the result is converged once every component meets
-    max(abs_tol, rel_tol |I_i|), in the manner of QUADPACK and
-    scipy.integrate.quad_vec.
-    """
-    value, err = _panel(f, a, b)
-    shape = np.shape(value)
-    batch = bool(shape)
-    evals = 15
-    heap = [(-(err.max() if batch else err), 0, a, b, value, err)]
-    counter = 1
-    total_val = value
-    total_err = err
-    splits = 0
-    while (
-        np.any(total_err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_val)))
-        if batch
-        else total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
-    ):
-        if splits >= cfg.max_subdivisions:
-            return QuadResult(total_val, total_err, evals, converged=False)
-        _, _, pa, pb, pv, pe = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:
-            # interval at floating-point resolution; accept as is
-            heapq.heappush(heap, (0.0, counter, pa, pb, pv, 0.0 * pe))
-            counter += 1
-            total_err = total_err - pe
-            continue
-        v1, e1 = _panel(f, pa, mid, shape)
-        v2, e2 = _panel(f, mid, pb, shape)
-        evals += 30
-        splits += 1
-        total_val = total_val + (v1 + v2 - pv)
-        total_err = total_err + (e1 + e2 - pe)
-        heapq.heappush(heap, (-(e1.max() if batch else e1), counter, pa, mid, v1, e1))
-        heapq.heappush(heap, (-(e2.max() if batch else e2), counter + 1, mid, pb, v2, e2))
-        counter += 2
-    return QuadResult(total_val, total_err, evals, converged=True)
-
-
-def _row_values(f, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    fv = np.asarray(f(rows, x), dtype=float)
-    if fv.shape != x.shape:
-        raise ValueError(
-            f"integrand must return {x.shape} values for {x.shape} nodes, got {fv.shape}"
-        )
-    finite = np.isfinite(fv)
-    if not np.all(finite):
-        raise NonFiniteIntegrandError(f"integrand not finite near x={x[~finite][0]!r}")
-    return fv
-
-
-def _adaptive_rows(f, m: int, a: float, b: float, cfg: QuadratureConfig) -> QuadResult:
-    """m independent integrals over (a, b), subdivided in lockstep.
+def _adaptive_rows(f, a, b, cfg: QuadratureConfig) -> QuadResult:
+    """R independent integrals, row i over (a[i], b[i]), subdivided in lockstep.
 
     f(rows, x) maps row indices (p,) and their panels' nodes (p, 15) to the
-    values (p, 15). Each row runs `_adaptive`'s scalar algorithm on its own
-    heap, totals and budget; each step pops the worst panel of every
-    unconverged row and evaluates all their children in one call to f.
+    values (p, m, 15): m components per row. Each row runs worst-panel-first
+    subdivision on its own heap, keyed by a panel's largest component error,
+    with its own totals and subdivision budget, and is converged once every
+    component meets max(abs_tol, rel_tol |I|), in the manner of QUADPACK and
+    scipy.integrate.quad_vec. Each step pops the worst panel of every open
+    row and evaluates all their children in one call to f. The result's
+    value and error_estimate are (R, m) arrays, `converged` is (R,).
     """
-    h = 0.5 * (b - a)
-    x = np.broadcast_to(0.5 * (a + b) + h * _NODES, (m, _NODES.size))
-    total_val, total_err = _rows_rule(_row_values(f, np.arange(m), x), h, b - a)
-    heaps = [[(-e, 0, a, b, v, e)] for v, e in zip(total_val.tolist(), total_err.tolist())]
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    first = _rows_rule(f, np.arange(a.size), a, b)
+    keys = first[:, 1].max(axis=1).tolist()
+    heaps = [[(-k, 0, lo, hi, p)] for k, lo, hi, p in zip(keys, a.tolist(), b.tolist(), first)]
+    totals = first.copy()  # (R, 2, m): value and error of each row
     counter = 1
-    splits = np.zeros(m, dtype=int)
-    converged = np.ones(m, dtype=bool)
-    evals = 15 * m
+    splits = [0] * a.size
+    converged = [True] * a.size
+    evals = 15 * a.size
+    value, err = totals[:, 0], totals[:, 1]
     while True:
-        open_ = total_err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_val))
-        spent = open_ & (splits >= cfg.max_subdivisions)
-        converged[spent] = False
-        work = np.flatnonzero(open_ & ~spent)
-        if not work.size:
-            break
-        split = []  # (row, a, mid, b, value, error) of the panels to halve
-        for i in work.tolist():
-            _, _, pa, pb, pv, pe = heapq.heappop(heaps[i])
+        open_ = (err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))).any(axis=1)
+        moved = False
+        rows, lo, mids, hi, parents = [], [], [], [], []  # the panels to halve
+        for i in open_.nonzero()[0].tolist():
+            if splits[i] >= cfg.max_subdivisions:
+                converged[i] = False
+                continue
+            moved = True
+            _, _, pa, pb, panel = heapq.heappop(heaps[i])
             mid = 0.5 * (pa + pb)
             if mid <= pa or mid >= pb:
                 # interval at floating-point resolution; accept as is
-                heapq.heappush(heaps[i], (0.0, counter, pa, pb, pv, 0.0 * pe))
+                accepted = np.array((panel[0], 0.0 * panel[1]))
+                heapq.heappush(heaps[i], (0.0, counter, pa, pb, accepted))
                 counter += 1
-                total_err[i] = total_err[i] - pe
+                totals[i, 1] = totals[i, 1] - panel[1]
                 continue
-            split.append((i, pa, mid, pb, pv, pe))
-        if not split:
+            splits[i] += 1
+            rows.append(i)
+            lo.append(pa)
+            mids.append(mid)
+            hi.append(pb)
+            parents.append(panel)
+        if not moved:
+            break
+        if not rows:
             continue
-        rows, pa, mid, pb, pv, pe = map(np.array, zip(*split))
-        lo, hi = np.concatenate([pa, mid]), np.concatenate([mid, pb])
-        h = 0.5 * (hi - lo)
-        x = (0.5 * (lo + hi))[:, None] + h[:, None] * _NODES
-        v, e = _rows_rule(_row_values(f, np.concatenate([rows, rows]), x), h, hi - lo)
-        q = rows.size
-        v1, v2, e1, e2 = v[:q], v[q:], e[:q], e[q:]
-        total_val[rows] = total_val[rows] + (v1 + v2 - pv)
-        total_err[rows] = total_err[rows] + (e1 + e2 - pe)
-        splits[rows] += 1
+        q = len(rows)
+        both = np.array(rows + rows)  # the left halves, then the right ones
+        halves = _rows_rule(f, both, np.array(lo + mids), np.array(mids + hi))
+        keys = halves[:, 1].max(axis=1).tolist()
+        totals[both[:q]] += halves[:q] + halves[q:] - np.array(parents)
         evals += 30 * q
-        for i, a1, m1, b1, va, vb, ea, eb in zip(
-            rows.tolist(), pa.tolist(), mid.tolist(), pb.tolist(),
-            v1.tolist(), v2.tolist(), e1.tolist(), e2.tolist(),
-        ):
-            heapq.heappush(heaps[i], (-ea, counter, a1, m1, va, ea))
-            heapq.heappush(heaps[i], (-eb, counter + 1, m1, b1, vb, eb))
+        for j, (i, pa, mid, pb) in enumerate(zip(rows, lo, mids, hi)):
+            heapq.heappush(heaps[i], (-keys[j], counter, pa, mid, halves[j]))
+            heapq.heappush(heaps[i], (-keys[q + j], counter + 1, mid, pb, halves[q + j]))
             counter += 2
-    return QuadResult(total_val, total_err, evals, converged)
+    return QuadResult(totals[:, 0], totals[:, 1], evals, np.array(converged))
+
+
+def _adaptive(f, a: float, b: float, cfg: QuadratureConfig) -> QuadResult:
+    """(a, b) as one row of `_adaptive_rows`.
+
+    f maps (k,) nodes to (k,) values, and the result is a float, or to an
+    (m, k) batch of m integrals on shared panels, and the result's value and
+    error_estimate are (m,) arrays. f sees the 15 nodes of the whole interval
+    first, then the 30 nodes of both halves of each panel that is split.
+    """
+    shape = None  # () or (m,), set by the first call
+
+    def row(rows, x):
+        nonlocal shape
+        fv = np.asarray(f(x.reshape(-1)), dtype=float)
+        if shape is None and fv.ndim in (1, 2) and fv.size:
+            shape = fv.shape[:-1]
+        if shape is None or fv.shape != (*shape, x.size):
+            raise ValueError(
+                "integrand must return (k,) or (m, k) values for (k,) nodes, "
+                f"got {fv.shape} for {(x.size,)}"
+            )
+        return fv.reshape(-1, *x.shape).swapaxes(0, 1)
+
+    res = _adaptive_rows(row, [a], [b], cfg)
+    value, err = res.value[0], res.error_estimate[0]
+    if not shape:
+        value, err = float(value[0]), float(err[0])
+    return QuadResult(value, err, res.evaluations, bool(res.converged[0]))
 
 
 def integrate(
@@ -426,9 +373,15 @@ def integrate_semiinfinite_rows(
         raise ValueError(f"need a nonempty 1-d array of finite lower endpoints, got {a!r}")
 
     def g(rows, u):
-        return _folded(lambda t: f(rows, t), a[rows, None] - 1.0 + 1.0 / u, u)
+        fv = _folded(lambda t: f(rows, t), a[rows, None] - 1.0 + 1.0 / u, u)
+        if fv.shape != u.shape:
+            raise ValueError(
+                f"integrand must return {u.shape} values for {u.shape} nodes, got {fv.shape}"
+            )
+        return fv[:, None, :]
 
-    return _adaptive_rows(g, a.size, 0.0, 1.0, cfg)
+    res = _adaptive_rows(g, np.zeros(a.size), np.ones(a.size), cfg)
+    return QuadResult(res.value[:, 0], res.error_estimate[:, 0], res.evaluations, res.converged)
 
 
 def _folded(f, t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -535,7 +488,7 @@ def frullani_log(lam: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     split = cfg.split_time
     head = integrate(integrand, 0.0, split, cfg=cfg)
     tail = integrate_semiinfinite(integrand, split, cfg=cfg)
-    return head.value + tail.value
+    return (head + tail).checked(f"frullani_log({lam})")
 
 
 def _euler_identity_residual(cfg: QuadratureConfig) -> float:
@@ -549,9 +502,9 @@ def _euler_identity_residual(cfg: QuadratureConfig) -> float:
         t = np.asarray(t, dtype=float)
         return np.exp(-t) / t
 
-    i1 = integrate(head, 0.0, 1.0, cfg=cfg).value
-    i2 = integrate_semiinfinite(tail, 1.0, cfg=cfg).value
-    return abs(i1 + i2 + EULER_GAMMA)
+    i1 = integrate(head, 0.0, 1.0, cfg=cfg)
+    i2 = integrate_semiinfinite(tail, 1.0, cfg=cfg)
+    return abs((i1 + i2).checked("euler identity") + EULER_GAMMA)
 
 
 def _log_moment_identity_residual(n: int, cfg: QuadratureConfig) -> float:
@@ -571,11 +524,12 @@ def _log_moment_identity_residual(n: int, cfg: QuadratureConfig) -> float:
         s = np.asarray(s, dtype=float)
         return (gn - np.array([upper_gamma(half_n, si) for si in s])) / (2.0 * s)
 
-    part1 = integrate_semiinfinite(outer_tail, 0.25, cfg=cfg).value
+    what = f"log moment identity (n={n})"
+    part1 = integrate_semiinfinite(outer_tail, 0.25, cfg=cfg).checked(what)
     hint = (
         SingularityHint("lower", "inverse_sqrt") if n == 1 else NO_SINGULARITY
     )
-    part2 = integrate(outer_head, 0.0, 0.25, hint=hint, cfg=cfg).value
+    part2 = integrate(outer_head, 0.0, 0.25, hint=hint, cfg=cfg).checked(what)
     left = part1 - part2
     right = gn * digamma(half_n) / 2.0 + gn * math.log(2.0)
     return abs(left - right)

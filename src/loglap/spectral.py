@@ -278,7 +278,7 @@ def massloss_vs(
         + (x ** 3 / (12.0 * rp)) * t0 ** (-s - 1.5) / (s + 1.5)
         - (x ** 5 / (160.0 * rp)) * t0 ** (-s - 2.5) / (s + 2.5)
     )
-    return s / gamma(1.0 - s) * (head_part.value + tail)
+    return s / gamma(1.0 - s) * (head_part.checked(f"massloss_vs(x={x}, s={s})") + tail)
 
 
 def massloss_limit_exact(x: float, s: float) -> float:

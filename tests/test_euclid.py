@@ -51,6 +51,11 @@ class TestFracConstant:
                 quad = eu.bochner_prefactor_numeric(n, s, r=1.0)
                 assert quad == pytest.approx(formula, rel=1e-8)
 
+    def test_unconverged_raises(self):
+        cfg = QuadratureConfig(max_subdivisions=1)
+        with pytest.raises(NonConvergenceError, match="bochner_prefactor_numeric"):
+            eu.bochner_prefactor_numeric(2, 0.5, cfg=cfg)
+
     def test_r_independence(self):
         a = eu.bochner_prefactor_numeric(2, 0.5, r=0.7)
         b = eu.bochner_prefactor_numeric(2, 0.5, r=2.0)
@@ -444,13 +449,16 @@ class TestBochnerRoutes:
             calls.clear()
             integrals.clear()
             route()
-            # the two-sample deficit slope, then one call per 15-node panel
-            # of the short- and long-time integrals (the moments of the far
-            # tail are integrals that make no heat call)
+            # the two-sample deficit slope, then one call per subdivision
+            # step of the short- and long-time integrals: the 15 nodes of the
+            # whole range, then the 30 of both halves of each split panel
+            # (the moments of the far tail are integrals that make no heat
+            # call)
             outer = [(c, e) for c, e in integrals if c]
             assert calls[0] == 2
             assert len(outer) == 2
-            assert all(15 * c == e for c, e in outer)
+            assert all(c == 1 + (e - 15) // 30 for c, e in outer)
+            assert all(size in (15, 30) for size in calls[1:])
             assert len(calls) == 1 + sum(c for c, _ in outer)
 
     @pytest.mark.parametrize("n", [1, 2])

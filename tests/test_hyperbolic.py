@@ -4,6 +4,7 @@ operator with its splitting."""
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -103,6 +104,10 @@ class TestHeatKernel:
         for n in (2, 3):
             for t in (0.1, 1.0, 10.0):
                 assert hy.heat_mass(n, t) == pytest.approx(1.0, abs=1e-8)
+
+    def test_mass_unconverged_raises(self):
+        with pytest.raises(NonConvergenceError, match="heat_mass"):
+            hy.heat_mass(3, 1.0, QuadratureConfig(max_subdivisions=1))
 
     def test_descent_relation_even(self):
         # p_(n+2) = -e^(-n t)/(2 pi sinh r) d/dr p_n
@@ -546,6 +551,20 @@ class TestKernelNorms:
         bump = hy.hyper_registry()["bump"]
         rep = hy.kernel_norms(3, 2.0, [10.0], f=bump, energy_pq=(2.0, 1.0))
         assert rep.energy_lhs <= rep.energy_rhs
+
+    def test_unconverged_raises(self, monkeypatch):
+        bump = hy.hyper_registry()["bump"]
+        cfg = QuadratureConfig(max_subdivisions=1)
+        with pytest.raises(NonConvergenceError, match=r"kernel_norms\(n=3, p=2.0\)"):
+            hy.kernel_norms(3, 2.0, [6.0], cfg=cfg)
+        with pytest.raises(NonConvergenceError, match="weighted L1"):
+            hy.kernel_norms(3, 2.0, [1.0], f=bump, cfg=cfg)
+        # the remainder's split check raises on its own; past it, the kernel
+        # integrals of the bound must raise too
+        no_remainder = SimpleNamespace(remainder=0.0)
+        monkeypatch.setattr(hy, "split_check", lambda *args, **kwargs: no_remainder)
+        with pytest.raises(NonConvergenceError, match="energy inequality"):
+            hy._energy_inequality(3, bump, 2.0, 1.0, cfg)
 
     def test_energy_exponent_validation(self):
         bump = hy.hyper_registry()["bump"]

@@ -91,6 +91,20 @@ class TestIntegrate:
         assert not res.converged
         assert math.isfinite(res.value)
 
+    def test_one_call_per_subdivision_step(self):
+        # the whole interval first, then both halves of each split panel in
+        # one call: 1 + splits calls for 15 + 30 splits evaluations
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(np.sin(7.0 * x))
+
+        res = q.integrate(f, 0.0, 6.0)
+        splits = (res.evaluations - 15) // 30
+        assert res.converged and splits > 1
+        assert sizes == [15] + [30] * splits
+
 
 class TestSemiInfinite:
     def test_exponential(self):
@@ -108,6 +122,18 @@ class TestSemiInfinite:
     def test_gaussian_tail(self):
         res = q.integrate_semiinfinite(lambda t: np.exp(-t * t), 0.0)
         assert res.value == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-11)
+
+    def test_scalar_is_one_row(self):
+        # a scalar integral is the one-row case of the independent-rows mode
+        cases = ((lambda t: np.exp(-t) / t, 1.0), (lambda t: np.exp(-t * t) * np.cos(t), 0.3))
+        for f, a in cases:
+            scalar = q.integrate_semiinfinite(f, a)
+            row = q.integrate_semiinfinite_rows(lambda rows, t: f(t), [a])
+            assert isinstance(scalar.value, float)
+            assert row.value.tobytes() == np.array([scalar.value]).tobytes()
+            assert row.error_estimate.tobytes() == np.array([scalar.error_estimate]).tobytes()
+            assert row.evaluations == scalar.evaluations
+            assert row.converged.tolist() == [scalar.converged]
 
 
 def _batch(x):
@@ -131,7 +157,9 @@ class TestVectorIntegrands:
         res = q.integrate(lambda x: np.exp(np.sin(7.0 * x))[None, :], 0.0, 6.0)
         scalar = q.integrate(lambda x: np.exp(np.sin(7.0 * x)), 0.0, 6.0)
         assert res.value.shape == (1,)
-        assert res.value[0] == pytest.approx(scalar.value, rel=1e-10)
+        assert res.value[0] == scalar.value
+        assert res.error_estimate[0] == scalar.error_estimate
+        assert res.evaluations == scalar.evaluations
 
     def test_wrong_shape_raises(self):
         for bad in (
@@ -144,14 +172,24 @@ class TestVectorIntegrands:
                 q.integrate(bad, 0.0, 1.0)
 
     def test_shape_change_between_panels_raises(self):
-        def growing(x):
-            rows = 2 if x[0] < 0.5 else 3
-            return np.ones((rows, x.size)) * np.sin(10.0 * x)
+        # the first call evaluates the whole interval, the second both
+        # halves of its first split: the value shape changes on the second
+        def changing(first, later):
+            calls = []
 
-        with pytest.raises(ValueError, match="integrand must return"):
-            q.integrate(growing, 0.0, 1.0)
-        with pytest.raises(ValueError, match="integrand must return"):
-            q.integrate(lambda x: np.sin(10.0 * x) if x[0] < 0.5 else _batch(x), 0.0, 1.0)
+            def f(x):
+                calls.append(x.size)
+                return (first if len(calls) == 1 else later)(x)
+
+            return f, calls
+
+        rows = lambda m: lambda x: np.ones((m, x.size)) * np.sin(10.0 * x)
+        scalar = lambda x: np.sin(10.0 * x)
+        for first, later in ((rows(2), rows(3)), (scalar, rows(2)), (rows(2), scalar)):
+            f, calls = changing(first, later)
+            with pytest.raises(ValueError, match="integrand must return"):
+                q.integrate(f, 0.0, 1.0)
+            assert calls == [15, 30]
 
     def test_nan_row_raises(self):
         def one_bad_row(x):
@@ -312,6 +350,11 @@ class TestFrullani:
                 -q.frullani_log(lam), abs=2e-10
             )
 
+    def test_unconverged_raises(self):
+        cfg = q.QuadratureConfig(max_subdivisions=1)
+        with pytest.raises(q.NonConvergenceError, match="frullani_log"):
+            q.frullani_log(2.0, cfg)
+
     def test_split_time_insensitivity(self):
         for split in (0.25, 1.0, 4.0):
             cfg = q.QuadratureConfig(split_time=split)
@@ -429,6 +472,14 @@ class TestScalarIdentities:
     def test_gamma_tail_point(self):
         lo, val, hi = q.gamma_tail_bounds(3, 0.5, 6.0)
         assert lo <= val <= hi
+
+    def test_unconverged_raises(self):
+        cfg = q.QuadratureConfig(max_subdivisions=1)
+        with pytest.raises(q.NonConvergenceError, match="euler identity"):
+            q._euler_identity_residual(cfg)
+        for n in (1, 3):
+            with pytest.raises(q.NonConvergenceError, match=f"log moment identity \\(n={n}\\)"):
+                q._log_moment_identity_residual(n, cfg)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):

@@ -203,6 +203,10 @@ class TestMassLoss:
         extrapolated = (0.05 * v2 - 0.02 * v1) / 0.03
         assert abs(extrapolated - 1.0) <= 1e-2
 
+    def test_unconverged_raises(self):
+        with pytest.raises(NonConvergenceError, match="massloss_vs"):
+            sp.massloss_vs(1.0, 0.5, QuadratureConfig(max_subdivisions=1))
+
     def test_large_x_power_decay(self):
         # V_s(x) = (x/2)^(-2s) Gamma(s+1/2)/(sqrt(pi) Gamma(1-s)); at x = 50,
         # s = 0.1 this is about 0.41 and decays like x^(-2s)
