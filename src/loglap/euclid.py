@@ -26,6 +26,7 @@ import numpy as np
 from . import reporting
 from .quadrature import (
     DEFAULT_CONFIG,
+    NonConvergenceError,
     QuadratureConfig,
     SingularityHint,
     _edge_breaks,
@@ -654,6 +655,7 @@ def frac_bochner_point(
 
 
 _LATTICE_BLOCK = 1 << 16  # elements per temporary array in lattice sums
+_CIRCLE_TERMS = 1000  # bound on the 2F1 circle-mean series of _image_potential
 
 
 def _image_potential(
@@ -667,7 +669,9 @@ def _image_potential(
     |c - y|^(-power) over the circle |y| = rho is, with D = |c|,
     D^(-power) 2F1(power/2, power/2; 1; rho^2/D^2): the Poisson kernel
     1/(D^2 - rho^2) for power 2, and otherwise the series, summed until a
-    term falls below 1e-17 of the sum (rho^2/D^2 < 1 off the support).
+    term falls below 1e-17 of the sum (rho^2/D^2 < 1 off the support). An
+    image so close that this takes more than _CIRCLE_TERMS terms (rho/D
+    above about 0.98) raises NonConvergenceError.
     """
     n = f.dimension
     dist = np.linalg.norm(centers, axis=1)
@@ -693,11 +697,17 @@ def _image_potential(
             z = (rho / d) ** 2
             term = np.ones_like(z)
             mean = term.copy()
-            k = 0
-            while np.any(term > 1e-17 * mean):
+            for k in range(_CIRCLE_TERMS):
                 term *= z * ((half + k) / (k + 1.0)) ** 2
                 mean += term
-                k += 1
+                if not np.any(term > 1e-17 * mean):
+                    break
+            else:
+                raise NonConvergenceError(
+                    f"image potential of {f.id}, power {power}: circle series "
+                    f"unconverged after {_CIRCLE_TERMS} terms at rho/D = "
+                    f"{float(np.sqrt(z.max())):.4g}"
+                )
             return f.profile(rho) * rho * np.sum(scale * mean, axis=0) * (2.0 * math.pi)
 
     return integrate(g, 0.0, f.far_radius, cfg=cfg).checked(

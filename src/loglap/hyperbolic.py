@@ -27,7 +27,7 @@ from .quadrature import (
     NonConvergenceError,
     QuadratureConfig,
     QuadResult,
-    _adaptive,
+    _adaptive_rows,
     _edge_breaks,
     integrate,
     integrate_semiinfinite,
@@ -765,39 +765,41 @@ def log_bochner_h(
 
     # the geodesic average of f is flat but not analytic at the radii where
     # the sphere about x touches the support's boundary; the pieces between
-    # them are smooth in every row, so rows of one batch refine alike
+    # them are smooth in every row
     edges = sorted({abs(x_dist - f.support_radius), r_active} - {0.0})
 
     def radial(t: np.ndarray, r_hi: np.ndarray, weight) -> np.ndarray:
-        """|S^(n-1)| int_0^r_hi p(r, t) weight(avg f) sinh^(n-1) r dr at each
-        t: one batch per piece between the edges, row i mapping u in [0, 1]
-        onto its piece."""
-        t = t[:, None]
-        total = np.zeros(t.shape[0])
+        """|S^(n-1)| / t int_0^r_hi p(r, t) weight(avg f) sinh^(n-1) r dr at
+        each t, the radial term of the time integrand, so that the
+        tolerances bound what the time rule sums. On each piece between the
+        edges it is one independent row per t, refined where its own heat
+        kernel needs it."""
+        total = np.zeros(t.shape)
         lo = np.zeros(t.shape)
         for edge in [*edges, math.inf]:
-            hi = np.minimum(r_hi[:, None], edge)
-            if not np.any(hi > lo):
+            hi = np.minimum(r_hi, edge)
+            live = np.flatnonzero(hi > lo)
+            if not live.size:
                 break
-            width = hi - lo
 
-            def g(u):
-                r = lo + width * u
+            def g(rows, r, t_live=t[live]):
+                tr = t_live[rows, None]
                 avg = _geodesic_average(f.profile, n, x_dist, r, f.breaks)
-                return heat_kernel(n, r, t) * weight(avg) * np.sinh(r) ** (n - 1) * width
+                p = heat_kernel(n, r, tr) * (area / tr)
+                return (p * weight(avg) * np.sinh(r) ** (n - 1))[None]
 
-            total += _adaptive(g, 0.0, 1.0, cfg).checked(f"{route}: radial")
+            res = _adaptive_rows(g, lo[live], hi[live], cfg)
+            total[live] += res.checked(f"{route}: radial")[:, 0]
             lo = hi
-        return area * total
+        return total
 
     def head(t):
         # f(x) - P_t f(x) = int p(r, t) (f(x) - avg f) dvol by mass 1
         rmax = np.minimum(np.maximum(r_active + 2.0, 14.0 * np.sqrt(t) + (n - 1) * t), 60.0)
-        return (np.expm1(-t) * fx + radial(t, rmax, lambda avg: fx - avg)) / t
+        return np.expm1(-t) * fx / t + radial(t, rmax, lambda avg: fx - avg)
 
     def tail(t):
-        value = radial(t, np.full(t.shape, r_active), lambda avg: avg)
-        return (np.exp(-t) * fx - value) / t
+        return np.exp(-t) * fx / t - radial(t, np.full(t.shape, r_active), lambda avg: avg)
 
     head_part = integrate(head, 0.0, 1.0, cfg=cfg).checked(f"{route}: short-time")
     tail_part = integrate_semiinfinite(tail, 1.0, cfg=cfg).checked(f"{route}: long-time")

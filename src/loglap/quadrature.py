@@ -21,7 +21,7 @@ row alone. The entry points are its special cases:
   iterated integral);
 - independent rows: `integrate_semiinfinite_rows` runs m rows of one
   component. Use it when the rows refine in different places (one
-  kernel-table row per radius).
+  kernel-table row per radius, one radial integral per time node).
 
 A one-row integrand sees the 15 nodes of the whole interval first, then the
 30 nodes of both halves of the panel split at each step.
@@ -32,10 +32,11 @@ singularities of inverse-square-root or logarithmic type are removed
 analytically by the substitution u^2 = x - a before subdividing; both maps
 pass (m, k) values through.
 
-Inside loglap the batched levels of iterated integrals call `_adaptive`
-directly, so `integrate` and `integrate_semiinfinite` see scalar integrands
-only: the benchmark's traced runs (perfbench/spans.py) wrap those two names
-and read each result's value as a float.
+Inside loglap the inner levels of iterated integrals call `_adaptive` (a
+shared-panel batch) or `_adaptive_rows` (independent rows on per-row
+intervals) directly, so `integrate` and `integrate_semiinfinite` see scalar
+integrands only: the benchmark's traced runs (perfbench/spans.py) wrap
+those two names and read each result's value as a float.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 # Kronrod-15 nodes on [-1, 1] (positive half mirrored) and weights, with the
 # embedded Gauss-7 weights on the odd-indexed nodes.
@@ -106,6 +108,7 @@ _NODES = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])  # ascending, 15 nodes
 _WK = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:15:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
+_WKG = np.array((_WK, _WG))
 
 
 class NonFiniteIntegrandError(ValueError):
@@ -194,39 +197,39 @@ NO_SINGULARITY = SingularityHint()
 
 def _rows_rule(f, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Kronrod-15 estimates with embedded Gauss-7 errors (QUADPACK's qk15)
-    of the panels (lo[j], hi[j]) of rows[j], lo < hi, as a (p, 2, m) array
-    of values [:, 0] and errors [:, 1].
+    of the panels (lo[j], hi[j]) of rows[j], lo < hi, as a (2, m, p) array
+    of values [0] and errors [1] of the m components.
 
     Panel j's numbers depend on its own node values alone, whatever the
-    batch: each component's sums are separate dot products (`vecdot`), where
-    BLAS gemv (`fv @ w`) would round a row differently depending on the
-    other rows of the batch.
+    batch: einsum sums every component of every panel the same way, where
+    BLAS gemv (`fv @ w`) would round a panel differently depending on the
+    other panels of the batch.
     """
-    width = (hi - lo)[:, None]
-    h = 0.5 * width
-    x = 0.5 * (lo + hi)[:, None] + h * _NODES
-    fv = f(rows, x)
-    if not np.isfinite(fv).all():
-        bad = x[~np.isfinite(fv).all(axis=1)][0]
+    h = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _NODES
+    # contiguous, so that einsum's sums run along the nodes whatever f returns
+    fv = np.ascontiguousarray(f(rows, x))
+    finite = np.isfinite(fv)
+    if not finite.all():
+        bad = x[~finite.all(axis=0)][0]
         raise NonFiniteIntegrandError(f"integrand not finite near x={bad!r}")
-    fv = np.ascontiguousarray(fv)
-    resk = h * np.vecdot(fv, _WK)
-    err = np.abs(resk - h * np.vecdot(fv, _WG))
-    resabs = h * np.vecdot(np.abs(fv), _WK)
-    resasc = h * np.vecdot(np.abs(fv - (resk / width)[..., None]), _WK)
-    # err -> resasc min(1, 200 err/resasc)^1.5 where resasc > 0
-    live = resasc > 0.0
-    ratio = np.minimum(200.0 * err, resasc)
-    np.divide(ratio, resasc, out=ratio, where=live)
-    err = np.maximum(np.where(live, resasc * ratio ** 1.5, err), 50.0 * _EPS * resabs)
-    return np.array((resk, err)).swapaxes(0, 1)
+    # the sums on [-1, 1], where f's mean is sk/2; the panel's are h times them
+    sk, sg = np.einsum("...k,wk->w...", fv, _WKG)
+    dev = np.abs(np.array((fv, fv - 0.5 * sk[..., None])))
+    sabs, sasc = np.einsum("a...k,k->a...", dev, _WK)
+    err = np.abs(sk - sg)
+    # err -> sasc min(1, 200 err/sasc)^1.5; sasc = 0 only where f is constant
+    # on the nodes, where err is below the 50 eps sabs floor either way
+    ratio = np.minimum(200.0 * err, sasc) / np.maximum(sasc, _TINY)
+    err = np.maximum(sasc * ratio ** 1.5, 50.0 * _EPS * sabs)
+    return h * np.array((sk, err))
 
 
 def _adaptive_rows(f, a, b, cfg: QuadratureConfig) -> QuadResult:
     """R independent integrals, row i over (a[i], b[i]), subdivided in lockstep.
 
     f(rows, x) maps row indices (p,) and their panels' nodes (p, 15) to the
-    values (p, m, 15): m components per row. Each row runs worst-panel-first
+    values (m, p, 15): m components per row. Each row runs worst-panel-first
     subdivision on its own heap, keyed by a panel's largest component error,
     with its own totals and subdivision budget, and is converged once every
     component meets max(abs_tol, rel_tol |I|), in the manner of QUADPACK and
@@ -236,16 +239,17 @@ def _adaptive_rows(f, a, b, cfg: QuadratureConfig) -> QuadResult:
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     first = _rows_rule(f, np.arange(a.size), a, b)
-    keys = first[:, 1].max(axis=1).tolist()
-    heaps = [[(-k, 0, lo, hi, p)] for k, lo, hi, p in zip(keys, a.tolist(), b.tolist(), first)]
-    totals = first.copy()  # (R, 2, m): value and error of each row
+    keys = first[1].max(axis=0).tolist()
+    heaps = [[(-k, 0, lo, hi, first[:, :, i])]
+             for i, (k, lo, hi) in enumerate(zip(keys, a.tolist(), b.tolist()))]
+    totals = first.copy()  # (2, m, R): value and error of each row
     counter = 1
     splits = [0] * a.size
     converged = [True] * a.size
     evals = 15 * a.size
-    value, err = totals[:, 0], totals[:, 1]
+    value, err = totals
     while True:
-        open_ = (err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))).any(axis=1)
+        open_ = (err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))).any(axis=0)
         moved = False
         rows, lo, mids, hi, parents = [], [], [], [], []  # the panels to halve
         for i in open_.nonzero()[0].tolist():
@@ -257,10 +261,10 @@ def _adaptive_rows(f, a, b, cfg: QuadratureConfig) -> QuadResult:
             mid = 0.5 * (pa + pb)
             if mid <= pa or mid >= pb:
                 # interval at floating-point resolution; accept as is
-                accepted = np.array((panel[0], 0.0 * panel[1]))
-                heapq.heappush(heaps[i], (0.0, counter, pa, pb, accepted))
+                err[:, i] -= panel[1]
+                panel[1] = 0.0
+                heapq.heappush(heaps[i], (0.0, counter, pa, pb, panel))
                 counter += 1
-                totals[i, 1] = totals[i, 1] - panel[1]
                 continue
             splits[i] += 1
             rows.append(i)
@@ -273,16 +277,18 @@ def _adaptive_rows(f, a, b, cfg: QuadratureConfig) -> QuadResult:
         if not rows:
             continue
         q = len(rows)
-        both = np.array(rows + rows)  # the left halves, then the right ones
-        halves = _rows_rule(f, both, np.array(lo + mids), np.array(mids + hi))
-        keys = halves[:, 1].max(axis=1).tolist()
-        totals[both[:q]] += halves[:q] + halves[q:] - np.array(parents)
+        # the left halves, then the right ones
+        ends = np.array((lo + mids, mids + hi))
+        halves = _rows_rule(f, np.array(rows + rows), ends[0], ends[1])
+        keys = halves[1].max(axis=0).tolist()
+        parents = np.array(parents).transpose(1, 2, 0)
+        totals[:, :, rows] += halves[:, :, :q] + halves[:, :, q:] - parents
         evals += 30 * q
         for j, (i, pa, mid, pb) in enumerate(zip(rows, lo, mids, hi)):
-            heapq.heappush(heaps[i], (-keys[j], counter, pa, mid, halves[j]))
-            heapq.heappush(heaps[i], (-keys[q + j], counter + 1, mid, pb, halves[q + j]))
+            heapq.heappush(heaps[i], (-keys[j], counter, pa, mid, halves[:, :, j]))
+            heapq.heappush(heaps[i], (-keys[q + j], counter + 1, mid, pb, halves[:, :, q + j]))
             counter += 2
-    return QuadResult(totals[:, 0], totals[:, 1], evals, np.array(converged))
+    return QuadResult(value.T, err.T, evals, np.array(converged))
 
 
 def _adaptive(f, a: float, b: float, cfg: QuadratureConfig) -> QuadResult:
@@ -305,7 +311,7 @@ def _adaptive(f, a: float, b: float, cfg: QuadratureConfig) -> QuadResult:
                 "integrand must return (k,) or (m, k) values for (k,) nodes, "
                 f"got {fv.shape} for {(x.size,)}"
             )
-        return fv.reshape(-1, *x.shape).swapaxes(0, 1)
+        return fv.reshape(-1, *x.shape)
 
     res = _adaptive_rows(row, [a], [b], cfg)
     value, err = res.value[0], res.error_estimate[0]
@@ -378,7 +384,7 @@ def integrate_semiinfinite_rows(
             raise ValueError(
                 f"integrand must return {u.shape} values for {u.shape} nodes, got {fv.shape}"
             )
-        return fv[:, None, :]
+        return fv[None]
 
     res = _adaptive_rows(g, np.zeros(a.size), np.ones(a.size), cfg)
     return QuadResult(res.value[:, 0], res.error_estimate[:, 0], res.evaluations, res.converged)

@@ -673,6 +673,27 @@ class TestPeriodizationShiftEquivalence:
             got = eu.frac_periodization_shift(gauss, 24.0, [x1, 0.0], s)
             assert abs(got - value) <= 1e-13 * abs(value)
 
+    def test_circle_series_near_its_bound(self):
+        # an image at rho/D = 0.975 of the bump's edge takes most of the
+        # series' terms; the circle mean against mpmath's 2F1
+        mp = pytest.importorskip("mpmath")
+        bump = eu.registry(2)["bump"]
+        d, power = 1.0 / 0.975, 3.0
+
+        def g(rho):
+            mean = [float(mp.hyp2f1(1.5, 1.5, 1, (r / d) ** 2)) for r in rho]
+            return bump.profile(rho) * rho * np.array(mean) * 2.0 * math.pi * d ** -power
+
+        ref = integrate(g, 0.0, bump.far_radius, cfg=self.CFG).value
+        got = eu._image_potential(bump, np.array([[d, 0.0]]), power, self.CFG)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    def test_circle_series_past_its_bound_raises(self):
+        # the nearest image 0.01 from the bump's edge: rho/D up to 0.99
+        bump = eu.registry(2)["bump"]
+        with pytest.raises(NonConvergenceError, match="circle series"):
+            eu.frac_periodization_shift(bump, 2.2, [1.19, 0.0], 0.5)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_unconverged_raises(self, n):
         f = eu.registry(n)["gaussian"]
