@@ -238,18 +238,17 @@ def _adaptive_rows(f, a, b, cfg: QuadratureConfig) -> QuadResult:
     value and error_estimate are (R, m) arrays, `converged` is (R,).
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    first = _rows_rule(f, np.arange(a.size), a, b)
-    keys = first[1].max(axis=0).tolist()
-    heaps = [[(-k, 0, lo, hi, first[:, :, i])]
-             for i, (k, lo, hi) in enumerate(zip(keys, a.tolist(), b.tolist()))]
-    totals = first.copy()  # (2, m, R): value and error of each row
+    first = _rows_rule(f, np.arange(a.size), a, b).transpose(2, 0, 1)  # (R, 2, m)
+    keys = first[:, 1].max(axis=1).tolist()
+    heaps = [[(-k, 0, lo, hi, p)] for k, lo, hi, p in zip(keys, a.tolist(), b.tolist(), first)]
+    totals = first.copy()  # (R, 2, m): value and error of each row
     counter = 1
     splits = [0] * a.size
     converged = [True] * a.size
     evals = 15 * a.size
-    value, err = totals
+    value, err = totals[:, 0], totals[:, 1]
     while True:
-        open_ = (err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))).any(axis=0)
+        open_ = (err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))).any(axis=1)
         moved = False
         rows, lo, mids, hi, parents = [], [], [], [], []  # the panels to halve
         for i in open_.nonzero()[0].tolist():
@@ -261,7 +260,7 @@ def _adaptive_rows(f, a, b, cfg: QuadratureConfig) -> QuadResult:
             mid = 0.5 * (pa + pb)
             if mid <= pa or mid >= pb:
                 # interval at floating-point resolution; accept as is
-                err[:, i] -= panel[1]
+                err[i] -= panel[1]
                 panel[1] = 0.0
                 heapq.heappush(heaps[i], (0.0, counter, pa, pb, panel))
                 counter += 1
@@ -279,16 +278,17 @@ def _adaptive_rows(f, a, b, cfg: QuadratureConfig) -> QuadResult:
         q = len(rows)
         # the left halves, then the right ones
         ends = np.array((lo + mids, mids + hi))
-        halves = _rows_rule(f, np.array(rows + rows), ends[0], ends[1])
-        keys = halves[1].max(axis=0).tolist()
-        parents = np.array(parents).transpose(1, 2, 0)
-        totals[:, :, rows] += halves[:, :, :q] + halves[:, :, q:] - parents
+        halves = _rows_rule(f, np.array(rows + rows), ends[0], ends[1]).transpose(2, 0, 1)
+        keys = halves[:, 1].max(axis=1).tolist()
+        totals[rows] += halves[:q] + halves[q:] - np.array(parents)
         evals += 30 * q
-        for j, (i, pa, mid, pb) in enumerate(zip(rows, lo, mids, hi)):
-            heapq.heappush(heaps[i], (-keys[j], counter, pa, mid, halves[:, :, j]))
-            heapq.heappush(heaps[i], (-keys[q + j], counter + 1, mid, pb, halves[:, :, q + j]))
+        for i, pa, mid, pb, kl, kr, left, right in zip(
+            rows, lo, mids, hi, keys[:q], keys[q:], halves[:q], halves[q:]
+        ):
+            heapq.heappush(heaps[i], (-kl, counter, pa, mid, left))
+            heapq.heappush(heaps[i], (-kr, counter + 1, mid, pb, right))
             counter += 2
-    return QuadResult(value.T, err.T, evals, np.array(converged))
+    return QuadResult(value, err, evals, np.array(converged))
 
 
 def _adaptive(f, a: float, b: float, cfg: QuadratureConfig) -> QuadResult:
