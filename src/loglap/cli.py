@@ -76,6 +76,14 @@ def _fail_args(message: str) -> int:
     return 2
 
 
+def _torus(f, args) -> euclid.PeriodicGridFunction:
+    """f sampled on the torus of --length with --grid-points per axis;
+    ValueError for a grid that cannot be built or holds non-finite values."""
+    if not (0 < args.length < math.inf) or args.grid_points < 2:
+        raise ValueError("need a finite --length > 0 and --grid-points >= 2")
+    return euclid.PeriodicGridFunction.from_function(f, args.n, args.length, args.grid_points)
+
+
 def _cmd_kernel(args) -> int:
     if args.kind == "frac":
         if args.s is None or not (0.0 < args.s < 1.0):
@@ -88,21 +96,25 @@ def _cmd_kernel(args) -> int:
     r_grid = np.linspace(args.r_min, args.r_max, args.points)
 
     if args.space == "euclid":
+        if args.n not in (1, 2, 3):
+            return _fail_args("euclid kernels cover n in 1..3")
         if args.kind == "heat":
-            if args.n not in (1, 2, 3):
-                return _fail_args("euclid heat grids cover n in 1..3")
-            gauss = euclid.registry(args.n)["gaussian"]
-            grid = euclid.PeriodicGridFunction.from_function(
-                gauss, args.n, args.length, args.grid_points
-            )
-            euclid.heat_apply(grid, args.t).to_csv(args.out)
+            try:
+                gauss = _torus(euclid.registry(args.n)["gaussian"], args)
+                grid = euclid.heat_apply(gauss, args.t)
+            except ValueError as exc:
+                return _fail_args(str(exc))
+            grid.to_csv(args.out)
             return 0
         flat = {
             "frac": lambda r: euclid.frac_kernel_flat(args.n, args.s, r),
             "log1": lambda r: euclid.k1_flat(args.n, r),
             "log2": lambda r: euclid.k2_flat(args.n, r),
         }[args.kind]
-        values = [flat(float(r)) for r in r_grid]
+        try:
+            values = [flat(float(r)) for r in r_grid]
+        except OverflowError:
+            return _fail_args(f"the {args.kind} kernel overflows at r = {args.r_min}")
         reporting.write_csv(args.out, ["r", "value"], zip(r_grid, values))
         payload = {"space": "euclid", "n": args.n, "kind": args.kind}
         if args.s is not None:
@@ -127,6 +139,8 @@ def _cmd_kernel(args) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # a table the grid cannot hold, e.g. heat underflow
+        return _fail_args(str(exc))
     table.to_csv(args.out)
     return 0
 
@@ -160,16 +174,16 @@ def _cmd_apply(args) -> int:
                 if not all(math.isfinite(c) for c in coords):
                     return _fail_args(f"point {spec_str!r} is not finite")
                 xs.append(np.array(coords))
-            grid = None
             if args.route == "multiplier":
-                grid = euclid.PeriodicGridFunction.from_function(
-                    f, args.n, args.length, args.grid_points
-                )
-                out_grid = (
-                    euclid.log_multiplier(grid)
-                    if args.op == "log"
-                    else euclid.frac_multiplier(grid, args.s)
-                )
+                try:
+                    grid = _torus(f, args)
+                    out_grid = (
+                        euclid.log_multiplier(grid)
+                        if args.op == "log"
+                        else euclid.frac_multiplier(grid, args.s)
+                    )
+                except ValueError as exc:
+                    return _fail_args(str(exc))
                 meta["length"] = args.length
                 meta["grid_points"] = args.grid_points
             for x in xs:

@@ -198,7 +198,6 @@ def heat_term_sum(n: int) -> TermSum:
 
 
 _K_GL_N, _K_GL_W = np.polynomial.legendre.leggauss(24)
-_EVEN_GL_N, _EVEN_GL_W = np.polynomial.legendre.leggauss(32)
 
 
 def _panels(edges, gl_nodes=_K_GL_N, gl_weights=_K_GL_W):
@@ -208,9 +207,12 @@ def _panels(edges, gl_nodes=_K_GL_N, gl_weights=_K_GL_W):
     return (lo + half * (gl_nodes + 1.0)).ravel(), (half * gl_weights).ravel()
 
 
-# even dimensions: singular-integral formula with x = r + u^2, on a graded
-# 320-node u-rule over [0, 1] that each (r, t) scales by its own umax
-_EVEN_U, _EVEN_W = _panels(np.linspace(0.0, 1.0, 11) ** 1.5, _EVEN_GL_N, _EVEN_GL_W)
+# even dimensions: singular-integral formula with x = r + u^2, on a u-rule
+# over [0, 1] that each (r, t) scales by its own umax: 24-point Gauss-Legendre
+# panels on edges graded by power 3, 4 of them (96 nodes) for n = 2 and 5
+# (120 nodes) for n = 4. The grading resolves the peak at u ~ sqrt(r) down to
+# the smallest axis anchor, r = 1e-3, even at large t
+_EVEN_RULES = {n: _panels(np.linspace(0.0, 1.0, p + 1) ** 3) for n, p in ((2, 4), (4, 5))}
 _EVEN_CHUNK = 1 << 12  # (r, t, u) elements per temporary array
 _ANCHOR_MAX = 0.02  # below this radius values come from the axis extension
 
@@ -233,12 +235,13 @@ def _heat_even(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray
     m = (n - 2) // 2
     pref = (-1.0) ** m / (2.0 ** (m + 2.5) * math.pi ** (m + 1.5))
     lam = (2 * m + 1) ** 2 / 4.0
+    rule_u, rule_w = _EVEN_RULES[n]
     out = np.empty(r.shape)
-    step = max(1, _EVEN_CHUNK // _EVEN_U.size)
+    step = max(1, _EVEN_CHUNK // rule_u.size)
     for lo in range(0, r.size, step):
         rc, tc = r[lo : lo + step, None], t[lo : lo + step, None]
         umax = np.sqrt(np.maximum(-rc + np.sqrt(rc * rc + 200.0 * tc), 1e-8)) + 0.7
-        u = umax * _EVEN_U
+        u = umax * rule_u
         u2 = u * u
         x = rc + u2
         # scaled: x^2 - r^2 = 2 r u^2 + u^4 leaves out the factor exp(-r^2/4t)
@@ -251,7 +254,7 @@ def _heat_even(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray
         else:
             # one application of (1/sinh r) d/dr under the integral sign
             vals *= (1.0 - x * x / (2.0 * tc) - 0.5 * x / np.tanh(y)) / np.sinh(rc)
-        total = np.sum(vals * _EVEN_W, axis=-1) * umax[:, 0]
+        total = np.sum(vals * rule_w, axis=-1) * umax[:, 0]
         tv = t[lo : lo + step]
         out[lo : lo + step] = pref * tv ** -1.5 * (1.0 if scaled else np.exp(-lam * tv)) * total
     return out
@@ -512,7 +515,10 @@ class KernelTable:
         if np.any(np.diff(self.r_grid) <= 0):
             raise ValueError("r_grid must be strictly increasing")
         if np.any(self.values <= 0):
-            raise ValueError("kernel values must be positive")
+            i = int(np.argmax(self.values <= 0))
+            raise ValueError(
+                f"kernel values must be positive, got {self.values[i]} at r={self.r_grid[i]}"
+            )
         if np.any(np.diff(self.values) >= 0):
             raise ValueError("kernel values must be strictly decreasing in r")
 

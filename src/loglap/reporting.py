@@ -37,9 +37,13 @@ class Check:
 
 @dataclass
 class VerifyReport:
+    """Checks of one suite, or of several merged by `extend`; `suites` keeps
+    the wall time of each merged suite."""
+
     suite: str
     checks: list[Check] = field(default_factory=list)
     wall_time_ms: int = 0
+    suites: dict[str, int] = field(default_factory=dict)
 
     def add(
         self,
@@ -55,6 +59,7 @@ class VerifyReport:
 
     def extend(self, other: "VerifyReport") -> None:
         self.checks.extend(other.checks)
+        self.suites.update(other.suites or {other.suite: int(other.wall_time_ms)})
 
     @property
     def passed(self) -> bool:
@@ -65,6 +70,7 @@ class VerifyReport:
             "suite": self.suite,
             "checks": [c.as_dict() for c in self.checks],
             "wall_time_ms": int(self.wall_time_ms),
+            "suites": self.suites or {self.suite: int(self.wall_time_ms)},
             "pass": self.passed,
         }
 

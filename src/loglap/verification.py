@@ -333,6 +333,15 @@ def suite_hyperbolic() -> VerifyReport:
         1e-8,
         statement="stochastic completeness of H^3",
     )
+    for n in (2, 4, 5):
+        worst = max(abs(hyperbolic.heat_mass(n, t) - 1.0) for t in (0.1, 1.0, 10.0))
+        rep.add(
+            f"heat{n}-mass",
+            f"total heat mass equals 1 at t in {{0.1, 1, 10}}, n={n}",
+            worst,
+            1e-8,
+            statement=f"stochastic completeness of H^{n}",
+        )
     worst = max(
         hyperbolic.chapman_kolmogorov_residual(0.5, 0.5, d) for d in (0.0, 1.0, 2.0)
     )

@@ -95,6 +95,29 @@ class TestKernelCommand:
         )
         assert rc == 2
 
+    def test_underflowing_heat_table_exits_2(self, tmp_path):
+        # p_2(r, t) is 0.0 in double precision at r = 8, t = 0.0156
+        rc = main_rc(
+            "kernel", "--space", "hyperbolic", "--kind", "heat", "--n", "2",
+            "--t", "0.0156", "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+
+    @pytest.mark.parametrize("kind", ["log1", "log2"])
+    def test_euclid_kernel_overflow_exits_2(self, tmp_path, kind):
+        rc = main_rc(
+            "kernel", "--space", "euclid", "--kind", kind, "--n", "1",
+            "--r-min", "2.23e-313", "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+
+    def test_euclid_dimension_out_of_range_exits_2(self, tmp_path):
+        rc = main_rc(
+            "kernel", "--space", "euclid", "--kind", "log1", "--n", "0",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+
 
 class TestApplyCommand:
     def test_log_pointwise_matches_multiplier(self, tmp_path):
@@ -132,6 +155,17 @@ class TestApplyCommand:
         rc = main_rc(
             "apply", "--space", "euclid", "--op", "log", "--route", "multiplier",
             "--fn", "gaussian", "--n", "1", "--x", "0.3", "--grid-points", "16",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+
+    @pytest.mark.parametrize(
+        "grid", [("24", "0"), ("24", "3"), ("0", "16"), ("-1", "16"), ("1.16e-224", "16")]
+    )
+    def test_bad_torus_exits_2(self, tmp_path, grid):
+        rc = main_rc(
+            "apply", "--space", "euclid", "--op", "log", "--route", "multiplier",
+            "--fn", "gaussian", "--n", "1", "--length", grid[0], "--grid-points", grid[1],
             "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 2
@@ -216,3 +250,31 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_2(self):
         res = run_cli("verify", "--suite", "bogus")
         assert res.returncode == 2
+
+    def test_all_suites_report_their_wall_times(self, tmp_path, monkeypatch):
+        # each suite is stubbed with one passing check: this checks the
+        # report's plumbing, not the suites (the acceptance tests run those)
+        from loglap import cli, verification
+        from loglap.reporting import VerifyReport
+
+        def stub(name):
+            def suite():
+                rep = VerifyReport(name)
+                rep.add(f"{name}-stub", "stub", 0.0, 1.0)
+                return rep
+
+            return suite
+
+        for name in verification.SUITES:
+            monkeypatch.setattr(verification, f"suite_{name}", stub(name))
+        report_path = tmp_path / "report.json"
+        assert cli.main(["verify", "--suite", "all", "--json-out", str(report_path)]) == 0
+        suites = json.loads(report_path.read_text())["suites"]
+        assert sorted(suites) == sorted(verification.SUITES)
+        assert all(isinstance(ms, int) and ms >= 0 for ms in suites.values())
+
+    def test_single_suite_reports_itself(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        assert main_rc("verify", "--suite", "specfun", "--json-out", str(report_path)) == 0
+        payload = json.loads(report_path.read_text())
+        assert payload["suites"] == {"specfun": payload["wall_time_ms"]}

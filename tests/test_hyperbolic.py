@@ -205,6 +205,42 @@ class TestEvenChunks:
             assert values[0] == values[1]
 
 
+def dense_even_rule():
+    """40 graded panels of 48 Gauss-Legendre nodes: a u-rule far finer than
+    the per-dimension rules of `_heat_even`."""
+    gx, gw = np.polynomial.legendre.leggauss(48)
+    return hy._panels(np.linspace(0.0, 1.0, 41) ** 2.5, gx, gw)
+
+
+class TestEvenRule:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_matches_dense_rule(self, n, monkeypatch):
+        # the worst points sit just above the axis extension at r = 0.02
+        rng = np.random.default_rng(40 + n)
+        r = rng.uniform(0.02, 8.0, 2000)
+        r[0] = 0.02
+        t = np.exp(rng.uniform(math.log(1e-3), math.log(50.0), r.size))
+        value = hy.heat_kernel(n, r, t, scaled=True)
+        monkeypatch.setitem(hy._EVEN_RULES, n, dense_even_rule())
+        ref = hy.heat_kernel(n, r, t, scaled=True)
+        assert np.max(np.abs(value - ref) / np.abs(ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_matches_dense_rule_at_axis_anchors(self, n, monkeypatch):
+        # the axis extension evaluates the rule at anchors down to r = 1e-3,
+        # paired with every t of the call; pairs with r^2/4t > 50 carry less
+        # than e^-50 of the unscaled kernel and are left out
+        rng = np.random.default_rng(50 + n)
+        r = np.exp(rng.uniform(math.log(1e-3), math.log(0.02), 2000))
+        t = np.exp(rng.uniform(math.log(1e-7), math.log(200.0), r.size))
+        keep = r * r / (4.0 * t) <= 50.0
+        r, t = r[keep], t[keep]
+        value = hy._heat_even(n, r, t, scaled=True)
+        monkeypatch.setitem(hy._EVEN_RULES, n, dense_even_rule())
+        ref = hy._heat_even(n, r, t, scaled=True)
+        assert np.max(np.abs(value - ref) / np.abs(ref)) <= 1e-10
+
+
 class TestEnvelope:
     def test_point_values(self):
         assert hy.dm_envelope(3, 0.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
