@@ -37,8 +37,8 @@ class Check:
 
 @dataclass
 class VerifyReport:
-    """Checks of one suite, or of several merged by `extend`; `suites` keeps
-    the wall time of each merged suite."""
+    """Checks of one suite, or of several merged by `extend`; `suites` maps
+    each suite of a merged run to its wall time."""
 
     suite: str
     checks: list[Check] = field(default_factory=list)
@@ -59,7 +59,6 @@ class VerifyReport:
 
     def extend(self, other: "VerifyReport") -> None:
         self.checks.extend(other.checks)
-        self.suites.update(other.suites or {other.suite: int(other.wall_time_ms)})
 
     @property
     def passed(self) -> bool:

@@ -252,8 +252,9 @@ class TestVerifyCommand:
         assert res.returncode == 2
 
     def test_all_suites_report_their_wall_times(self, tmp_path, monkeypatch):
-        # each suite is stubbed with one passing check: this checks the
-        # report's plumbing, not the suites (the acceptance tests run those)
+        # stubbed suites with fixed times check the report's plumbing, not
+        # the suites (the acceptance tests run those); like the identities
+        # suite, each stub merges a sub-report of its own
         from loglap import cli, verification
         from loglap.reporting import VerifyReport
 
@@ -261,12 +262,30 @@ class TestVerifyCommand:
             def suite():
                 rep = VerifyReport(name)
                 rep.add(f"{name}-stub", "stub", 0.0, 1.0)
+                rep.extend(VerifyReport(name, [], wall_time_ms=0))
                 return rep
 
             return suite
 
+        def timed(fn):
+            report = fn()
+            report.wall_time_ms = 10 + verification.SUITES.index(report.suite)
+            return report
+
         for name in verification.SUITES:
             monkeypatch.setattr(verification, f"suite_{name}", stub(name))
+        monkeypatch.setattr(verification, "_timed", timed)
+        report_path = tmp_path / "report.json"
+        assert cli.main(["verify", "--suite", "all", "--json-out", str(report_path)]) == 0
+        suites = json.loads(report_path.read_text())["suites"]
+        assert suites == {name: 10 + i for i, name in enumerate(verification.SUITES)}
+
+    def test_all_suites_times_are_nonnegative_ints(self, tmp_path, monkeypatch):
+        from loglap import cli, verification
+        from loglap.reporting import VerifyReport
+
+        for name in verification.SUITES:
+            monkeypatch.setattr(verification, f"suite_{name}", lambda name=name: VerifyReport(name))
         report_path = tmp_path / "report.json"
         assert cli.main(["verify", "--suite", "all", "--json-out", str(report_path)]) == 0
         suites = json.loads(report_path.read_text())["suites"]
