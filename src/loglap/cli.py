@@ -81,6 +81,13 @@ def _torus(f, args) -> euclid.PeriodicGridFunction:
     ValueError for a grid that cannot be built or holds non-finite values."""
     if not (0 < args.length < math.inf) or args.grid_points < 2:
         raise ValueError("need a finite --length > 0 and --grid-points >= 2")
+    # the largest |xi|^2 of the grid, n (pi N / L)^2, must be a float
+    nyquist = math.pi * args.grid_points / args.length
+    if not math.isfinite(args.n * nyquist * nyquist):
+        raise ValueError(
+            f"--length {args.length} is too small for --grid-points {args.grid_points}:"
+            " the largest squared frequency overflows"
+        )
     return euclid.PeriodicGridFunction.from_function(f, args.n, args.length, args.grid_points)
 
 

@@ -14,6 +14,7 @@ from loglap.quadrature import NonConvergenceError, QuadratureConfig
 from loglap.specfun import EULER_GAMMA, bessel_k
 
 REL_CFG = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10, max_subdivisions=4000)
+TIGHT_CFG = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-13, max_subdivisions=4000)
 
 
 def p3_closed(r: float, t: float) -> float:
@@ -320,12 +321,83 @@ class TestLogKernels:
             assert all(a > b for a, b in zip(k2s, k2s[1:]))
 
     def test_vectorized_matches_adaptive(self):
-        for n in (2, 3):
+        # odd n is the closed form, held to a tight time quadrature
+        for n in (2, 3, 5):
+            cfg, rel = (TIGHT_CFG, 1e-10) if n % 2 else (hy.DEFAULT_CONFIG, 2e-8)
             for r in (0.3, 1.7):
-                k1a, k2a = hy.log_kernels(n, r)
+                k1a, k2a = hy.log_kernels(n, r, cfg)
                 k1f, k2f = hy.log_kernel_values(n, np.array([r]))
-                assert k1f[0] == pytest.approx(k1a, rel=2e-8)
-                assert k2f[0] == pytest.approx(k2a, rel=2e-8)
+                assert k1f[0] == pytest.approx(k1a, rel=rel)
+                assert k2f[0] == pytest.approx(k2a, rel=rel)
+
+    def test_odd_closed_form_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+
+        def heat_over_t(n, r):
+            """t -> p_n(r, t) / t = (c_1 + c_2 / t) t^(-5/2) e^(-a t - r^2/4t)."""
+            r = mp.mpf(r)
+            pref, sh = (4 * mp.pi) ** mp.mpf(-1.5), mp.sinh(r)
+            c1, c2 = pref * r / sh, 0
+            if n == 5:
+                c1 = pref * (r * mp.cosh(r) - sh) / (2 * mp.pi * sh ** 3)
+                c2 = pref * r * r / (4 * mp.pi * sh ** 2)
+            a, b = mp.mpf((n - 1) ** 2) / 4, r * r / 4
+            return lambda t: (c1 + c2 / t) * mp.exp(-a * t - b / t) / (t * t * mp.sqrt(t))
+
+        def kernel(n, r, part):
+            """K1 in v = r^2/4t - r^2/4 over (0, inf), K2 in t over (1, inf),
+            each integrand divided by its value at one point of its bulk, since
+            mpmath's quadrature stops at an absolute error of 10^-dps."""
+            g, b = heat_over_t(n, r), mp.mpf(r) ** 2 / 4
+            if part == 1:
+                f, x0, lo = (lambda v: g(b / (b + v)) * b / (b + v) ** 2), 1, 0
+            else:
+                f, x0, lo = g, max(1, mp.mpf(r) / (n - 1)), 1
+            scale = f(x0)
+            return float(scale * mp.quad(lambda x: f(x) / scale, [lo, mp.inf]))
+
+        for n in (3, 5):
+            for r, t in ((0.3, 0.7), (2.0, 3.0), (6.0, 0.5)):
+                p = t * heat_over_t(n, r)(mp.mpf(t))
+                assert float(p) == pytest.approx(hy.heat_kernel(n, r, t), rel=1e-13)
+            r1, r2 = np.geomspace(1e-3, 16.0, 30), np.geomspace(1e-3, 30.0, 30)
+            k1, _ = hy.log_kernel_values(n, r1)
+            _, k2 = hy.log_kernel_values(n, r2)
+            ref1 = np.array([kernel(n, r, 1) for r in r1])
+            ref2 = np.array([kernel(n, r, 2) for r in r2])
+            assert np.max(np.abs(k1 / ref1 - 1.0)) <= 1e-11
+            assert np.max(np.abs(k2 / ref2 - 1.0)) <= 1e-11
+
+    @pytest.mark.filterwarnings("error")
+    def test_odd_closed_form_finite_far_out(self):
+        r = np.geomspace(1e-3, 1e3, 200)
+        for n in (3, 5):
+            for values in hy.log_kernel_values(n, r):
+                assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+                assert np.all(np.diff(values) <= 0.0)
+
+    def test_even_rule_error_pinned(self):
+        # the fixed time rules of even n, against tight time quadrature over
+        # geomspace(0.05, 16, 30), at about twice the error measured there:
+        # K1 loses accuracy as r falls (7.3e-5 and 1.8e-7 at the first
+        # radii), K2 on H^2 as r grows (6.8e-12 up to r = 8, 1.3e-9 at 16)
+        r = np.geomspace(0.05, 16.0, 30)
+        bounds = {2: (1.5e-4, 1.4e-11, 2.6e-9), 4: (3.6e-7, 1e-14, 1e-14)}
+        for n, (k1_bound, k2_bound_8, k2_bound) in bounds.items():
+            k1, k2 = hy.log_kernel_values(n, r)
+            err1 = np.abs(k1 / hy.build_kernel_table(n, "log1", r, cfg=TIGHT_CFG).values - 1.0)
+            err2 = np.abs(k2 / hy.build_kernel_table(n, "log2", r, cfg=TIGHT_CFG).values - 1.0)
+            assert np.max(err1) <= k1_bound
+            assert np.max(err2[r <= 8.0]) <= k2_bound_8
+            assert np.max(err2) <= k2_bound
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            hy.log_kernel_values(7, np.array([1.0]))
+        for n in (3, 4):
+            with pytest.raises(ValueError):
+                hy.log_kernel_values(n, np.array([1.0, 0.0]))
 
     def test_k2_large_r_rescaled_stabilization(self):
         # K2 * r * e^((n-1)r) approaches a constant; from r = 4 onward the

@@ -256,6 +256,33 @@ class TestErf:
         assert sf.erf(1.0) == pytest.approx(ERF_AT_ONE, abs=1e-13)
 
 
+class TestErfc:
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        x = np.linspace(-6.0, 27.0, 331)
+        ref = np.array([float(mp.erfc(mp.mpf(v))) for v in x])
+        # erfc(27) = 5e-319 is subnormal, one ulp 5e-324 apart
+        assert np.all(np.abs(sf.erfc(x) - ref) <= 1e-15 * ref + 1e-322)
+
+    def test_scaled_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        # both sides of the switch to the asymptotic series at x = 25
+        edges = [25.0 - 1e-12, 25.0, 25.0 + 1e-12]
+        x = np.concatenate([np.linspace(-4.0, 40.0, 441), np.geomspace(40.0, 1e8, 40), edges])
+        ref = np.array([float(mp.exp(mp.mpf(v) ** 2) * mp.erfc(mp.mpf(v))) for v in x])
+        assert np.max(np.abs(sf.erfcx(x) / ref - 1.0)) <= 2e-15
+
+    def test_shapes(self):
+        x = np.array([[-1.0, 0.0], [3.0, 30.0]])
+        for fn in (sf.erfc, sf.erfcx):
+            out = fn(x)
+            assert out.shape == x.shape and out.dtype == float
+            assert fn(x[1, 1]) == out[1, 1]
+        assert sf.erfc(0.0) == 1.0 and sf.erfcx(0.0) == 1.0
+
+
 class TestBesselI0e:
     def test_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
