@@ -1,8 +1,8 @@
 """Heat, fractional, and logarithmic kernels on hyperbolic space.
 
-Odd dimensions come from an exact term algebra (repeated application of
-(1/sinh r) d/dr to the base exponential); even dimensions integrate the
-singular formula after an exact endpoint substitution. The fractional
+Odd dimensions come from the exact closed form sum_j c_j(r) t^(-q_j)
+exp(-a t - r^2/4t); even dimensions integrate the singular formula after
+an exact endpoint substitution. The fractional
 kernel then has two fully independent evaluations: time quadrature of the
 heat kernel and a closed Bessel form.
 """

@@ -1,14 +1,16 @@
 """Heat, fractional, and logarithmic kernels on real hyperbolic space H^n.
 
-Odd dimensions evaluate the heat kernel through an exact term algebra closed
-under the radial operator D = (1/sinh r) d/dr acting on
-t^p r^a coth^b(r) csch^c(r) exp(-m^2 t - r^2/4t); even dimensions evaluate
+Odd dimensions evaluate the heat kernel in closed form,
+p_n = sum_j c_j(r) t^(-q_j) exp(-a t - r^2/4t) with a = ((n-1)/2)^2 and
+half-integer q_j, from coefficients c_j written through e^-r so that they
+neither overflow nor lose accuracy at any r >= 0; even dimensions evaluate
 the singular integral formula after the substitution x = r + u^2, which
 removes the (cosh x - cosh r)^(-1/2) endpoint exactly.
 
 The fractional kernel comes either from time quadrature of the heat kernel
-or, in dimensions 3 and 5, from a closed Bessel-function form obtained by
-applying D to r^(-nu) K_nu(c r); the two routes are compared in the tests.
+or, in dimensions 3 and 5, from a closed Bessel-function form: the time
+integral of each c_j term is a modified Bessel function K_(q_j+s); the two
+routes are compared in the tests.
 
 The logarithmic kernels K1 and K2 (the time integrals of p_n dt/t over
 (0, 1] and (1, inf)) come from adaptive time quadrature in `log_kernels` and
@@ -23,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -45,9 +46,6 @@ from .quadrature import (
 from .specfun import EULER_GAMMA, bessel_k, erfcx
 
 __all__ = [
-    "RadialTerm",
-    "TermSum",
-    "heat_term_sum",
     "heat_kernel",
     "dm_envelope",
     "dm_ratio_scan",
@@ -71,137 +69,48 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# term algebra for odd dimensions
+# odd dimensions: p_n(r, t) = sum_j c_j(r) t^(-q_j) e^(-a t - r^2/4t) with
+# a = ((n-1)/2)^2 and half-integer q_j; c = pref r / sinh r on H^3, and on
+# H^5 c_j = pref_j (r / sinh r)^2 h_j with h_2 = 1 and h_1 = (r cosh r -
+# sinh r) / (r^2 sinh r), whose difference cancels below r = 1, where h_1 =
+# (r / sinh r) sum_(k>=1) 2k r^(2k-2) / (2k+1)!
+
+_ODD_Q = {3: (1.5,), 5: (1.5, 2.5)}
+_ODD_PREF = (4.0 * math.pi) ** -1.5  # pref on H^3; pref_j = pref / (2 pi j) on H^5
+_H1_SERIES = np.array([2.0 * k / math.factorial(2 * k + 1) for k in range(1, 11)])
 
 
-@dataclass(frozen=True)
-class RadialTerm:
-    """coeff * t^t_pow * r^r_pow * coth^coth_pow * csch^csch_pow (* K factor).
-
-    The shared exponential exp(-m^2 t - r^2/4t) (heat sums, gauss=True) or
-    the Bessel base order and scale (kernel sums) live on the TermSum.
-    bessel_shift indexes the factor r^-(nu+k) K_{nu+k}(c r).
-    """
-
-    coeff: Fraction | float
-    t_pow: Fraction
-    r_pow: int
-    coth_pow: int
-    csch_pow: int
-    bessel_shift: int | None = None
+def _power_series(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] x^k at each x, for coef of shape (terms,) or (terms, m)."""
+    return np.vander(x, len(coef), increasing=True) @ coef
 
 
-@dataclass
-class TermSum:
-    terms: list[RadialTerm]
-    m2: int = 0  # coefficient of -m^2 t in the exponent
-    gauss: bool = True  # presence of exp(-r^2 / 4t)
-    bessel_order: float | None = None  # base order nu
-    bessel_scale: float | None = None  # argument scale c in K(c r)
-
-    def _collect(self, terms):
-        merged: dict[tuple, Fraction | float] = {}
-        for t in terms:
-            key = (t.t_pow, t.r_pow, t.coth_pow, t.csch_pow, t.bessel_shift)
-            merged[key] = merged.get(key, 0) + t.coeff
-        return [
-            RadialTerm(c, *key[:4], bessel_shift=key[4])
-            for key, c in merged.items()
-            if c != 0
-        ]
-
-    def radial_derivative(self) -> "TermSum":
-        """Apply D = (1/sinh r) d/dr; the family is closed under D."""
-        out = []
-        for t in self.terms:
-            a, b, c = t.r_pow, t.coth_pow, t.csch_pow
-            if a:
-                out.append(
-                    RadialTerm(t.coeff * a, t.t_pow, a - 1, b, c + 1, t.bessel_shift)
-                )
-            if b:
-                out.append(
-                    RadialTerm(-t.coeff * b, t.t_pow, a, b - 1, c + 3, t.bessel_shift)
-                )
-            if c:
-                out.append(
-                    RadialTerm(-t.coeff * c, t.t_pow, a, b + 1, c + 1, t.bessel_shift)
-                )
-            if self.gauss:
-                out.append(
-                    RadialTerm(
-                        -t.coeff * Fraction(1, 2),
-                        t.t_pow - 1,
-                        a + 1,
-                        b,
-                        c + 1,
-                        t.bessel_shift,
-                    )
-                )
-            if t.bessel_shift is not None:
-                # d/dr [r^-(nu+k) K_{nu+k}(c r)] = -c r^-(nu+k) K_{nu+k+1}(c r)
-                out.append(
-                    RadialTerm(
-                        -t.coeff * self.bessel_scale,
-                        t.t_pow,
-                        a + 1,
-                        b,
-                        c + 1,
-                        t.bessel_shift + 1,
-                    )
-                )
-        return TermSum(
-            self._collect(out), self.m2, self.gauss, self.bessel_order, self.bessel_scale
-        )
-
-    def evaluate(self, r, t=1.0) -> np.ndarray:
-        """Evaluate at (r, t) with broadcasting; stable grouping of csch powers.
-
-        r^a coth^b csch^c is evaluated as cosh^b (r/sinh r)^(b+c) r^(a-b-c),
-        so only the explicit r powers can be negative; the singular orders
-        cancel in the sum for every kernel this algebra produces.
-        """
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        rcsch = np.where(r > 1e-8, r / np.sinh(np.maximum(r, 1e-300)), 1.0 / (1.0 + r * r / 6.0))
-        cosh = np.cosh(r)
-        total = np.zeros(np.broadcast(r, t).shape)
-        for term in self.terms:
-            a, b, c = term.r_pow, term.coth_pow, term.csch_pow
-            val = (
-                float(term.coeff)
-                * t ** float(term.t_pow)
-                * cosh ** b
-                * rcsch ** (b + c)
-                * r ** float(a - b - c)
-            )
-            if term.bessel_shift is not None:
-                nu = self.bessel_order + term.bessel_shift
-                cr = self.bessel_scale * r
-                bk = np.array(
-                    [bessel_k(nu, float(v)) for v in np.atleast_1d(cr)]
-                ).reshape(np.shape(cr))
-                val = val * r ** (-(self.bessel_order + term.bessel_shift)) * bk
-            total = total + val
-        if self.gauss:
-            total = total * np.exp(-float(self.m2) * t - r * r / (4.0 * t))
-        return total
+def _odd_heat_coefficients(n: int, r: np.ndarray) -> np.ndarray:
+    """c_j(r), stacked along a new first axis, one per q_j, without overflow
+    at any r >= 0: with e = e^-r, r / sinh r = 2 r e / (1 - e^2) (1 at r = 0)
+    and r coth r = r (1 + e^2) / (1 - e^2)."""
+    e = np.exp(-r)
+    one_minus = np.where(r > 0.0, -np.expm1(-2.0 * r), 1.0)
+    rcsch = np.where(r > 0.0, 2.0 * r * e / one_minus, 1.0)
+    if n == 3:
+        return _ODD_PREF * rcsch[None]
+    h1 = (r * (1.0 + e * e) / one_minus - 1.0) / np.maximum(r * r, 1.0)
+    if np.any(r < 1.0):
+        rs = np.minimum(r, 1.0).ravel()
+        series = _power_series(rs * rs, _H1_SERIES).reshape(r.shape)
+        h1 = np.where(r < 1.0, rcsch * series, h1)
+    c2 = _ODD_PREF / (4.0 * math.pi) * rcsch * rcsch
+    return np.array([2.0 * c2 * h1, c2])
 
 
-_HEAT_SUMS: dict[int, TermSum] = {}
-
-
-def heat_term_sum(n: int) -> TermSum:
-    """D^m applied to exp(-m^2 t - r^2/4t) for odd n = 2m + 1."""
-    if n % 2 == 0 or n < 1:
-        raise ValueError(f"odd dimension required, got {n}")
-    if n not in _HEAT_SUMS:
-        m = (n - 1) // 2
-        ts = TermSum([RadialTerm(Fraction(1), Fraction(0), 0, 0, 0)], m2=m * m)
-        for _ in range(m):
-            ts = ts.radial_derivative()
-        _HEAT_SUMS[n] = ts
-    return _HEAT_SUMS[n]
+def _heat_odd(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray:
+    """Heat kernel for n in {3, 5} at r and t broadcast against each other;
+    the coefficients c_j are computed once per entry of r."""
+    c = _odd_heat_coefficients(n, r)
+    vals = sum(cj * t ** -q for cj, q in zip(c, _ODD_Q[n]))
+    if scaled:
+        return vals
+    return vals * np.exp(-0.25 * (n - 1) ** 2 * t - r * r / (4.0 * t))
 
 
 _K_GL_N, _K_GL_W = np.polynomial.legendre.leggauss(24)
@@ -267,17 +176,6 @@ def _heat_even(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray
     return out
 
 
-def _heat_raw(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray:
-    if n % 2 == 0:
-        return _heat_even(n, r, t, scaled)
-    m = (n - 1) // 2
-    pref = (-1.0) ** m / (2.0 ** m * math.pi ** m)
-    ts = heat_term_sum(n)
-    if scaled:
-        ts = TermSum(ts.terms, gauss=False)
-    return pref * (4.0 * math.pi * t) ** -0.5 * ts.evaluate(r, t)
-
-
 def _axis_anchors(r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the radii that lie below their anchor, and those anchors."""
     idx = np.flatnonzero(r < _ANCHOR_MAX)
@@ -299,37 +197,41 @@ def heat_kernel(n: int, r, t, scaled: bool = False) -> float | np.ndarray:
     cancels the shared Gaussian and spectral-gap decay and so never
     underflows.
 
-    Values at r below 0.02 use an even-quadratic extension from anchors at
-    a and 2a, avoiding the individually singular csch powers near the axis;
-    a = 0.1 sqrt(t_min) clipped to [1e-3, 0.02], with t_min the smallest t
-    paired with that same r.
+    Odd n is the closed form sum_j c_j(r) t^(-q_j) e^(-a t - r^2/4t), exact
+    at every r including the axis. On even n, values at r below 0.02 use an
+    even-quadratic extension from anchors at a and 2a, which the u-rule
+    resolves; a = 0.1 sqrt(t_min) clipped to
+    [1e-3, 0.02], with t_min the smallest t paired with that same r.
     """
     if n not in (2, 3, 4, 5):
         raise ValueError(f"dimension must be in 2..5, got {n}")
     r_arr, t_arr = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
     shape = np.broadcast(r_arr, t_arr).shape
-    rf, tf = np.empty(shape), np.empty(shape)
-    rf[...], tf[...] = r_arr, t_arr
-    rf, tf = rf.ravel(), tf.ravel()
-    if not np.all(tf > 0):
+    if not np.all(t_arr > 0):
         raise ValueError("t must be positive")
-    if not np.all(rf >= 0):
+    if not np.all(r_arr >= 0):
         raise ValueError("r must be nonnegative")
-    # radii below their anchor are evaluated at the anchor a (in place) and
-    # at 2a (appended), then extended evenly: p(r) = p0 + p2 r^2
-    axis, anchor = _axis_anchors(rf, tf)
-    r_eval = np.concatenate([rf, 2.0 * anchor])
-    r_eval[axis] = anchor
-    vals = _heat_raw(n, r_eval, np.concatenate([tf, tf[axis]]), scaled)
-    out = vals[: rf.size]
-    if axis.size:
-        v1, v2 = out[axis], vals[rf.size :]
-        p0 = (4.0 * v1 - v2) / 3.0
-        p2 = (v1 - p0) / anchor ** 2
-        out[axis] = p0 + p2 * rf[axis] * rf[axis]
+    if n % 2:
+        out = _heat_odd(n, r_arr, t_arr, scaled)
+    else:
+        rf = np.broadcast_to(r_arr, shape).ravel()
+        tf = np.broadcast_to(t_arr, shape).ravel()
+        # radii below their anchor are evaluated at the anchor a (in place)
+        # and at 2a (appended), then extended evenly: p(r) = p0 + p2 r^2
+        axis, anchor = _axis_anchors(rf, tf)
+        r_eval = np.concatenate([rf, 2.0 * anchor])
+        r_eval[axis] = anchor
+        vals = _heat_even(n, r_eval, np.concatenate([tf, tf[axis]]), scaled)
+        out = vals[: rf.size]
+        if axis.size:
+            v1, v2 = out[axis], vals[rf.size :]
+            p0 = (4.0 * v1 - v2) / 3.0
+            p2 = (v1 - p0) / anchor ** 2
+            out[axis] = p0 + p2 * rf[axis] * rf[axis]
+        out = out.reshape(shape)
     if np.ndim(r) == 0 and np.ndim(t) == 0:
-        return float(out[0])
-    return out.reshape(shape)
+        return float(out)
+    return out
 
 
 def dm_envelope(n: int, r, t) -> np.ndarray | float:
@@ -373,20 +275,6 @@ def dm_ratio_scan(n: int, r_grid, t_grid) -> tuple[float, float]:
 # fractional kernel
 
 
-def _bessel_kernel_sum(n: int, s: float) -> TermSum:
-    """D^m applied to r^-nu K_nu(c r), nu = s + 1/2, c = (n-1)/2, n odd."""
-    m = (n - 1) // 2
-    ts = TermSum(
-        [RadialTerm(1.0, Fraction(0), 0, 0, 0, bessel_shift=0)],
-        gauss=False,
-        bessel_order=s + 0.5,
-        bessel_scale=0.5 * (n - 1),
-    )
-    for _ in range(m):
-        ts = ts.radial_derivative()
-    return ts
-
-
 def frac_kernel(
     n: int,
     s: float,
@@ -398,7 +286,7 @@ def frac_kernel(
 
     route="time_quadrature" splits at t = 1 with the short-time substitution
     u = r^2/4t; route="bessel_closed_form" (n in {3, 5}) evaluates the exact
-    Bessel-term form obtained by m applications of the radial operator. The
+    Bessel-function form, one K_(q_j+s) per heat-kernel coefficient c_j. The
     value is the row of r in any `frac` table with the same arguments.
     """
     return float(_frac_values(n, s, np.array([r], dtype=float), route, cfg)[0])
@@ -413,9 +301,18 @@ def _frac_values(
     if route == "bessel_closed_form":
         if n not in (3, 5):
             raise ValueError("closed Bessel form available for n in {3, 5} only")
-        m = (n - 1) // 2
-        pref = (-1.0) ** m * (n - 1.0) ** (s + 0.5) / (2.0 ** m * math.pi ** (0.5 * n))
-        return pref * _bessel_kernel_sum(n, s).evaluate(r)
+        # the time integral of c_j t^(-q_j-1-s) e^(-a t - r^2/4t) over (0, inf)
+        # is c_j 2 (2 sqrt(a) / r)^p K_p(sqrt(a) r) with p = q_j + s; with
+        # nu = s + 1/2 that is 2^nu / (2 pi^(3/2)) r^-nu csch r K_(nu+1)(r) on
+        # H^3 and 4^nu / (4 pi^(5/2)) 2 r^-nu csch^2 r [2 K_(nu+2)(2r) +
+        # (coth r - 1/r) K_(nu+1)(2r)] on H^5
+        sa = 0.5 * (n - 1)
+        x = sa * r
+        total = np.zeros(r.shape)
+        for cj, q in zip(_odd_heat_coefficients(n, r), _ODD_Q[n]):
+            k = np.array([bessel_k(q + s, float(v)) for v in x])
+            total += cj * 2.0 * (2.0 * sa / r) ** (q + s) * k
+        return total
     if route != "time_quadrature":
         raise ValueError(f"unknown route {route!r}")
     head = _time_integral(n, r, s, 1, cfg)
@@ -439,7 +336,8 @@ def _time_integral(
 
     One independent adaptive integral per radius, all in lockstep; each
     step's nodes of row i reach `heat_kernel` in one call, paired with r_i
-    alone, so its axis anchor sees the same t whatever the other rows are.
+    alone, so on even n its axis anchor sees the same t whatever the other
+    rows are.
     """
     if part == 1:
         rr = r * r
@@ -478,41 +376,9 @@ def log_kernels(
     return float(_log_values(n, r, 1, cfg)[0]), float(_log_values(n, r, 2, cfg)[0])
 
 
-# odd n: p_n(r, t) = sum_j c_j(r) t^(-q_j) e^(-a t - b/t) with a = ((n-1)/2)^2,
-# b = r^2/4 and half-integer q_j (q = 1/2 - t_pow of heat_term_sum), so
-# K1 = sum_j c_j F_(q_j) and K2 = sum_j c_j G_(q_j), where F_q and G_q
-# integrate t^(-q-1) e^(-a t - b/t) over (0, 1] and over (1, inf)
-_ODD_Q = {3: (1.5,), 5: (1.5, 2.5)}
+# odd n: K1 = sum_j c_j F_(q_j) and K2 = sum_j c_j G_(q_j), where F_q and
+# G_q integrate t^(-q-1) e^(-a t - b/t), b = r^2/4, over (0, 1] and (1, inf)
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
-# c = pref r / sinh r on H^3; on H^5, c_j = pref_j (r / sinh r)^2 h_j with
-# h_2 = 1 and h_1 = (r cosh r - sinh r) / (r^2 sinh r), whose difference
-# cancels below r = 1, where h_1 = (r / sinh r) sum_(k>=1) 2k r^(2k-2) / (2k+1)!
-_ODD_PREF = {
-    3: (4.0 * math.pi) ** -1.5,
-    5: (4.0 * math.pi) ** -1.5 / np.array([[2.0 * math.pi], [4.0 * math.pi]]),
-}
-_H1_SERIES = np.array([2.0 * k / math.factorial(2 * k + 1) for k in range(1, 11)])
-
-
-def _power_series(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] x^k at each x, for coef of shape (terms,) or (terms, m)."""
-    return np.vander(x, len(coef), increasing=True) @ coef
-
-
-def _odd_heat_coefficients(n: int, r: np.ndarray) -> np.ndarray:
-    """c_j(r), one row per q_j, without overflow at any r: with e = e^-r,
-    r / sinh r = 2 r e / (1 - e^2) and r coth r = r (1 + e^2) / (1 - e^2)."""
-    e = np.exp(-r)
-    one_minus = -np.expm1(-2.0 * r)
-    rcsch = 2.0 * r * e / one_minus
-    if n == 3:
-        return _ODD_PREF[3] * rcsch[None]
-    h1 = (r * (1.0 + e * e) / one_minus - 1.0) / np.maximum(r * r, 1.0)
-    if r.min() < 1.0:
-        rs = np.minimum(r, 1.0)
-        h1 = np.where(r < 1.0, rcsch * _power_series(rs * rs, _H1_SERIES), h1)
-    rcsch2 = rcsch * rcsch
-    return _ODD_PREF[5] * np.array([rcsch2 * h1, rcsch2])
 
 
 def _g_series(n: int) -> np.ndarray:

@@ -302,7 +302,7 @@ def suite_euclid() -> VerifyReport:
 def suite_hyperbolic() -> VerifyReport:
     rep = VerifyReport("hyperbolic")
 
-    # closed form vs term algebra on H^3
+    # the c_j(r) t^(-q_j) form of heat_kernel vs the explicit H^3 formula
     def p3_closed(r, t):
         return (
             (4.0 * math.pi * t) ** -1.5
@@ -320,7 +320,7 @@ def suite_hyperbolic() -> VerifyReport:
         worst = max(worst, abs(a - b) / b)
     rep.add(
         "heat3-closed-form",
-        "term-algebra heat kernel matches the explicit H^3 formula, 10 points",
+        "odd-n heat kernel matches the explicit H^3 formula, 10 points",
         worst,
         1e-12,
         statement="p_3(r,t) = (4 pi t)^(-3/2) (r/sinh r) e^(-t - r^2/4t)",

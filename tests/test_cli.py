@@ -159,7 +159,6 @@ class TestApplyCommand:
         )
         assert rc == 2
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "grid", [("24", "0"), ("24", "3"), ("0", "16"), ("-1", "16"), ("1.16e-224", "16")]
     )

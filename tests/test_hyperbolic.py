@@ -1,6 +1,6 @@
-"""Hyperbolic-space kernels: term algebra, heat kernels of both parities,
-fractional and logarithmic kernels, asymptotic fits, and the pointwise
-operator with its splitting."""
+"""Hyperbolic-space kernels: heat kernels of both parities (the odd-n closed
+form against mpmath), fractional and logarithmic kernels, asymptotic fits,
+and the pointwise operator with its splitting."""
 
 import json
 import math
@@ -47,41 +47,52 @@ def even_reference(n: int, r: float, t: float) -> float:
     return pref * t ** -1.5 * math.exp(-((2 * m + 1) ** 2) * t / 4.0) * total
 
 
-class TestTermAlgebra:
-    def test_heat3_is_single_term(self):
-        ts = hy.heat_term_sum(3)
-        assert len(ts.terms) == 1
+def mp_heat(mp, n: int, r: float, t: float, scaled: bool):
+    """p_n(r, t), n in {3, 5}, in mpmath: p_3 explicit, and p_5 by the
+    descent relation -e^(-3t)/(2 pi sinh r) d/dr p_3, whose limit on the
+    axis is -e^(-3t)/(2 pi) p_3''(0); scaled as `heat_kernel` scales."""
+    r, t = mp.mpf(r), mp.mpf(t)
 
-    def test_closure_against_finite_differences(self):
-        # D^m of the base exponential, algebra vs nested central differences
-        for n in (3, 5):
-            m = (n - 1) // 2
-            base_m2 = m * m
+    def p3(x):
+        ratio = x / mp.sinh(x) if x else mp.mpf(1)
+        return (4 * mp.pi * t) ** -1.5 * ratio * mp.exp(-t - x * x / (4 * t))
 
-            def base(r, t):
-                return math.exp(-base_m2 * t - r * r / (4.0 * t))
+    if n == 3:
+        value = p3(r)
+    else:
+        slope = mp.diff(p3, r, 2) if r == 0 else mp.diff(p3, r) / mp.sinh(r)
+        value = -mp.exp(-3 * t) / (2 * mp.pi) * slope
+    if scaled:
+        value *= mp.exp(r * r / (4 * t) + (n - 1) ** 2 * t / 4)
+    return float(value)
 
-            def d_once(f):
-                # h balances truncation against the rounding amplification
-                # of the nested difference
-                def g(r, t, h=1e-4):
-                    return (f(r + h, t) - f(r - h, t)) / (2.0 * h) / math.sinh(r)
 
-                return g
+class TestOddHeatKernel:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_matches_mpmath(self, n):
+        # on the axis, near it and out to r = 12: scaled values everywhere;
+        # unscaled ones where the exponent a t + r^2/4t is at most 50, since
+        # past it the rounding of that exponent alone exceeds 1e-13
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        r = np.concatenate([[0.0, 1e-4, 1e-3, 5e-3, 0.015], np.geomspace(0.02, 12.0, 24)])
+        t = np.geomspace(1e-3, 50.0, 15)
+        for scaled in (True, False):
+            value = hy.heat_kernel(n, r[:, None], t, scaled=scaled)
+            ref = np.array([[mp_heat(mp, n, ri, ti, scaled) for ti in t] for ri in r])
+            keep = ((n - 1) ** 2 * t / 4.0 + r[:, None] ** 2 / (4.0 * t) <= 50.0) | scaled
+            assert np.max(np.abs(value[keep] / ref[keep] - 1.0)) <= 1e-13
 
-            num = base
-            for _ in range(m):
-                num = d_once(num)
-            ts = hy.heat_term_sum(n)
-            for r in (0.5, 1.0, 1.5, 2.2, 3.0):
-                for t in (0.3, 0.7, 1.0, 2.5):
-                    alg = float(ts.evaluate(np.array(r), np.array(t)))
-                    ref = num(r, t)
-                    assert alg == pytest.approx(ref, rel=1e-6)
-
-    def test_derivative_stays_in_algebra(self):
-        ts = hy.heat_term_sum(5).radial_derivative()
-        assert all(isinstance(t, hy.RadialTerm) for t in ts.terms)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_finite_far_out(self, n):
+        # r / sinh r and csch r go through e^-r, so nothing overflows where
+        # the kernels underflow
+        for value in (
+            hy.heat_kernel(n, 800.0, 1.0),
+            hy.frac_kernel(n, 0.5, 800.0, route="bessel_closed_form"),
+        ):
+            assert math.isfinite(value) and value >= 0.0
 
 
 class TestHeatKernel:
@@ -141,8 +152,8 @@ class TestHeatKernel:
 
     def test_broadcast_matches_pointwise(self):
         # 8 x 110 (r, t) pairs: more than one chunk of the even-n u-rule.
-        # Radii below the anchor take it from the smallest t of their row,
-        # so there the reference is the row evaluated at that scalar r.
+        # On even n, radii below the anchor take it from the smallest t of
+        # their row, so there the reference is the row at that scalar r.
         radii = np.array([0.0, 1e-4, 0.015, 0.02, 0.1, 0.7, 2.0, 4.0])
         times = np.geomspace(0.01, 10.0, 110)
         for n in (2, 3, 4, 5):
@@ -288,6 +299,21 @@ class TestFracKernel:
         assert hy.frac_kernel(3, s, r, route="bessel_closed_form") == pytest.approx(
             hand, rel=1e-13
         )
+
+    def test_bessel_route_hand_formula_n5(self):
+        # 4^nu / (4 pi^(5/2)) 2 r^-nu csch^2 r [2 K_(nu+2)(2r)
+        # + (coth r - 1/r) K_(nu+1)(2r)], nu = s + 1/2
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        for s in (0.25, 0.5, 0.75):
+            for r in (0.05, 0.5, 1.0, 3.0, 10.0):
+                nu, x = mp.mpf(s) + 0.5, mp.mpf(r)
+                bracket = 2 * mp.besselk(nu + 2, 2 * x) + (
+                    mp.coth(x) - 1 / x
+                ) * mp.besselk(nu + 1, 2 * x)
+                hand = 4 ** nu / (4 * mp.pi ** 2.5) * 2 * x ** -nu / mp.sinh(x) ** 2 * bracket
+                value = hy.frac_kernel(5, s, r, route="bessel_closed_form")
+                assert value == pytest.approx(float(hand), rel=1e-13)
 
     def test_positive_decreasing(self):
         rs = np.array([0.1, 0.5, 1.0, 2.0, 4.0, 8.0])
