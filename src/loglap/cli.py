@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 failed verification check, 2 argument error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -18,7 +19,11 @@ from .quadrature import NonConvergenceError, NonFiniteIntegrandError
 from .verification import SUITES, run_suite
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call and shared by the later
+    ones: each parse_args makes a fresh namespace, and the append actions
+    start from a None default, so no call sees another's arguments."""
     parser = argparse.ArgumentParser(
         prog="loglap",
         description="Fractional and logarithmic Laplacian toolkit",
@@ -184,34 +189,25 @@ def _cmd_apply(args) -> int:
             if args.route == "multiplier":
                 try:
                     grid = _torus(f, args)
-                    out_grid = (
-                        euclid.log_multiplier(grid)
+                    vals = (
+                        euclid.log_multiplier(grid, at=xs)
                         if args.op == "log"
-                        else euclid.frac_multiplier(grid, args.s)
+                        else euclid.frac_multiplier(grid, args.s, at=xs)
                     )
                 except ValueError as exc:
                     return _fail_args(str(exc))
                 meta["length"] = args.length
                 meta["grid_points"] = args.grid_points
-            for x in xs:
-                if args.route == "pointwise":
-                    val = (
-                        euclid.log_pointwise(f, x)
-                        if args.op == "log"
-                        else euclid.frac_pointwise(f, x, args.s)
-                    )
-                elif args.route == "bochner":
-                    val = (
-                        euclid.log_bochner_point(f, x)
-                        if args.op == "log"
-                        else euclid.frac_bochner_point(f, x, args.s)
-                    )
+            elif args.route == "pointwise":
+                if args.op == "log":
+                    vals = [euclid.log_pointwise(f, x) for x in xs]
                 else:
-                    try:
-                        val = out_grid.value_at(x)
-                    except ValueError as exc:
-                        return _fail_args(str(exc))
-                rows.append(list(x) + [val])
+                    vals = [euclid.frac_pointwise(f, x, args.s) for x in xs]
+            elif args.op == "log":
+                vals = [euclid.log_bochner_point(f, x) for x in xs]
+            else:
+                vals = [euclid.frac_bochner_point(f, x, args.s) for x in xs]
+            rows = [list(x) + [val] for x, val in zip(xs, vals)]
             header = [f"x{i + 1}" for i in range(args.n)] + ["value"]
         else:
             if args.n not in (2, 3, 4, 5):

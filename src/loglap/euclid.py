@@ -29,7 +29,7 @@ from .quadrature import (
     NonConvergenceError,
     QuadratureConfig,
     SingularityHint,
-    _edge_breaks,
+    edge_breaks,
     integrate,
     integrate_semiinfinite,
     sphere_area,
@@ -165,7 +165,7 @@ class TestFunction:
             raise SmoothnessTooLowError(
                 f"{self.id}: holder class requires a positive exponent"
             )
-        breaks = _edge_breaks(self.id, self.breaks, self.support_radius)
+        breaks = edge_breaks(self.id, self.breaks, self.support_radius)
         object.__setattr__(self, "breaks", breaks)
 
     def eval_radial(self, rho):
@@ -299,8 +299,10 @@ class PeriodicGridFunction:
     def index_of(self, point) -> tuple[int, ...]:
         pt = np.atleast_1d(np.asarray(point, dtype=float))
         idx = []
-        for c in pt:
+        for c in pt.tolist():
             j = (c + 0.5 * self.length) / self.spacing
+            if not math.isfinite(j):
+                raise ValueError(f"point {point} is too far out to index the grid")
             jr = int(round(j))
             if abs(j - jr) > 1e-9:
                 raise ValueError(f"point {point} is not on the grid")
@@ -332,42 +334,91 @@ class PeriodicGridFunction:
         )
 
 
-def _apply_multiplier(grid: PeriodicGridFunction, mult: np.ndarray) -> PeriodicGridFunction:
-    """Multiply the half spectrum (rfftn layout, see freq_sq) by mult."""
+def _apply_multiplier(grid: PeriodicGridFunction, symbol, at=None):
+    """Multiply the half spectrum (rfftn layout, see freq_sq) by
+    symbol(freq_sq()): the whole operator grid, or with `at` (P points of n
+    coordinates, each a grid node) its values there as a (P,) array.
+
+    Points are checked before any transform, so an off-grid point costs
+    nothing. Their values take only the forward transform (see
+    `_node_values`); the full grid goes through irfftn.
+    """
+    if at is not None:
+        pts = np.asarray(at, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != grid.n:
+            raise ValueError(f"at needs {grid.n}-dimensional points, got shape {pts.shape}")
+        nodes = np.array([grid.index_of(x) for x in pts], dtype=int).reshape(-1, grid.n)
     axes = tuple(range(grid.n))
-    spectrum = np.fft.rfftn(grid.samples, axes=axes) * mult
-    return grid.with_samples(np.fft.irfftn(spectrum, s=grid.samples.shape, axes=axes))
+    spectrum = np.fft.rfftn(grid.samples, axes=axes) * symbol(grid.freq_sq())
+    if at is None:
+        return grid.with_samples(np.fft.irfftn(spectrum, s=grid.samples.shape, axes=axes))
+    return _node_values(spectrum, grid.points, nodes)
+
+
+def _node_values(spectrum: np.ndarray, points: int, nodes: np.ndarray) -> np.ndarray:
+    """The inverse transform of a Hermitian half spectrum at the nodes (P, n):
+    (1/N^n) Re sum_k w_k S_k e^(2 pi i k.j/N), where w_k = 2 on the
+    last-axis columns 1..N/2-1 (which stand for their conjugate partners)
+    and 1 on columns 0 and N/2.
+
+    The phases are contracted one axis at a time with 1-d vectors, last axis
+    first, once per distinct tuple of the coordinates contracted so far: a
+    few points cost one pass over the spectrum, and every node of the grid
+    costs n passes, as a row-column DFT would. The sums use einsum, never
+    BLAS (`@`, dot, matmul): a BLAS product on the spectrum wakes OpenBLAS's
+    worker threads, whose spinning is charged to the process's CPU time and
+    slows every later numpy call as well.
+    """
+    half = points // 2 + 1
+    weight = np.full(half, 2.0)
+    weight[[0, -1]] = 1.0
+
+    def phases(idx: np.ndarray, size: int) -> np.ndarray:
+        # j k reduced mod N keeps every angle in [0, 2 pi), where exp is accurate
+        return np.exp((2j * math.pi / points) * (np.outer(idx, np.arange(size)) % points))
+
+    key, row = np.unique(nodes[:, -1], return_inverse=True)
+    vals = np.einsum("...k,uk->u...", spectrum, weight * phases(key, half))
+    for axis in range(nodes.shape[1] - 2, -1, -1):
+        # row: each point's row of vals; key: the distinct (row, node) pairs
+        key, row = np.unique(row * points + nodes[:, axis], return_inverse=True)
+        vals = np.einsum("u...k,uk->u...", vals[key // points], phases(key % points, points))
+    return vals[row].real / points ** nodes.shape[1]
 
 
 def heat_apply(grid: PeriodicGridFunction, t: float) -> PeriodicGridFunction:
     """Heat semigroup: multiply mode k by exp(-t |xi_k|^2)."""
     if not (t > 0.0):
         raise ValueError(f"t must be positive, got {t}")
-    return _apply_multiplier(grid, np.exp(-t * grid.freq_sq()))
+    return _apply_multiplier(grid, lambda q: np.exp(-t * q))
 
 
-def log_multiplier(grid: PeriodicGridFunction) -> PeriodicGridFunction:
+def _log_symbol(q: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), 0.0)
+
+
+def log_multiplier(grid: PeriodicGridFunction, at=None):
     """Multiply mode k != 0 by log(|xi_k|^2); the mean mode is annihilated.
 
     The zero eigenvalue carries no logarithm, so the operator acts on the
     mean-zero complement and the projection onto constants is removed.
+    Returns the operator grid, or with `at` (a sequence of grid nodes) the
+    (P,) array of its values there, without building the grid.
     """
-    q = grid.freq_sq()
-    with np.errstate(divide="ignore"):
-        mult = np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), 0.0)
-    return _apply_multiplier(grid, mult)
+    return _apply_multiplier(grid, _log_symbol, at)
 
 
-def frac_multiplier(grid: PeriodicGridFunction, s: float) -> PeriodicGridFunction:
-    """Multiply mode k by |xi_k|^(2s)."""
+def frac_multiplier(grid: PeriodicGridFunction, s: float, at=None):
+    """Multiply mode k by |xi_k|^(2s); `at` as in log_multiplier."""
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    return _apply_multiplier(grid, grid.freq_sq() ** s)
+    return _apply_multiplier(grid, lambda q: q ** s, at)
 
 
 def laplacian_multiplier(grid: PeriodicGridFunction) -> PeriodicGridFunction:
     """Spectral Laplacian: multiply mode k by -|xi_k|^2."""
-    return _apply_multiplier(grid, -grid.freq_sq())
+    return _apply_multiplier(grid, np.negative)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,9 @@ from .quadrature import (
     NonConvergenceError,
     QuadratureConfig,
     QuadResult,
-    _adaptive_rows,
-    _edge_breaks,
+    edge_breaks,
     integrate,
+    integrate_rows,
     integrate_semiinfinite,
     integrate_semiinfinite_rows,
     sphere_area,
@@ -418,7 +418,7 @@ def _log_closed_form(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # is sqrt(pi/2x) e^-x P_q(1/x) with P_(-1/2) = P_(1/2) = 1 and P_q =
     # P_(q-2) + 2(q-1) P_(q-1) / x
     g = _power_series(np.minimum(b, 1.0), _G_SERIES[n]).T
-    if b.max() >= 1.0:
+    if np.any(b >= 1.0):
         sb_far = np.maximum(sb, 1.0)
         x = 2.0 * sa * sb_far
         polys = [1.0, 1.0]
@@ -621,7 +621,7 @@ class HyperRadialFunction:
             self.holder_alpha and self.holder_alpha > 0
         ):
             raise ValueError("holder class requires a positive exponent")
-        breaks = _edge_breaks(self.id, self.breaks, self.support_radius)
+        breaks = edge_breaks(self.id, self.breaks, self.support_radius)
         object.__setattr__(self, "breaks", breaks)
 
 
@@ -765,10 +765,10 @@ def log_bochner_h(
                 tr = t_live[rows, None]
                 avg = _geodesic_average(f.profile, n, x_dist, r, f.breaks)
                 p = heat_kernel(n, r, tr) * (area / tr)
-                return (p * weight(avg) * np.sinh(r) ** (n - 1))[None]
+                return p * weight(avg) * np.sinh(r) ** (n - 1)
 
-            res = _adaptive_rows(g, lo[live], hi[live], cfg)
-            total[live] += res.checked(f"{route}: radial")[:, 0]
+            res = integrate_rows(g, lo[live], hi[live], cfg)
+            total[live] += res.checked(f"{route}: radial")
             lo = hi
         return total
 

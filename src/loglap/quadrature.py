@@ -19,9 +19,10 @@ row alone. The entry points are its special cases:
   and QuadResult.value and error_estimate are (m,) arrays. Use it when the
   components need refinement in the same places (the inner level of an
   iterated integral);
-- independent rows: `integrate_semiinfinite_rows` runs m rows of one
-  component. Use it when the rows refine in different places (one
-  kernel-table row per radius, one radial integral per time node).
+- independent rows: `integrate_rows` (finite intervals) and
+  `integrate_semiinfinite_rows` run m rows of one component. Use them when
+  the rows refine in different places (one kernel-table row per radius, one
+  radial integral per time node).
 
 A one-row integrand sees the 15 nodes of the whole interval first, then the
 30 nodes of both halves of the panel split at each step.
@@ -33,10 +34,10 @@ analytically by the substitution u^2 = x - a before subdividing; both maps
 pass (m, k) values through.
 
 Inside loglap the inner levels of iterated integrals call `_adaptive` (a
-shared-panel batch) or `_adaptive_rows` (independent rows on per-row
-intervals) directly, so `integrate` and `integrate_semiinfinite` see scalar
-integrands only: the benchmark's traced runs (perfbench/spans.py) wrap
-those two names and read each result's value as a float.
+shared-panel batch) or the rows entry points, so `integrate` and
+`integrate_semiinfinite` see scalar integrands only: the benchmark's traced
+runs (perfbench/spans.py) wrap those two names and read each result's value
+as a float.
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ __all__ = [
     "NonFiniteIntegrandError",
     "integrate",
     "integrate_semiinfinite",
+    "integrate_rows",
     "integrate_semiinfinite_rows",
+    "edge_breaks",
     "sphere_area",
     "sphere_mean",
     "frullani_log",
@@ -362,32 +365,52 @@ def integrate_semiinfinite(
     return _adaptive(g, 0.0, 1.0, cfg)
 
 
+def integrate_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a,
+    b,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+) -> QuadResult:
+    """Row i: the integral of f over the finite interval (a[i], b[i]).
+
+    f(rows, x) receives row indices (p,) and nodes (p, k), one row of x per
+    index, and returns (p, k) values. The rows are independent integrals
+    subdivided in lockstep (see the module docstring): value,
+    error_estimate and converged are (m,) arrays.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.size < 1 or a.shape != b.shape or not np.all(
+        np.isfinite(a) & np.isfinite(b) & (a < b)
+    ):
+        raise ValueError(f"need nonempty 1-d arrays of finite a < b, got {a!r}, {b!r}")
+
+    def g(rows, x):
+        fv = np.asarray(f(rows, x), dtype=float)
+        if fv.shape != x.shape:
+            raise ValueError(
+                f"integrand must return {x.shape} values for {x.shape} nodes, got {fv.shape}"
+            )
+        return fv[None]
+
+    res = _adaptive_rows(g, a, b, cfg)
+    return QuadResult(res.value[:, 0], res.error_estimate[:, 0], res.evaluations, res.converged)
+
+
 def integrate_semiinfinite_rows(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> QuadResult:
-    """Row i: the integral of f over (a[i], infinity), via u = 1/(1 + t - a[i]).
-
-    f(rows, t) receives row indices (p,) and nodes (p, k), one row of t per
-    index, and returns (p, k) values. The rows are independent integrals
-    subdivided in lockstep (see the module docstring): value,
-    error_estimate and converged are (m,) arrays.
-    """
+    """Row i: the integral of f over (a[i], infinity), via u = 1/(1 + t - a[i]);
+    f and the result as in `integrate_rows`."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size < 1 or not np.all(np.isfinite(a)):
         raise ValueError(f"need a nonempty 1-d array of finite lower endpoints, got {a!r}")
 
     def g(rows, u):
-        fv = _folded(lambda t: f(rows, t), a[rows, None] - 1.0 + 1.0 / u, u)
-        if fv.shape != u.shape:
-            raise ValueError(
-                f"integrand must return {u.shape} values for {u.shape} nodes, got {fv.shape}"
-            )
-        return fv[None]
+        return _folded(lambda t: f(rows, t), a[rows, None] - 1.0 + 1.0 / u, u)
 
-    res = _adaptive_rows(g, np.zeros(a.size), np.ones(a.size), cfg)
-    return QuadResult(res.value[:, 0], res.error_estimate[:, 0], res.evaluations, res.converged)
+    return integrate_rows(g, np.zeros(a.size), np.ones(a.size), cfg)
 
 
 def _folded(f, t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -409,7 +432,7 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (0.5 * n) / gamma(0.5 * n)
 
 
-def _edge_breaks(name: str, breaks, support_radius: float) -> tuple[float, ...]:
+def edge_breaks(name: str, breaks, support_radius: float) -> tuple[float, ...]:
     """A radial function's breaks, checked to ascend to its support edge,
     where sphere_mean stops; a compact support without breaks has its edge."""
     breaks = tuple(breaks) or ((support_radius,) if math.isfinite(support_radius) else ())

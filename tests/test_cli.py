@@ -170,6 +170,57 @@ class TestApplyCommand:
         )
         assert rc == 2
 
+    def test_point_too_far_to_index_exits_2(self, tmp_path):
+        rc = main_rc(
+            "apply", "--space", "euclid", "--op", "log", "--route", "multiplier",
+            "--fn", "gaussian", "--n", "1", "--length", "1e-150", "--grid-points", "16",
+            "--x", "1e300", "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+
+    @pytest.mark.parametrize("op", [("log",), ("frac", "--s", "0.3")])
+    def test_multiplier_points_match_single_calls(self, tmp_path, op):
+        base = (
+            "apply", "--space", "euclid", "--op", *op, "--route", "multiplier",
+            "--fn", "bump", "--n", "2", "--grid-points", "32", "--length", "6",
+        )
+        points = ["0.375,-0.75", "0.0,0.0", "-3.0,2.625"]
+        many = tmp_path / "many.csv"
+        assert main_rc(*base, *(f"--x={p}" for p in points), "--out", str(many)) == 0
+        header, rows = read_rows(many)
+        singles = []
+        for i, p in enumerate(points):
+            one = tmp_path / f"one{i}.csv"
+            assert main_rc(*base, f"--x={p}", "--out", str(one)) == 0
+            assert read_rows(one)[0] == header
+            singles += read_rows(one)[1]
+        assert len(rows) == 3
+        for row, single in zip(rows, singles):
+            assert row[:2] == single[:2]
+            assert row[2] == pytest.approx(single[2], rel=1e-13, abs=1e-15)
+
+    def test_multiplier_route_calls_the_traced_names(self, tmp_path, monkeypatch):
+        # the benchmark's tracer attributes the route's time by wrapping these
+        # two module attributes, so the CLI must look them up on euclid
+        from loglap import euclid
+
+        calls = []
+        for name in ("log_multiplier", "frac_multiplier"):
+            original = getattr(euclid, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(euclid, name, spy)
+        base = (
+            "apply", "--space", "euclid", "--route", "multiplier", "--fn", "gaussian",
+            "--n", "1", "--grid-points", "16", "--x", "0.0",
+        )
+        assert main_rc(*base, "--op", "log", "--out", str(tmp_path / "a.csv")) == 0
+        assert main_rc(*base, "--op", "frac", "--s", "0.5", "--out", str(tmp_path / "b.csv")) == 0
+        assert calls == ["log_multiplier", "frac_multiplier"]
+
     def test_negative_point_as_separate_argument(self, tmp_path):
         # on the 16-point grid of side 24: nodes -12 + 1.5 k
         base = (
@@ -232,6 +283,36 @@ class TestApplyCommand:
             "--n", n, "--out", str(tmp_path / "h.csv"),
         )
         assert rc == 2
+
+
+class TestSharedParser:
+    """main() builds its parser once per process; no call sees another's."""
+
+    BASE = (
+        "apply", "--space", "euclid", "--op", "log", "--route", "multiplier",
+        "--fn", "gaussian", "--n", "1", "--grid-points", "16",
+    )
+
+    def test_built_once(self):
+        from loglap import cli
+
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_appended_points_do_not_carry_over(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main_rc(*self.BASE, "--x", "0.0", "--x", "1.5", "--out", str(a)) == 0
+        assert main_rc(*self.BASE, "--x", "3.0", "--out", str(b)) == 0
+        assert [row[0] for row in read_rows(a)[1]] == [0.0, 1.5]
+        assert [row[0] for row in read_rows(b)[1]] == [3.0]
+
+    def test_valid_call_after_argument_error(self, tmp_path):
+        good = tmp_path / "good.csv"
+        assert main_rc(*self.BASE, "--x", "0.0", "--grid-points", "nope", "--out", "x") == 2
+        assert main_rc(*self.BASE, "--x", "0.3", "--out", str(tmp_path / "off.csv")) == 2
+        assert main_rc(*self.BASE, "--x", "1.5", "--out", str(good)) == 0
+        ref = tmp_path / "ref.csv"
+        assert run_cli(*self.BASE, "--x", "1.5", "--out", str(ref)).returncode == 0
+        assert good.read_bytes() == ref.read_bytes()
 
 
 class TestVerifyCommand:

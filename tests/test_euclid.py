@@ -208,6 +208,41 @@ class TestPeriodicGrid:
             assert out.samples.shape == ref.shape
             assert np.max(np.abs(out.samples - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("points", [16, 32])
+    def test_point_values_match_full_grid(self, n, points):
+        # every node, against the full grid's value_at (its samples, in C order)
+        rng = np.random.default_rng(points + n)
+        grid = eu.PeriodicGridFunction.from_function(eu.registry(n)["bump"], n, 6.0, points)
+        grid = grid.with_samples(grid.samples + 0.1 * rng.normal(size=grid.samples.shape))
+        c = grid.axis_coords()
+        nodes = np.stack(np.meshgrid(*([c] * n), indexing="ij"), axis=-1).reshape(-1, n)
+        cases = [(eu.log_multiplier(grid), eu.log_multiplier(grid, at=nodes))]
+        for s in (0.3, 0.7):
+            cases.append((eu.frac_multiplier(grid, s), eu.frac_multiplier(grid, s, at=nodes)))
+        for full, at_nodes in cases:
+            ref = full.samples.ravel()
+            assert full.value_at(nodes[-1]) == ref[-1]
+            assert at_nodes.shape == ref.shape
+            assert np.max(np.abs(at_nodes - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_point_values_keep_order_and_repeats(self):
+        grid = eu.PeriodicGridFunction.from_function(eu.registry(2)["bump"], 2, 6.0, 16)
+        full = eu.log_multiplier(grid)
+        pts = [[0.375, -0.75], [0.0, 0.0], [0.375, -0.75], [-3.0, 2.625]]
+        vals = eu.log_multiplier(grid, at=pts)
+        assert vals == pytest.approx([full.value_at(p) for p in pts], rel=1e-13, abs=1e-15)
+        assert vals[0] == vals[2]
+
+    def test_point_values_reject_bad_points(self):
+        grid = eu.PeriodicGridFunction(2, 6.0, 16, np.zeros((16, 16)))
+        with pytest.raises(ValueError, match="not on the grid"):
+            eu.log_multiplier(grid, at=[[0.0, 0.0], [0.1, 0.0]])
+        with pytest.raises(ValueError, match="too far out"):
+            eu.frac_multiplier(grid, 0.5, at=[[1e308, 0.0]])
+        with pytest.raises(ValueError, match="2-dimensional"):
+            eu.log_multiplier(grid, at=[0.0, 0.0])
+
     def test_from_function_radii(self):
         grid = eu.PeriodicGridFunction.from_function(lambda r: r, 3, 6.0, 8)
         c = grid.axis_coords()

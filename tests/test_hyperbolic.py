@@ -346,6 +346,11 @@ class TestLogKernels:
             assert all(a > b for a, b in zip(k1s, k1s[1:]))
             assert all(a > b for a, b in zip(k2s, k2s[1:]))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_empty_radii(self, n):
+        k1, k2 = hy.log_kernel_values(n, np.array([]))
+        assert k1.shape == k2.shape == (0,)
+
     def test_vectorized_matches_adaptive(self):
         # odd n is the closed form, held to a tight time quadrature
         for n in (2, 3, 5):

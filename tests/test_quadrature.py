@@ -319,6 +319,35 @@ class TestIndependentRows:
             q.integrate_semiinfinite_rows(_damped, a)
 
 
+class TestFiniteRows:
+    def test_rows_match_closed_form(self):
+        a = np.array([0.0, 0.5, 1.0, 0.0, 2.0])
+        b = np.array([1.0, 3.0, 1.5, 20.0, 2.25])
+        res = q.integrate_rows(_damped, a, b)
+        assert res.value.shape == res.error_estimate.shape == res.converged.shape == (5,)
+        assert np.all(res.converged)
+        exact = _damped_exact(a) - _damped_exact(b)
+        assert np.all(np.abs(res.value - exact) <= 1e-10 * np.abs(exact) + 1e-12)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.zeros((2, 2)), np.ones((2, 2))),
+            (np.array([]), np.array([])),
+            (np.zeros(2), np.ones(3)),
+            (np.array([0.0, 1.0]), np.array([1.0, 1.0])),
+            (np.array([0.0, 0.0]), np.array([1.0, np.inf])),
+        ],
+    )
+    def test_bad_endpoints_raise(self, a, b):
+        with pytest.raises(ValueError, match="finite a < b"):
+            q.integrate_rows(_damped, a, b)
+
+    def test_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match="integrand must return"):
+            q.integrate_rows(lambda rows, x: x[:, :-1], np.zeros(3), np.ones(3))
+
+
 class TestFrullani:
     def test_unity(self):
         assert q.frullani_log(1.0) == 0.0
@@ -445,13 +474,13 @@ class TestSphereMean:
                     assert abs(mean - ref) <= 5e-15
 
     def test_breaks_end_at_the_support_edge(self):
-        assert q._edge_breaks("f", (0.9, 1.0), 1.0) == (0.9, 1.0)
-        assert q._edge_breaks("f", (), 1.0) == (1.0,)
-        assert q._edge_breaks("f", (), math.inf) == ()
+        assert q.edge_breaks("f", (0.9, 1.0), 1.0) == (0.9, 1.0)
+        assert q.edge_breaks("f", (), 1.0) == (1.0,)
+        assert q.edge_breaks("f", (), math.inf) == ()
         with pytest.raises(ValueError):
-            q._edge_breaks("f", (1.0, 0.9), 1.0)
+            q.edge_breaks("f", (1.0, 0.9), 1.0)
         with pytest.raises(ValueError):
-            q._edge_breaks("f", (0.9,), 1.0)
+            q.edge_breaks("f", (0.9,), 1.0)
 
 
 class TestScalarIdentities:
