@@ -151,7 +151,7 @@ def _cmd_kernel(args) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # a table the grid cannot hold, e.g. heat underflow
+    except (ValueError, OverflowError) as exc:  # a table the grid cannot hold
         return _fail_args(str(exc))
     table.to_csv(args.out)
     return 0

@@ -315,9 +315,6 @@ class PeriodicGridFunction:
     def mean(self) -> float:
         return float(self.samples.mean())
 
-    def l2_norm(self) -> float:
-        return math.sqrt(self.spacing ** self.n * float(np.sum(self.samples ** 2)))
-
     def with_samples(self, samples: np.ndarray) -> "PeriodicGridFunction":
         return PeriodicGridFunction(self.n, self.length, self.points, samples)
 

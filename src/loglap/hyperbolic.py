@@ -1,23 +1,20 @@
 """Heat, fractional, and logarithmic kernels on real hyperbolic space H^n.
 
-Odd dimensions evaluate the heat kernel in closed form,
-p_n = sum_j c_j(r) t^(-q_j) exp(-a t - r^2/4t) with a = ((n-1)/2)^2 and
-half-integer q_j, from coefficients c_j written through e^-r so that they
-neither overflow nor lose accuracy at any r >= 0; even dimensions evaluate
-the singular integral formula after the substitution x = r + u^2, which
-removes the (cosh x - cosh r)^(-1/2) endpoint exactly.
+Every kernel is a time transform of one form of the heat kernel,
+p_n(r, t) = sum_j A_j t^(-q_j) exp(-a t - x^2/4t) with a = ((n-1)/2)^2 and
+half-integer q_j. Odd dimensions are a finite sum, x = r and A_j = c_j(r),
+coefficients written through e^-r so that they neither overflow nor lose
+accuracy at any r >= 0. Even dimensions integrate over x = r + u^2, which
+removes the (cosh x - cosh r)^(-1/2) endpoint of the singular-integral
+formula exactly, with amplitudes A_j(r, u).
 
-The fractional kernel comes either from time quadrature of the heat kernel
-or, in dimensions 3 and 5, from a closed Bessel-function form: the time
-integral of each c_j term is a modified Bessel function K_(q_j+s); the two
-routes are compared in the tests.
-
-The logarithmic kernels K1 and K2 (the time integrals of p_n dt/t over
-(0, 1] and (1, inf)) come from adaptive time quadrature in `log_kernels` and
-the log tables. `log_kernel_values`, their array form for the integrands of
-the pointwise operator and kernel norms, is a closed form of erfc and
-half-integer Bessel K terms in dimensions 3 and 5, and a fixed time rule in
-dimensions 2 and 4.
+The heat kernel is that form at given t. The logarithmic kernels K1 and K2
+(the integrals of p_n dt/t over (0, 1] and (1, inf)) replace t^(-q_j)
+e^(-a t - x^2/4t) by its time integrals, closed forms of erfc and
+half-integer Bessel K, in `log_kernel_values`; `log_kernels` and the log
+tables integrate the heat kernel in time adaptively. The fractional kernel
+comes from time quadrature of the heat kernel or, in dimensions 3 and 5,
+from the whole-line transform, one Bessel K_(q_j+s) per coefficient c_j.
 """
 
 from __future__ import annotations
@@ -69,13 +66,13 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# odd dimensions: p_n(r, t) = sum_j c_j(r) t^(-q_j) e^(-a t - r^2/4t) with
-# a = ((n-1)/2)^2 and half-integer q_j; c = pref r / sinh r on H^3, and on
-# H^5 c_j = pref_j (r / sinh r)^2 h_j with h_2 = 1 and h_1 = (r cosh r -
-# sinh r) / (r^2 sinh r), whose difference cancels below r = 1, where h_1 =
-# (r / sinh r) sum_(k>=1) 2k r^(2k-2) / (2k+1)!
+# odd dimensions: p_n(r, t) = sum_j c_j(r) t^(-q_j) e^(-a t - r^2/4t); c = pref
+# r / sinh r on H^3, and on H^5 c_j = pref_j (r / sinh r)^2 h_j with h_2 = 1
+# and h_1 = (r cosh r - sinh r) / (r^2 sinh r), whose difference cancels
+# below r = 1, where h_1 = (r / sinh r) sum_(k>=1) 2k r^(2k-2) / (2k+1)!. _Q
+# holds the q_j of every dimension; H^2 and H^4 have those of H^3 and H^5
 
-_ODD_Q = {3: (1.5,), 5: (1.5, 2.5)}
+_Q = {2: (1.5,), 3: (1.5,), 4: (1.5, 2.5), 5: (1.5, 2.5)}
 _ODD_PREF = (4.0 * math.pi) ** -1.5  # pref on H^3; pref_j = pref / (2 pi j) on H^5
 _H1_SERIES = np.array([2.0 * k / math.factorial(2 * k + 1) for k in range(1, 11)])
 
@@ -107,7 +104,7 @@ def _heat_odd(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray:
     """Heat kernel for n in {3, 5} at r and t broadcast against each other;
     the coefficients c_j are computed once per entry of r."""
     c = _odd_heat_coefficients(n, r)
-    vals = sum(cj * t ** -q for cj, q in zip(c, _ODD_Q[n]))
+    vals = sum(cj * t ** -q for cj, q in zip(c, _Q[n]))
     if scaled:
         return vals
     return vals * np.exp(-0.25 * (n - 1) ** 2 * t - r * r / (4.0 * t))
@@ -123,34 +120,44 @@ def _panels(edges, gl_nodes=_K_GL_N, gl_weights=_K_GL_W):
     return (lo + half * (gl_nodes + 1.0)).ravel(), (half * gl_weights).ravel()
 
 
-# even dimensions: singular-integral formula with x = r + u^2, on a u-rule
-# over [0, 1] that each (r, t) scales by its own umax: 24-point Gauss-Legendre
+# even dimensions: the heat kernel sums the amplitudes on a u-rule over
+# [0, 1] that each (r, t) scales by its own umax: 24-point Gauss-Legendre
 # panels on edges graded by power 3, 4 of them (96 nodes) for n = 2 and 5
-# (120 nodes) for n = 4. The grading resolves the peak at u ~ sqrt(r) down to
-# the smallest axis anchor, r = 1e-3, even at large t
+# (120 nodes) for n = 4. The grading resolves the peak at u ~ sqrt(r) down
+# to the smallest axis anchor, r = 1e-3, even at large t
 _EVEN_RULES = {n: _panels(np.linspace(0.0, 1.0, p + 1) ** 3) for n, p in ((2, 4), (4, 5))}
-_EVEN_CHUNK = 1 << 12  # (r, t, u) elements per temporary array
+_EVEN_CHUNK = 1 << 12  # (r, t, u) or (r, u) elements per temporary array
 _ANCHOR_MAX = 0.02  # below this radius values come from the axis extension
 
 
-def _stable_u_over_sqrt_sinh(u: np.ndarray) -> np.ndarray:
-    """u / sqrt(sinh(u^2/2)), a smooth even function of u."""
-    w = 0.5 * u * u
-    small = w < 1e-6
-    ws = np.where(small, 0.0, w)
-    out = np.where(
-        small,
-        math.sqrt(2.0) * (1.0 - w * w / 24.0),
-        u / np.sqrt(np.where(small, 1.0, np.sinh(ws))),
-    )
-    return out
+def _even_amplitudes(n: int, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A_j(r, u), stacked along a new first axis, one per q_j, for n in
+    {2, 4} and r, u > 0 broadcast against each other: p_n(r, t) =
+    int_0^inf sum_j A_j t^(-q_j) e^(-a t - x^2/4t) du with x = r + u^2.
+
+    On H^2, A = pref x w with w = 2 u / sqrt(sinh(u^2/2) sinh y), y = r +
+    u^2/2, through e^-x/2, e^-u^2 and e^-2y = e^-(r+x) so that nothing
+    overflows. H^4 applies -(1 / 2 pi sinh r) d/dr under the integral sign,
+    which gives the bracket (1 - x coth(y) / 2, -x^2/2) over sinh r."""
+    u2 = u * u
+    x = r + u2
+    w = 4.0 * u * np.exp(-0.5 * x) / np.sqrt(np.expm1(-u2) * np.expm1(-r - x))
+    if n == 2:
+        return (_ODD_PREF * x * w)[None]
+    w = w * (_ODD_PREF / math.pi * np.exp(-r) / np.expm1(-2.0 * r))
+    half_wx = 0.5 * w * x
+    return np.array([w - half_wx / np.tanh(r + 0.5 * u2), -half_wx * x])
+
+
+def _axis_extension(v1: np.ndarray, v2: np.ndarray, anchor, r: np.ndarray) -> np.ndarray:
+    """p0 + p2 r^2 through the values v1 at the anchor and v2 at twice it."""
+    p0 = (4.0 * v1 - v2) / 3.0
+    return p0 + (v1 - p0) / anchor ** 2 * r * r
 
 
 def _heat_even(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray:
     """Heat kernel for n in {2, 4} at matching 1-d arrays r, t."""
-    m = (n - 2) // 2
-    pref = (-1.0) ** m / (2.0 ** (m + 2.5) * math.pi ** (m + 1.5))
-    lam = (2 * m + 1) ** 2 / 4.0
+    lam = 0.25 * (n - 1) ** 2
     rule_u, rule_w = _EVEN_RULES[n]
     out = np.empty(r.shape)
     step = max(1, _EVEN_CHUNK // rule_u.size)
@@ -159,20 +166,15 @@ def _heat_even(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray
         umax = np.sqrt(np.maximum(-rc + np.sqrt(rc * rc + 200.0 * tc), 1e-8)) + 0.7
         u = umax * rule_u
         u2 = u * u
-        x = rc + u2
         # scaled: x^2 - r^2 = 2 r u^2 + u^4 leaves out the factor exp(-r^2/4t)
-        expo = 2.0 * rc * u2 + u2 * u2 if scaled else x * x
-        base = _stable_u_over_sqrt_sinh(u) * np.exp(-expo / (4.0 * tc))
-        y = rc + 0.5 * u2
-        vals = math.sqrt(2.0) * base / np.sqrt(np.sinh(y))
-        if n == 2:
-            vals *= x
-        else:
-            # one application of (1/sinh r) d/dr under the integral sign
-            vals *= (1.0 - x * x / (2.0 * tc) - 0.5 * x / np.tanh(y)) / np.sinh(rc)
+        expo = 2.0 * rc * u2 + u2 * u2 if scaled else (rc + u2) ** 2
+        amp = _even_amplitudes(n, rc, u)
+        vals = amp[0] * tc ** -1.5
+        if n == 4:
+            vals += amp[1] * tc ** -2.5
+        vals *= np.exp(-expo / (4.0 * tc))
         total = np.sum(vals * rule_w, axis=-1) * umax[:, 0]
-        tv = t[lo : lo + step]
-        out[lo : lo + step] = pref * tv ** -1.5 * (1.0 if scaled else np.exp(-lam * tv)) * total
+        out[lo : lo + step] = total if scaled else total * np.exp(-lam * t[lo : lo + step])
     return out
 
 
@@ -224,10 +226,7 @@ def heat_kernel(n: int, r, t, scaled: bool = False) -> float | np.ndarray:
         vals = _heat_even(n, r_eval, np.concatenate([tf, tf[axis]]), scaled)
         out = vals[: rf.size]
         if axis.size:
-            v1, v2 = out[axis], vals[rf.size :]
-            p0 = (4.0 * v1 - v2) / 3.0
-            p2 = (v1 - p0) / anchor ** 2
-            out[axis] = p0 + p2 * rf[axis] * rf[axis]
+            out[axis] = _axis_extension(out[axis], vals[rf.size :], anchor, rf[axis])
         out = out.reshape(shape)
     if np.ndim(r) == 0 and np.ndim(t) == 0:
         return float(out)
@@ -307,11 +306,13 @@ def _frac_values(
         # H^3 and 4^nu / (4 pi^(5/2)) 2 r^-nu csch^2 r [2 K_(nu+2)(2r) +
         # (coth r - 1/r) K_(nu+1)(2r)] on H^5
         sa = 0.5 * (n - 1)
-        x = sa * r
         total = np.zeros(r.shape)
-        for cj, q in zip(_odd_heat_coefficients(n, r), _ODD_Q[n]):
-            k = np.array([bessel_k(q + s, float(v)) for v in x])
-            total += cj * 2.0 * (2.0 * sa / r) ** (q + s) * k
+        with np.errstate(over="ignore"):
+            for cj, q in zip(_odd_heat_coefficients(n, r), _Q[n]):
+                total += cj * 2.0 * (2.0 * sa / r) ** (q + s) * bessel_k(q + s, sa * r)
+        if not np.all(np.isfinite(total)):
+            bad = float(r[~np.isfinite(total)][0])
+            raise OverflowError(f"frac_kernel(n={n}, s={s}) overflows at r={bad}")
         return total
     if route != "time_quadrature":
         raise ValueError(f"unknown route {route!r}")
@@ -376,8 +377,8 @@ def log_kernels(
     return float(_log_values(n, r, 1, cfg)[0]), float(_log_values(n, r, 2, cfg)[0])
 
 
-# odd n: K1 = sum_j c_j F_(q_j) and K2 = sum_j c_j G_(q_j), where F_q and
-# G_q integrate t^(-q-1) e^(-a t - b/t), b = r^2/4, over (0, 1] and (1, inf)
+# K1 = sum_j A_j F_(q_j) and K2 = sum_j A_j G_(q_j), where F_q and G_q integrate
+# t^(-q-1) e^(-a t - b/t), b = x^2/4, over (0, 1] and (1, inf)
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 
 
@@ -391,24 +392,25 @@ def _g_series(n: int) -> np.ndarray:
         e.append((math.exp(-a) - a * e[-1]) / (len(e) - 0.5))
     return np.array(
         [
-            [(-1) ** k * e[int(q + 0.5) + k] / math.factorial(k) for q in _ODD_Q[n]]
+            [(-1) ** k * e[int(q + 0.5) + k] / math.factorial(k) for q in _Q[n]]
             for k in range(18)
         ]
     )
 
 
-_G_SERIES = {n: _g_series(n) for n in _ODD_Q}
+_G_SERIES = {n: _g_series(n) for n in _Q}
 
 
-def _log_closed_form(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K1, K2) on H^n, n in {3, 5}, from half-integer F_q and G_q."""
-    qs = _ODD_Q[n]
+def _log_transforms(n: int, sb: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_j A_j F_(q_j), sum_j A_j G_(q_j)) at b = sb^2, for A_j stacked
+    along the first axis of amp, one per q_j of n, and sb of the rest."""
+    qs = _Q[n]
     a = 0.25 * (n - 1) ** 2
-    sa, sb = math.sqrt(a), 0.5 * r
+    sa = math.sqrt(a)
     b = sb * sb
     # e^(a+b) F_q at q = -1/2 and 1/2 from erfcx, then upward by b F_q =
     # e^(-a-b) + (q-1) F_(q-1) + a F_(q-2), whose terms are all positive
-    lo, hi = erfcx(np.concatenate([sb - sa, sb + sa])).reshape(2, -1)
+    lo, hi = erfcx(np.concatenate([sb - sa, sb + sa])).reshape(2, *sb.shape)
     fs = [_HALF_SQRT_PI / sa * (lo - hi), _HALF_SQRT_PI / sb * (lo + hi)]
     for q in qs:
         fs.append((1.0 + (q - 1.0) * fs[-1] + a * fs[-2]) / b)
@@ -417,7 +419,7 @@ def _log_closed_form(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # 2 (a/b)^(q/2) K_q(2 sqrt(ab)) less F_q, where K_q of half-integer order
     # is sqrt(pi/2x) e^-x P_q(1/x) with P_(-1/2) = P_(1/2) = 1 and P_q =
     # P_(q-2) + 2(q-1) P_(q-1) / x
-    g = _power_series(np.minimum(b, 1.0), _G_SERIES[n]).T
+    g = _power_series(np.minimum(b, 1.0).ravel(), _G_SERIES[n]).T.reshape(f.shape)
     if np.any(b >= 1.0):
         sb_far = np.maximum(sb, 1.0)
         x = 2.0 * sa * sb_far
@@ -427,14 +429,33 @@ def _log_closed_form(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         whole = np.sqrt(2.0 * math.pi / x) * np.exp(-x)
         bessel = np.array([whole * (sa / sb_far) ** q * p for q, p in zip(qs, polys[2:])])
         g = np.where(b < 1.0, g, bessel - f)
-    c = _odd_heat_coefficients(n, r)
-    return np.sum(c * f, axis=0), np.sum(c * g, axis=0)
+    return np.sum(amp * f, axis=0), np.sum(amp * g, axis=0)
 
 
-# fixed composite rules of log_kernel_values on even n: K1 in u = r^2/4t on
-# a + edges, K2 in v = 1/t on (0, 1]
-_K1_U, _K1_W = _panels([0.0, 1.0, 3.0, 7.0, 14.0, 26.0, 45.0, 75.0])
-_K2_V, _K2_W = _panels(np.linspace(1e-9, 1.0, 9))
+# even n sums the transforms over u = c sinh w, c = min(sqrt r, 1), so that
+# the peak of the K1 integrand at u ~ sqrt r keeps its nodes as r falls: the
+# midpoint rule in w over [0, arsinh(8/c)], which converges geometrically
+# since the integrand is even and analytic in w, and which ends past u = 8,
+# where the amplitudes and G_q have fallen below e^-64
+_DESCENT_W = (np.arange(128) + 0.5) / 128
+
+
+def _descent(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K1, K2) at each radius on even n, in blocks of radii."""
+    k1, k2 = np.empty(r.shape), np.empty(r.shape)
+    step = max(1, _EVEN_CHUNK // _DESCENT_W.size)
+    for lo in range(0, r.size, step):
+        rc = r[lo : lo + step, None]
+        c = np.minimum(np.sqrt(rc), 1.0)
+        wmax = np.arcsinh(8.0 / c)
+        u = c * np.sinh(wmax * _DESCENT_W)
+        weights = wmax / _DESCENT_W.size * c * np.cosh(wmax * _DESCENT_W)
+        f, g = _log_transforms(n, 0.5 * (rc + u * u), _even_amplitudes(n, rc, u) * weights)
+        k1[lo : lo + step], k2[lo : lo + step] = f.sum(axis=-1), g.sum(axis=-1)
+    return k1, k2
+
+
+_K2_ANCHOR = 1e-3  # below it, H^4's K2 comes from the axis extension
 
 
 def log_kernel_values(n: int, r_values) -> tuple[np.ndarray, np.ndarray]:
@@ -442,27 +463,26 @@ def log_kernel_values(n: int, r_values) -> tuple[np.ndarray, np.ndarray]:
     estimates; used inside pointwise operators and norm integrals, where the
     kernels are needed at many quadrature nodes.
 
-    Odd n is the closed form: within 1e-13 (relative) of the integrals for
-    r in [1e-3, 16] (K1) and [1e-3, 30] (K2), and 0 where they underflow.
-    Even n sums the heat kernel on fixed composite time rules (168 + 192
-    nodes). Against `log_kernels` at rel_tol 1e-13 for r in [0.05, 16],
-    their K1 error grows as r falls, to 7.3e-5 at r = 0.05 on H^2 and 1.8e-7
-    on H^4; K2 is within 6.8e-12 on H^2 for r <= 8 (1.3e-9 at r = 16) and
-    4e-15 on H^4.
+    Both are time transforms of the heat kernel's form, summed over the
+    coefficients c_j on odd n and over a 128-node u-rule on even n. Against
+    mpmath they are within 1e-13 (relative) for r in [1e-3, 16] (K1) and
+    [1e-3, 30] (K2) on odd n, and at r = 1e-3 on even n but for H^4's K2
+    (1e-11); 0 where they underflow. Even n is within 1e-14 (K1) and 2e-13
+    (K2) of tight time quadrature over [0.05, 16], and within 1e-9 of
+    mpmath at r = 1e-4 and 1e-5. H^4's bracket cancels to O(r) near the
+    axis, so its K2 below r = 1e-3 is the even quadratic through 1e-3, 2e-3.
     """
     if n not in (2, 3, 4, 5):
         raise ValueError(f"dimension must be in 2..5, got {n}")
     r = np.atleast_1d(np.asarray(r_values, dtype=float))
     _check_radii(r)
     if n % 2:
-        return _log_closed_form(n, r)
-    r = r[:, None]
-    a = 0.25 * r * r
-    # K1: int_a^inf p(r, a/u) du/u, integrand decays like e^-u
-    u = a + _K1_U
-    k1 = np.sum(heat_kernel(n, r, a / u) / u * _K1_W, axis=-1)
-    # K2: int_1^inf p/t dt with w = 1/t
-    k2 = np.sum(heat_kernel(n, r, 1.0 / _K2_V) / _K2_V * _K2_W, axis=-1)
+        return _log_transforms(n, 0.5 * r, _odd_heat_coefficients(n, r))
+    k1, k2 = _descent(n, r)
+    near = r < _K2_ANCHOR
+    if n == 4 and near.any():
+        v1, v2 = _descent(n, _K2_ANCHOR * np.array([1.0, 2.0]))[1]
+        k2[near] = _axis_extension(v1, v2, _K2_ANCHOR, r[near])
     return k1, k2
 
 
@@ -752,14 +772,16 @@ def log_bochner_h(
         each t, the radial term of the time integrand, so that the
         tolerances bound what the time rule sums. On each piece between the
         edges it is one independent row per t, refined where its own heat
-        kernel needs it."""
+        kernel needs it; each row is also cut at r = 8 sqrt(t), so that its
+        first piece holds the heat kernel's peak of width sqrt(t)."""
         total = np.zeros(t.shape)
         lo = np.zeros(t.shape)
-        for edge in [*edges, math.inf]:
+        cuts = [np.full(t.shape, edge) for edge in (*edges, math.inf)]
+        for edge in np.sort(np.stack([*cuts, 8.0 * np.sqrt(t)], axis=-1), axis=-1).T:
             hi = np.minimum(r_hi, edge)
             live = np.flatnonzero(hi > lo)
-            if not live.size:
-                break
+            if not live.size:  # hi == lo in every row
+                continue
 
             def g(rows, r, t_live=t[live]):
                 tr = t_live[rows, None]

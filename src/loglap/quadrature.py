@@ -471,9 +471,9 @@ def sphere_mean(
     a, b = a[..., None], b[..., None]
     cuts = np.asarray(cuts, dtype=float)
     if cuts.size:
-        # the crossing angles; b = 0 gives cos = +-inf (nan on a cut), a
-        # sphere on one side of the cut
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # the crossing angles; b = 0 or a subnormal b gives cos = +-inf (nan
+        # on a cut), a sphere on one side of the cut
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             hi = np.arccos(np.fmin(np.fmax((a - cuts) / b, -1.0), 1.0))
     else:
         hi = np.full(a.shape, math.pi)

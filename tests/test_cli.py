@@ -111,6 +111,17 @@ class TestKernelCommand:
         )
         assert rc == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", ["3", "5"])
+    @pytest.mark.parametrize("r_min", ["1e-300", "1e-100"])
+    def test_bessel_kernel_overflow_exits_2(self, tmp_path, n, r_min):
+        rc = main_rc(
+            "kernel", "--space", "hyperbolic", "--kind", "frac", "--route",
+            "bessel_closed_form", "--n", n, "--s", "0.5", "--r-min", r_min,
+            "--r-max", "1", "--points", "2", "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+
     def test_euclid_dimension_out_of_range_exits_2(self, tmp_path):
         rc = main_rc(
             "kernel", "--space", "euclid", "--kind", "log1", "--n", "0",

@@ -5,7 +5,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import event, given, settings  # noqa: E402
+from hypothesis import event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 # flag values: valid ones more often than not, mixed with non-finite,
@@ -91,6 +91,21 @@ _VERIFY = st.tuples(
 
 @settings(max_examples=150, deadline=None)
 @given(command=st.one_of(_KERNEL, _APPLY, _VERIFY), with_out=st.booleans())
+# drawn argvs that once escaped main(), pinned here since hypothesis's example
+# database is a local cache: a subnormal sinh|x| sinh r in the sphere mean
+# overflowed a division, and the Bessel closed form overflowed at tiny radii
+@example(
+    command=(["apply"], "--space hyperbolic --op log --fn bump --n 2 --x-dist 2.23e-311".split()),
+    with_out=False,
+)
+@example(
+    command=(
+        ["kernel"],
+        "--space hyperbolic --kind frac --route bessel_closed_form --n 3 --s 0.5 "
+        "--r-min 1e-300 --r-max 1 --points 2".split(),
+    ),
+    with_out=False,
+)
 def test_documented_exit_codes(tmp_path_factory, command, with_out):
     # kernel and apply always write to --out, verify sometimes to --json-out
     from loglap import cli

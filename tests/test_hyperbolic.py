@@ -409,19 +409,51 @@ class TestLogKernels:
                 assert np.all(np.diff(values) <= 0.0)
 
     def test_even_rule_error_pinned(self):
-        # the fixed time rules of even n, against tight time quadrature over
-        # geomspace(0.05, 16, 30), at about twice the error measured there:
-        # K1 loses accuracy as r falls (7.3e-5 and 1.8e-7 at the first
-        # radii), K2 on H^2 as r grows (6.8e-12 up to r = 8, 1.3e-9 at 16)
+        # the even-n descent against tight time quadrature over
+        # geomspace(0.05, 16, 30): measured 3.3e-15 (K1) and 3.6e-15 (K2) on
+        # H^2, 3.3e-15 and 5.3e-14 on H^4, where the bracket of the
+        # amplitude cancels near the axis
         r = np.geomspace(0.05, 16.0, 30)
-        bounds = {2: (1.5e-4, 1.4e-11, 2.6e-9), 4: (3.6e-7, 1e-14, 1e-14)}
-        for n, (k1_bound, k2_bound_8, k2_bound) in bounds.items():
+        for n in (2, 4):
             k1, k2 = hy.log_kernel_values(n, r)
             err1 = np.abs(k1 / hy.build_kernel_table(n, "log1", r, cfg=TIGHT_CFG).values - 1.0)
             err2 = np.abs(k2 / hy.build_kernel_table(n, "log2", r, cfg=TIGHT_CFG).values - 1.0)
-            assert np.max(err1) <= k1_bound
-            assert np.max(err2[r <= 8.0]) <= k2_bound_8
-            assert np.max(err2) <= k2_bound
+            assert np.max(err1) <= 1e-14
+            assert np.max(err2) <= 2e-13
+
+    # (K1, K2) from mpmath at 25 to 30 digits: nested quadrature of the
+    # u-form, the time integrals inside the u-integral
+    EVEN_NEAR_AXIS = {
+        (2, 1e-3): (318309.39701851202, 0.036211629646535204),
+        (2, 1e-4): (3.18309880070578e7, 0.0362116381509037),
+        (2, 1e-5): (3.18309886110443e9, 0.0362116382359474),
+        (4, 1e-3): (101321107651.64867, 0.00017743458777762177),
+        (4, 1e-4): (1.01321182882429e15, 1.77434670446758e-4),
+        (4, 1e-5): (1.01321183634739e19, 1.7743467127345e-4),
+    }
+
+    @pytest.mark.parametrize("key", list(EVEN_NEAR_AXIS), ids=str)
+    def test_even_near_axis_matches_mpmath(self, key):
+        # the u-rule follows the K1 peak at u ~ sqrt(r): measured 2.2e-16 at
+        # r = 1e-3, where H^4's K2 is 3.7e-12 off from its cancelling
+        # bracket, and below 4.3e-12 at 1e-4 and 1e-5 (the references there
+        # have 15 digits); H^4's K2 below 1e-3 is the axis extension
+        n, r = key
+        k1, k2 = hy.log_kernel_values(n, np.array([r]))
+        ref1, ref2 = self.EVEN_NEAR_AXIS[key]
+        tol = 1e-13 if r == 1e-3 else 1e-9
+        assert k1[0] == pytest.approx(ref1, rel=tol)
+        assert k2[0] == pytest.approx(ref2, rel=max(tol, 1e-11) if n == 4 else tol)
+
+    @pytest.mark.filterwarnings("error")
+    def test_even_finite_near_axis_and_far_out(self):
+        # K1 grows like r^-n toward the axis; both underflow to 0 far out
+        for n in (2, 4):
+            for r in (np.geomspace(1e-8, 1e-5, 13), np.geomspace(1e-3, 1e3, 200)):
+                for values in hy.log_kernel_values(n, r):
+                    assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+            k1, k2 = hy.log_kernel_values(n, np.geomspace(1e-8, 1e-5, 13))
+            assert np.all(k1 > 0.0) and np.all(k2 > 0.0) and np.all(np.diff(k1) < 0.0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -626,6 +658,20 @@ class TestPointwise:
         bump = hy.hyper_registry()["bump"]
         a = hy.log_pointwise_h(4, bump, 0.0)
         assert abs(a - hy.log_bochner_h(4, bump, 0.0)) <= 1e-8 * abs(a)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_matches_bochner_route_even(self, n):
+        # measured 4.9e-11 (H^2) and 9.8e-13 (H^4)
+        bump = hy.hyper_registry()["bump"]
+        a = hy.log_pointwise_h(n, bump, 0.5)
+        assert abs(a - hy.log_bochner_h(n, bump, 0.5)) <= 1e-10 * abs(a)
+
+    def test_bochner_route_sees_the_tent_apex(self):
+        # each radial row is cut at r = 8 sqrt(t), so its first piece holds
+        # the heat kernel's peak of width sqrt(t): measured 3.1e-9
+        tent = hy.hyper_registry()["tent"]
+        a = hy.log_pointwise_h(3, tent, 0.0)
+        assert abs(a - hy.log_bochner_h(3, tent, 0.0)) <= 1e-7 * abs(a)
 
     def test_pointwise_unconverged_raises(self):
         bump = hy.hyper_registry()["bump"]

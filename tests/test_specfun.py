@@ -229,6 +229,34 @@ class TestBesselK:
     def test_overflow_signalled(self):
         with pytest.raises(OverflowError):
             sf.bessel_k(10.0, 1e-30)
+        with pytest.raises(OverflowError):
+            sf.bessel_k(np.array([0.5, 2.0]), 1e-300)
+
+    def test_matches_mpmath(self):
+        # measured 2.7e-15 on this grid
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        nu = np.arange(0.0, 10.001, 0.25)[:, None]
+        x = np.geomspace(1e-4, 700.0, 24)
+        ref = np.array([[float(mp.besselk(v, xv)) for xv in x] for v in nu[:, 0]])
+        assert np.max(np.abs(sf.bessel_k(nu, x) / ref - 1.0)) <= 1e-14
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_argument(self):
+        # K_0 grows like -log(x/2) - gamma, and orders up to 1 stay finite
+        # down to the smallest subnormal
+        assert sf.bessel_k(0.0, 1e-300) == pytest.approx(690.8914594138721, rel=1e-14)
+        assert sf.bessel_k(0.0, 5e-324) == pytest.approx(744.5560034370396, rel=1e-14)
+        assert sf.bessel_k(1.0, 1e-300) == pytest.approx(1e300, rel=1e-13)
+
+    def test_array_elements_are_their_scalars(self):
+        # each element has its own rule, whatever the other elements are
+        nu = np.array([0.0, 0.3, 2.25, 7.5])[:, None]
+        x = np.geomspace(1e-3, 300.0, 9)
+        values = sf.bessel_k(nu, x)
+        assert values.shape == (4, 9) and isinstance(sf.bessel_k(1.0, 2.0), float)
+        singles = [[sf.bessel_k(float(v), float(xv)) for xv in x] for v in nu[:, 0]]
+        assert values.tolist() == singles
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
