@@ -169,9 +169,9 @@ def _heat_even(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray
         # scaled: x^2 - r^2 = 2 r u^2 + u^4 leaves out the factor exp(-r^2/4t)
         expo = 2.0 * rc * u2 + u2 * u2 if scaled else (rc + u2) ** 2
         amp = _even_amplitudes(n, rc, u)
-        vals = amp[0] * tc ** -1.5
-        if n == 4:
-            vals += amp[1] * tc ** -2.5
+        vals = amp[0] * tc ** -_Q[n][0]
+        for aj, q in zip(amp[1:], _Q[n][1:]):
+            vals += aj * tc ** -q
         vals *= np.exp(-expo / (4.0 * tc))
         total = np.sum(vals * rule_w, axis=-1) * umax[:, 0]
         out[lo : lo + step] = total if scaled else total * np.exp(-lam * t[lo : lo + step])
@@ -479,8 +479,8 @@ def log_kernel_values(n: int, r_values) -> tuple[np.ndarray, np.ndarray]:
     if n % 2:
         return _log_transforms(n, 0.5 * r, _odd_heat_coefficients(n, r))
     k1, k2 = _descent(n, r)
-    near = r < _K2_ANCHOR
-    if n == 4 and near.any():
+    if n == 4 and np.any(r < _K2_ANCHOR):
+        near = r < _K2_ANCHOR
         v1, v2 = _descent(n, _K2_ANCHOR * np.array([1.0, 2.0]))[1]
         k2[near] = _axis_extension(v1, v2, _K2_ANCHOR, r[near])
     return k1, k2
