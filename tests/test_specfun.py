@@ -243,8 +243,8 @@ class TestBesselK:
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_argument(self):
-        # K_0 grows like -log(x/2) - gamma, and orders up to 1 stay finite
-        # down to the smallest subnormal
+        # mpmath values: K_0 grows like -log(x/2) - gamma down to the
+        # smallest subnormal, and K_1 like 1/x
         assert sf.bessel_k(0.0, 1e-300) == pytest.approx(690.8914594138721, rel=1e-14)
         assert sf.bessel_k(0.0, 5e-324) == pytest.approx(744.5560034370396, rel=1e-14)
         assert sf.bessel_k(1.0, 1e-300) == pytest.approx(1e300, rel=1e-13)
