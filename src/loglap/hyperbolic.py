@@ -4,9 +4,11 @@ Every kernel is a time transform of one form of the heat kernel,
 p_n(r, t) = sum_j A_j t^(-q_j) exp(-a t - x^2/4t) with a = ((n-1)/2)^2 and
 half-integer q_j. Odd dimensions are a finite sum, x = r and A_j = c_j(r),
 coefficients written through e^-r so that they neither overflow nor lose
-accuracy at any r >= 0. Even dimensions integrate over x = r + u^2, which
-removes the (cosh x - cosh r)^(-1/2) endpoint of the singular-integral
-formula exactly, with amplitudes A_j(r, u).
+accuracy at any r >= 0. Even dimensions are the descent from the odd
+dimension above: an integral over x = r + u^2, which removes the
+(cosh x - cosh r)^(-1/2) endpoint of the descent formula exactly, with
+amplitudes A_j(r, u) built from the coefficients of n + 1, on one u-rule
+that resolves every r down to the axis.
 
 The heat kernel is that form at given t. The logarithmic kernels K1 and K2
 (the integrals of p_n dt/t over (0, 1] and (1, inf)) replace t^(-q_j)
@@ -40,7 +42,7 @@ from .quadrature import (
     sphere_area,
     sphere_mean,
 )
-from .specfun import EULER_GAMMA, bessel_k, erfcx
+from .specfun import EULER_GAMMA, _horner, bessel_k, erfcx
 
 __all__ = [
     "heat_kernel",
@@ -66,129 +68,132 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# odd dimensions: p_n(r, t) = sum_j c_j(r) t^(-q_j) e^(-a t - r^2/4t); c = pref
-# r / sinh r on H^3, and on H^5 c_j = pref_j (r / sinh r)^2 h_j with h_2 = 1
-# and h_1 = (r cosh r - sinh r) / (r^2 sinh r), whose difference cancels
-# below r = 1, where h_1 = (r / sinh r) sum_(k>=1) 2k r^(2k-2) / (2k+1)!. _Q
-# holds the q_j of every dimension; H^2 and H^4 have those of H^3 and H^5
+# odd dimensions: p_n(r, t) = sum_j c_j(r) t^(-q_j) e^(-a t - r^2/4t) with
+# c_j = d_j (r / sinh r): d = pref on H^3, and on H^5 d_j = pref_j (r / sinh r)
+# h_j with h_2 = 1 and h_1 = (r cosh r - sinh r) / (r^2 sinh r), whose
+# difference cancels below r = 1, where h_1 = (r / sinh r) sum_(k>=1) 2k
+# r^(2k-2) / (2k+1)!. _Q holds the q_j of every dimension; H^2 and H^4 have
+# those of H^3 and H^5
 
 _Q = {2: (1.5,), 3: (1.5,), 4: (1.5, 2.5), 5: (1.5, 2.5)}
 _ODD_PREF = (4.0 * math.pi) ** -1.5  # pref on H^3; pref_j = pref / (2 pi j) on H^5
 _H1_SERIES = np.array([2.0 * k / math.factorial(2 * k + 1) for k in range(1, 11)])
 
 
-def _power_series(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] x^k at each x, for coef of shape (terms,) or (terms, m)."""
-    return np.vander(x, len(coef), increasing=True) @ coef
-
-
-def _odd_heat_coefficients(n: int, r: np.ndarray) -> np.ndarray:
-    """c_j(r), stacked along a new first axis, one per q_j, without overflow
-    at any r >= 0: with e = e^-r, r / sinh r = 2 r e / (1 - e^2) (1 at r = 0)
-    and r coth r = r (1 + e^2) / (1 - e^2)."""
+def _odd_heat_coefficients(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r / sinh r, d_j(r)) with c_j = d_j r / sinh r, the d_j stacked along
+    a new first axis, one per q_j, without overflow at any r >= 0: with
+    e = e^-r, r / sinh r = 2 r e / (1 - e^2) (1 at r = 0) and r coth r =
+    r (1 + e^2) / (1 - e^2)."""
     e = np.exp(-r)
     one_minus = np.where(r > 0.0, -np.expm1(-2.0 * r), 1.0)
     rcsch = np.where(r > 0.0, 2.0 * r * e / one_minus, 1.0)
     if n == 3:
-        return _ODD_PREF * rcsch[None]
+        return rcsch, np.full((1,) + (1,) * np.ndim(r), _ODD_PREF)
     h1 = (r * (1.0 + e * e) / one_minus - 1.0) / np.maximum(r * r, 1.0)
-    if np.any(r < 1.0):
-        rs = np.minimum(r, 1.0).ravel()
-        series = _power_series(rs * rs, _H1_SERIES).reshape(r.shape)
-        h1 = np.where(r < 1.0, rcsch * series, h1)
-    c2 = _ODD_PREF / (4.0 * math.pi) * rcsch * rcsch
-    return np.array([2.0 * c2 * h1, c2])
+    small = r < 1.0
+    if small.any():
+        h1[small] = rcsch[small] * _horner(r[small] ** 2, _H1_SERIES)
+    d2 = _ODD_PREF / (4.0 * math.pi) * rcsch
+    return rcsch, np.array([2.0 * d2 * h1, d2])
+
+
+def _time_factors(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> list[np.ndarray]:
+    """t^(-q_j), times e^(-a t - r^2/4t) unless scaled, one per q_j. Unscaled,
+    the exponent goes inside the power, as (e^(-(a t + r^2/4t)/q) / t)^q at
+    the first q, and each next q_j = q_(j-1) + 1 divides by t once more; so
+    where t^(-q_j) overflows but r^2/4t is large the factor is 0, and where
+    the factor itself overflows, OverflowError names the pair."""
+    qs = _Q[n]
+    if scaled:
+        return [t ** -q for q in qs]
+    with np.errstate(over="ignore"):
+        expo = 0.25 * (n - 1) ** 2 * t + r * r / (4.0 * t)
+        factors = [(np.exp(-expo / qs[0]) / t) ** qs[0]]
+        for _ in qs[1:]:
+            factors.append(factors[-1] / t)
+    # the last factor is the largest wherever t < 1, and all are <= 1 where not
+    bad = ~np.isfinite(factors[-1])
+    if bad.any():
+        rb, tb = (float(np.broadcast_to(v, bad.shape)[bad][0]) for v in (r, t))
+        raise OverflowError(f"heat_kernel(n={n}) overflows double precision at r={rb}, t={tb}")
+    return factors
 
 
 def _heat_odd(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray:
     """Heat kernel for n in {3, 5} at r and t broadcast against each other;
     the coefficients c_j are computed once per entry of r."""
-    c = _odd_heat_coefficients(n, r)
-    vals = sum(cj * t ** -q for cj, q in zip(c, _Q[n]))
-    if scaled:
-        return vals
-    return vals * np.exp(-0.25 * (n - 1) ** 2 * t - r * r / (4.0 * t))
+    rcsch, d = _odd_heat_coefficients(n, r)
+    return sum(dj * rcsch * fj for dj, fj in zip(d, _time_factors(n, r, t, scaled)))
 
 
-_K_GL_N, _K_GL_W = np.polynomial.legendre.leggauss(24)
+# even dimensions descend from the odd one above (Davies-Mandouvalos):
+# p_n(r, t) = sqrt 2 e^((2n-1)t/4) int_r^inf p_(n+1)(x, t) sinh x (cosh x -
+# cosh r)^(-1/2) dx. With x = r + u^2 the endpoint singularity becomes the
+# Abel weight w = 2u / sqrt(sinh(u^2/2) sinh y), y = r + u^2/2, analytic and
+# even in u, and p_n = int_0^inf sum_j A_j t^(-q_j) e^(-a t - x^2/4t) du with
+# A_j = d_j(x) x w, the coefficients of n + 1. Every even-n integral over u
+# is the midpoint rule in w for u = c sinh w at one fixed step, which
+# converges geometrically since the integrand is even and analytic in w;
+# c^2 follows the smaller of the scales r (the peak of 1/sinh y) and g (the
+# Gaussian's u^2 scale, 1 for the time transforms), floored at 1e-12 g.
+# Each pair takes the nodes up to its own wmax = arsinh(umax / c), umax the
+# u where the Gaussian has fallen to e^-46, or 8 (where the amplitudes and
+# G_q have fallen below e^-32), and sums them with a running sum, so that
+# its value does not depend on the other pairs of its block
+def _midpoint_rule(step: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(step, sinh w_k, cosh w_k) at w_k = (k + 1/2) step up to the largest
+    wmax, arsinh(8e6)."""
+    w = (np.arange(math.ceil(math.asinh(8e6) / step) + 1) + 0.5) * step
+    return step, np.sinh(w), np.cosh(w)
 
 
-def _panels(edges, gl_nodes=_K_GL_N, gl_weights=_K_GL_W):
-    """Composite Gauss-Legendre nodes and weights on consecutive edges."""
-    edges = np.asarray(edges, dtype=float)
-    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
-    return (lo + half * (gl_nodes + 1.0)).ravel(), (half * gl_weights).ravel()
+_U_RULE = _midpoint_rule(0.07)
+_EVEN_CHUNK = 1 << 12  # (pair, u) elements per temporary array
 
 
-# even dimensions: the heat kernel sums the amplitudes on a u-rule over
-# [0, 1] that each (r, t) scales by its own umax: 24-point Gauss-Legendre
-# panels on edges graded by power 3, 4 of them (96 nodes) for n = 2 and 5
-# (120 nodes) for n = 4. The grading resolves the peak at u ~ sqrt(r) down
-# to the smallest axis anchor, r = 1e-3, even at large t
-_EVEN_RULES = {n: _panels(np.linspace(0.0, 1.0, p + 1) ** 3) for n, p in ((2, 4), (4, 5))}
-_EVEN_CHUNK = 1 << 12  # (r, t, u) or (r, u) elements per temporary array
-_ANCHOR_MAX = 0.02  # below this radius values come from the axis extension
+def _u_blocks(r: np.ndarray, g, umax):
+    """(pairs, u, weights) for blocks of the pairs with radii r, Gaussian
+    scales g and cutoffs umax; the weights past a pair's own wmax are 0. c^2
+    is floored at 1e-150 too, so that u^4 stays normal where r and g are
+    smaller still; the values there are 0 or overflow."""
+    step, sinh_w, cosh_w = _U_RULE
+    c = np.sqrt(np.maximum(np.minimum(r, g), np.maximum(1e-12 * g, 1e-150)))
+    count = np.ceil(np.arcsinh(umax / c) / step).clip(1, sinh_w.size).astype(int)
+    size = max(1, _EVEN_CHUNK // int(count.max(initial=1)))
+    for lo in range(0, r.size, size):
+        pairs = slice(lo, lo + size)
+        k = np.arange(count[pairs].max())
+        cc = c[pairs, None]
+        weight = np.where(k < count[pairs, None], step * cc * cosh_w[k], 0.0)
+        yield pairs, cc * sinh_w[k], weight
 
 
-def _even_amplitudes(n: int, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """A_j(r, u), stacked along a new first axis, one per q_j, for n in
-    {2, 4} and r, u > 0 broadcast against each other: p_n(r, t) =
-    int_0^inf sum_j A_j t^(-q_j) e^(-a t - x^2/4t) du with x = r + u^2.
-
-    On H^2, A = pref x w with w = 2 u / sqrt(sinh(u^2/2) sinh y), y = r +
-    u^2/2, through e^-x/2, e^-u^2 and e^-2y = e^-(r+x) so that nothing
-    overflows. H^4 applies -(1 / 2 pi sinh r) d/dr under the integral sign,
-    which gives the bracket (1 - x coth(y) / 2, -x^2/2) over sinh r."""
+def _abel_amplitudes(n: int, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A_j(r, u) = d_j(x) x w, stacked along a new first axis, one per q_j,
+    for n in {2, 4} and r >= 0, u > 0 broadcast against each other; w goes
+    through e^-x/2, e^-u^2 and e^-2y = e^-(r+x) so that nothing overflows."""
     u2 = u * u
     x = r + u2
     w = 4.0 * u * np.exp(-0.5 * x) / np.sqrt(np.expm1(-u2) * np.expm1(-r - x))
-    if n == 2:
-        return (_ODD_PREF * x * w)[None]
-    w = w * (_ODD_PREF / math.pi * np.exp(-r) / np.expm1(-2.0 * r))
-    half_wx = 0.5 * w * x
-    return np.array([w - half_wx / np.tanh(r + 0.5 * u2), -half_wx * x])
-
-
-def _axis_extension(v1: np.ndarray, v2: np.ndarray, anchor, r: np.ndarray) -> np.ndarray:
-    """p0 + p2 r^2 through the values v1 at the anchor and v2 at twice it."""
-    p0 = (4.0 * v1 - v2) / 3.0
-    return p0 + (v1 - p0) / anchor ** 2 * r * r
+    return _odd_heat_coefficients(n + 1, x)[1] * (x * w)
 
 
 def _heat_even(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray:
-    """Heat kernel for n in {2, 4} at matching 1-d arrays r, t."""
-    lam = 0.25 * (n - 1) ** 2
-    rule_u, rule_w = _EVEN_RULES[n]
+    """Heat kernel for n in {2, 4} at matching 1-d arrays r, t. The pair
+    factors carry e^(-r^2/4t) and the nodes e^-(x^2 - r^2)/4t."""
+    g = np.minimum(1.0, 4.0 * t / (np.sqrt(r * r + 4.0 * t) + r))
+    umax = np.minimum(8.0, np.sqrt(184.0 * t / (np.sqrt(r * r + 184.0 * t) + r)))
+    factors = _time_factors(n, r, t, scaled)
     out = np.empty(r.shape)
-    step = max(1, _EVEN_CHUNK // rule_u.size)
-    for lo in range(0, r.size, step):
-        rc, tc = r[lo : lo + step, None], t[lo : lo + step, None]
-        umax = np.sqrt(np.maximum(-rc + np.sqrt(rc * rc + 200.0 * tc), 1e-8)) + 0.7
-        u = umax * rule_u
-        u2 = u * u
-        # scaled: x^2 - r^2 = 2 r u^2 + u^4 leaves out the factor exp(-r^2/4t)
-        expo = 2.0 * rc * u2 + u2 * u2 if scaled else (rc + u2) ** 2
-        amp = _even_amplitudes(n, rc, u)
-        vals = amp[0] * tc ** -_Q[n][0]
-        for aj, q in zip(amp[1:], _Q[n][1:]):
-            vals += aj * tc ** -q
-        vals *= np.exp(-expo / (4.0 * tc))
-        total = np.sum(vals * rule_w, axis=-1) * umax[:, 0]
-        out[lo : lo + step] = total if scaled else total * np.exp(-lam * t[lo : lo + step])
+    for pairs, u, weight in _u_blocks(r, g, umax):
+        rc, u2 = r[pairs, None], u * u
+        with np.errstate(over="ignore"):
+            gauss = np.exp(-u2 * (2.0 * rc + u2) / (4.0 * t[pairs, None]))
+        amp = _abel_amplitudes(n, rc, u)
+        vals = sum(aj * fj[pairs, None] for aj, fj in zip(amp, factors))
+        out[pairs] = np.cumsum(vals * gauss * weight, axis=-1)[:, -1]
     return out
-
-
-def _axis_anchors(r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the radii that lie below their anchor, and those anchors."""
-    idx = np.flatnonzero(r < _ANCHOR_MAX)
-    if idx.size == 0:
-        return idx, np.empty(0)
-    radii, group = np.unique(r[idx], return_inverse=True)
-    tmin = np.full(radii.size, np.inf)
-    np.minimum.at(tmin, group, t[idx])
-    anchor = np.clip(0.1 * np.sqrt(tmin), 1e-3, _ANCHOR_MAX)[group]
-    keep = r[idx] < anchor
-    return idx[keep], anchor[keep]
 
 
 def heat_kernel(n: int, r, t, scaled: bool = False) -> float | np.ndarray:
@@ -200,10 +205,10 @@ def heat_kernel(n: int, r, t, scaled: bool = False) -> float | np.ndarray:
     underflows.
 
     Odd n is the closed form sum_j c_j(r) t^(-q_j) e^(-a t - r^2/4t), exact
-    at every r including the axis. On even n, values at r below 0.02 use an
-    even-quadratic extension from anchors at a and 2a, which the u-rule
-    resolves; a = 0.1 sqrt(t_min) clipped to
-    [1e-3, 0.02], with t_min the smallest t paired with that same r.
+    at every r including the axis. Even n is the descent from n + 1 on the
+    u-rule above, at every r including the axis; each value depends on its
+    own (r, t) alone, whatever else the call holds. Raises OverflowError
+    where a value exceeds double precision (t below about 1e-206 near r = 0).
     """
     if n not in (2, 3, 4, 5):
         raise ValueError(f"dimension must be in 2..5, got {n}")
@@ -214,20 +219,12 @@ def heat_kernel(n: int, r, t, scaled: bool = False) -> float | np.ndarray:
     if not np.all(r_arr >= 0):
         raise ValueError("r must be nonnegative")
     if n % 2:
-        out = _heat_odd(n, r_arr, t_arr, scaled)
+        # at least 1-d, so that scalars take the same array loops as arrays
+        out = _heat_odd(n, np.atleast_1d(r_arr), np.atleast_1d(t_arr), scaled).reshape(shape)
     else:
         rf = np.broadcast_to(r_arr, shape).ravel()
         tf = np.broadcast_to(t_arr, shape).ravel()
-        # radii below their anchor are evaluated at the anchor a (in place)
-        # and at 2a (appended), then extended evenly: p(r) = p0 + p2 r^2
-        axis, anchor = _axis_anchors(rf, tf)
-        r_eval = np.concatenate([rf, 2.0 * anchor])
-        r_eval[axis] = anchor
-        vals = _heat_even(n, r_eval, np.concatenate([tf, tf[axis]]), scaled)
-        out = vals[: rf.size]
-        if axis.size:
-            out[axis] = _axis_extension(out[axis], vals[rf.size :], anchor, rf[axis])
-        out = out.reshape(shape)
+        out = _heat_even(n, rf, tf, scaled).reshape(shape)
     if np.ndim(r) == 0 and np.ndim(t) == 0:
         return float(out)
     return out
@@ -307,9 +304,10 @@ def _frac_values(
         # (coth r - 1/r) K_(nu+1)(2r)] on H^5
         sa = 0.5 * (n - 1)
         total = np.zeros(r.shape)
+        rcsch, d = _odd_heat_coefficients(n, r)
         with np.errstate(over="ignore"):
-            for cj, q in zip(_odd_heat_coefficients(n, r), _Q[n]):
-                total += cj * 2.0 * (2.0 * sa / r) ** (q + s) * bessel_k(q + s, sa * r)
+            for dj, q in zip(d, _Q[n]):
+                total += dj * rcsch * 2.0 * (2.0 * sa / r) ** (q + s) * bessel_k(q + s, sa * r)
         if not np.all(np.isfinite(total)):
             bad = float(r[~np.isfinite(total)][0])
             raise OverflowError(f"frac_kernel(n={n}, s={s}) overflows at r={bad}")
@@ -336,9 +334,8 @@ def _time_integral(
     without the factor (4/r_i^2)^s (part 1), or over t in (1, inf) (part 2).
 
     One independent adaptive integral per radius, all in lockstep; each
-    step's nodes of row i reach `heat_kernel` in one call, paired with r_i
-    alone, so on even n its axis anchor sees the same t whatever the other
-    rows are.
+    step's nodes of all live rows reach `heat_kernel` in one call, whose
+    values each depend on their own (r_i, t) alone.
     """
     if part == 1:
         rr = r * r
@@ -419,7 +416,7 @@ def _log_transforms(n: int, sb: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray
     # 2 (a/b)^(q/2) K_q(2 sqrt(ab)) less F_q, where K_q of half-integer order
     # is sqrt(pi/2x) e^-x P_q(1/x) with P_(-1/2) = P_(1/2) = 1 and P_q =
     # P_(q-2) + 2(q-1) P_(q-1) / x
-    g = _power_series(np.minimum(b, 1.0).ravel(), _G_SERIES[n]).T.reshape(f.shape)
+    g = _horner(np.minimum(b, 1.0), _G_SERIES[n]) if np.any(b < 1.0) else 0.0
     if np.any(b >= 1.0):
         sb_far = np.maximum(sb, 1.0)
         x = 2.0 * sa * sb_far
@@ -432,57 +429,31 @@ def _log_transforms(n: int, sb: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray
     return np.sum(amp * f, axis=0), np.sum(amp * g, axis=0)
 
 
-# even n sums the transforms over u = c sinh w, c = min(sqrt r, 1), so that
-# the peak of the K1 integrand at u ~ sqrt r keeps its nodes as r falls: the
-# midpoint rule in w over [0, arsinh(8/c)], which converges geometrically
-# since the integrand is even and analytic in w, and which ends past u = 8,
-# where the amplitudes and G_q have fallen below e^-64
-_DESCENT_W = (np.arange(128) + 0.5) / 128
-
-
-def _descent(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K1, K2) at each radius on even n, in blocks of radii."""
-    k1, k2 = np.empty(r.shape), np.empty(r.shape)
-    step = max(1, _EVEN_CHUNK // _DESCENT_W.size)
-    for lo in range(0, r.size, step):
-        rc = r[lo : lo + step, None]
-        c = np.minimum(np.sqrt(rc), 1.0)
-        wmax = np.arcsinh(8.0 / c)
-        u = c * np.sinh(wmax * _DESCENT_W)
-        weights = wmax / _DESCENT_W.size * c * np.cosh(wmax * _DESCENT_W)
-        f, g = _log_transforms(n, 0.5 * (rc + u * u), _even_amplitudes(n, rc, u) * weights)
-        k1[lo : lo + step], k2[lo : lo + step] = f.sum(axis=-1), g.sum(axis=-1)
-    return k1, k2
-
-
-_K2_ANCHOR = 1e-3  # below it, H^4's K2 comes from the axis extension
-
-
 def log_kernel_values(n: int, r_values) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (K1, K2) over an array of positive radii, without error
     estimates; used inside pointwise operators and norm integrals, where the
     kernels are needed at many quadrature nodes.
 
     Both are time transforms of the heat kernel's form, summed over the
-    coefficients c_j on odd n and over a 128-node u-rule on even n. Against
-    mpmath they are within 1e-13 (relative) for r in [1e-3, 16] (K1) and
-    [1e-3, 30] (K2) on odd n, and at r = 1e-3 on even n but for H^4's K2
-    (1e-11); 0 where they underflow. Even n is within 1e-14 (K1) and 2e-13
-    (K2) of tight time quadrature over [0.05, 16], and within 1e-9 of
-    mpmath at r = 1e-4 and 1e-5. H^4's bracket cancels to O(r) near the
-    axis, so its K2 below r = 1e-3 is the even quadratic through 1e-3, 2e-3.
+    coefficients c_j on odd n and over the u-rule of the heat kernel on even
+    n. Against mpmath they are within 1e-13 (relative) for r in [1e-3, 16]
+    (K1) and [1e-3, 30] (K2) on odd n, and at r = 1e-3, 1e-4 and 1e-5 on
+    even n; 0 where they underflow. Even n is within 1e-14 of tight time quadrature
+    over [0.05, 16].
     """
     if n not in (2, 3, 4, 5):
         raise ValueError(f"dimension must be in 2..5, got {n}")
     r = np.atleast_1d(np.asarray(r_values, dtype=float))
     _check_radii(r)
     if n % 2:
-        return _log_transforms(n, 0.5 * r, _odd_heat_coefficients(n, r))
-    k1, k2 = _descent(n, r)
-    if n == 4 and np.any(r < _K2_ANCHOR):
-        near = r < _K2_ANCHOR
-        v1, v2 = _descent(n, _K2_ANCHOR * np.array([1.0, 2.0]))[1]
-        k2[near] = _axis_extension(v1, v2, _K2_ANCHOR, r[near])
+        rcsch, d = _odd_heat_coefficients(n, r)
+        return _log_transforms(n, 0.5 * r, d * rcsch)
+    k1, k2 = np.empty(r.shape), np.empty(r.shape)
+    for pairs, u, weight in _u_blocks(r, 1.0, 8.0):
+        rc = r[pairs, None]
+        amp = _abel_amplitudes(n, rc, u) * weight
+        f, g = _log_transforms(n, 0.5 * (rc + u * u), amp)
+        k1[pairs], k2[pairs] = np.cumsum(f, axis=-1)[:, -1], np.cumsum(g, axis=-1)[:, -1]
     return k1, k2
 
 
@@ -870,6 +841,14 @@ def heat_mass(n: int, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float
         return heat_kernel(n, r, t) * np.sinh(r) ** (n - 1)
 
     return area * integrate(g, 0.0, rmax, cfg=cfg).checked(f"heat_mass(n={n}, t={t})")
+
+
+def _panels(edges):
+    """Composite 24-point Gauss-Legendre nodes and weights on consecutive edges."""
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(24)
+    edges = np.asarray(edges, dtype=float)
+    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    return (lo + half * (gl_nodes + 1.0)).ravel(), (half * gl_weights).ravel()
 
 
 _CK_R, _CK_W = _panels(np.linspace(0.0, 14.0, 29))

@@ -288,6 +288,11 @@ _I0_TERMS = (12, 36, 20, 10)
 
 
 def _horner(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] x^k at each x, for coef of shape (terms,), or of shape
+    (terms, m) for m sums stacked along a new first axis; unlike a matrix
+    product, each element depends on its own x alone."""
+    if coef.ndim > 1:
+        return np.array([_horner(x, column) for column in coef.T])
     acc = np.full_like(x, coef[-1])
     for c in coef[-2::-1]:
         acc *= x

@@ -24,7 +24,7 @@ from .quadrature import (
     frullani_log,
     integrate,
 )
-from .specfun import erf, gamma
+from .specfun import erf, erfc, gamma
 
 __all__ = [
     "EigenModel",
@@ -254,18 +254,13 @@ def massloss_vs(
     x: float, s: float, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:
     """V_s(x) = (s/Gamma(1-s)) int_0^inf t^(-1-s) r(t, x) dt by quadrature,
-    where r(t, x) = 1 - erf(x / 2 sqrt t) is the lost mass."""
+    where r(t, x) = erfc(x / 2 sqrt t) is the lost mass."""
     if not (x > 0.0) or not (0.0 < s < 1.0):
         raise ValueError("need x > 0 and s in (0, 1)")
 
-    def lost(t):
-        t = np.asarray(t, dtype=float)
-        z = x / (2.0 * np.sqrt(t))
-        return np.array([1.0 - erf(float(v)) for v in np.atleast_1d(z)])
-
     def head(t):
         t = np.asarray(t, dtype=float)
-        return lost(t) * t ** (-1.0 - s)
+        return erfc(x / (2.0 * np.sqrt(t))) * t ** (-1.0 - s)
 
     # past t0 the lost mass is 1 - erf(z) with z = x/(2 sqrt t) small; four
     # series terms integrate the slowly decaying tail in closed form

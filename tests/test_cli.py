@@ -103,6 +103,26 @@ class TestKernelCommand:
         )
         assert rc == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", ["2", "3", "4", "5"])
+    def test_subnormal_heat_time_exits_2(self, tmp_path, n):
+        # t^(-q_j) overflows at t = 4.94e-324; the rows underflow to 0
+        rc = main_rc(
+            "kernel", "--space", "hyperbolic", "--kind", "heat", "--n", n,
+            "--t", "4.94e-324", "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+
+    @pytest.mark.parametrize("n", ["2", "4"])
+    def test_even_frac_table_near_axis(self, tmp_path, n):
+        # the even-n heat kernel is resolved down to the axis, so the table
+        # decreases; H^4 once read "not strictly decreasing" here
+        rc = main_rc(
+            "kernel", "--space", "hyperbolic", "--kind", "frac", "--n", n, "--s",
+            "0.5", "--r-min", "1e-6", "--r-max", "1e-5", "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 0
+
     @pytest.mark.parametrize("kind", ["log1", "log2"])
     def test_euclid_kernel_overflow_exits_2(self, tmp_path, kind):
         rc = main_rc(

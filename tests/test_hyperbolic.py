@@ -94,6 +94,15 @@ class TestOddHeatKernel:
         ):
             assert math.isfinite(value) and value >= 0.0
 
+    def test_elements_are_their_one_point_values(self):
+        # Horner sums, not a matrix product, evaluate the series of h_1 and
+        # G_q, so no element depends on the rest of the batch
+        r = np.random.default_rng(0).uniform(0.0, 3.0, 500)
+        heat = [hy.heat_kernel(5, float(x), 0.7) for x in r]
+        assert hy.heat_kernel(5, r, 0.7).tobytes() == np.array(heat).tobytes()
+        one = np.array([hy.log_kernel_values(3, [x]) for x in r + 1e-3])[:, :, 0]
+        assert np.stack(hy.log_kernel_values(3, r + 1e-3), axis=1).tobytes() == one.tobytes()
+
 
 class TestHeatKernel:
     def test_h3_closed_form(self):
@@ -151,20 +160,60 @@ class TestHeatKernel:
                 assert np.all(np.asarray(hy.heat_kernel(n, r, t)) > 0.0)
 
     def test_broadcast_matches_pointwise(self):
-        # 8 x 110 (r, t) pairs: more than one chunk of the even-n u-rule.
-        # On even n, radii below the anchor take it from the smallest t of
-        # their row, so there the reference is the row at that scalar r.
+        # 8 x 110 (r, t) pairs: more than one block of the even-n u-rule,
+        # whose running sums leave each value independent of the others
         radii = np.array([0.0, 1e-4, 0.015, 0.02, 0.1, 0.7, 2.0, 4.0])
         times = np.geomspace(0.01, 10.0, 110)
         for n in (2, 3, 4, 5):
             grid = hy.heat_kernel(n, radii[:, None], times[None, :])
             assert grid.shape == (radii.size, times.size)
             for i, r in enumerate(radii):
-                if r < 0.02:
-                    ref = hy.heat_kernel(n, float(r), times)
-                else:
-                    ref = np.array([hy.heat_kernel(n, float(r), float(t)) for t in times])
-                assert np.all(np.abs(grid[i] - ref) <= 1e-14 * np.abs(ref))
+                ref = np.array([hy.heat_kernel(n, float(r), float(t)) for t in times])
+                assert grid[i].tobytes() == ref.tobytes(), (n, r)
+
+    # p_n(r, t) from mpmath at 40 digits: the descent from p_(n+1) in u,
+    # integrated by tanh-sinh between breakpoints at the scales sqrt(r) and
+    # sqrt(g); on H^4 it agrees with -e^(-2t)/(2 pi sinh r) d/dr p_2 to 20
+    # digits at (0.01, 2)
+    EVEN_NEAR_AXIS = {
+        (2, 0.0, 1e-10): 795774715.4329509,
+        (2, 1e-14, 1e-06): 79577.44502012913,
+        (2, 1e-10, 0.0001): 795.7481901661343,
+        (2, 1e-08, 0.01): 7.93127428159475,
+        (2, 1e-06, 1.0): 0.05753575520570303,
+        (2, 0.0001, 1e-08): 6197499.689659732,
+        (2, 0.001, 1e-06): 61974.971331917586,
+        (2, 0.001, 10.0): 0.00041893692415424284,
+        (2, 0.01, 2.0): 0.02106704879791176,
+        (4, 0.0, 1e-10): 6.332573976379596e17,
+        (4, 1e-14, 1e-06): 6332561312.510399,
+        (4, 1e-08, 1e-08): 63325738351631.98,
+        (4, 1e-06, 0.0001): 633130.7569443055,
+        (4, 0.0001, 1e-08): 49318134616825.875,
+        (4, 0.001, 1.0): 0.0008160089460868591,
+        (4, 0.001, 10.0): 2.5960216959998807e-14,
+        (4, 0.0, 0.5): 0.009188262545584124,
+        (4, 0.01, 2.0): 2.4773378491792525e-05,
+    }
+
+    @pytest.mark.parametrize("key", list(EVEN_NEAR_AXIS), ids=str)
+    def test_even_near_axis_matches_mpmath(self, key):
+        # the u-rule's scale follows sqrt(r) and the Gaussian down to the
+        # axis: measured 3.6e-15 on H^2 and 2.2e-15 on H^4 over r in {0,
+        # 1e-14, 1e-10, ..., 1e-3} and t in [1e-10, 10]
+        n, r, t = key
+        assert hy.heat_kernel(n, r, t) == pytest.approx(self.EVEN_NEAR_AXIS[key], rel=1e-14, abs=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_tiny_time_underflows_quietly(self, n):
+        # t^(-q_j) overflows below t ~ 1e-206, but with r^2/4t inside the
+        # power the value is 0; where it is itself out of range, OverflowError
+        r = np.array([0.1, 1.0, 8.0])
+        for t in (4.94e-324, 1e-300, 1e-210):
+            assert np.all(hy.heat_kernel(n, r, t) == 0.0)
+        with pytest.raises(OverflowError, match=r"r=0.0, t=1e-250"):
+            hy.heat_kernel(n, 0.0, 1e-250)
 
     def test_even_matches_pointwise_formula(self):
         radii = np.array([0.05, 0.3, 1.0, 2.5, 5.0])
@@ -217,40 +266,45 @@ class TestEvenChunks:
             assert values[0] == values[1]
 
 
-def dense_even_rule():
-    """40 graded panels of 48 Gauss-Legendre nodes: a u-rule far finer than
-    the per-dimension rules of `_heat_even`."""
-    gx, gw = np.polynomial.legendre.leggauss(48)
-    return hy._panels(np.linspace(0.0, 1.0, 41) ** 2.5, gx, gw)
+def half_step_rule(monkeypatch):
+    """Replace the even-n u-rule by the same rule at half its step."""
+    monkeypatch.setattr(hy, "_U_RULE", hy._midpoint_rule(0.5 * hy._U_RULE[0]))
 
 
 class TestEvenRule:
+    # the u-rule against itself at half the step, scaled values so that no
+    # pair underflows: measured 2.7e-15 (heat), 2.7e-15 (K2) and 2.1e-14
+    # (K1, past r = 16, where K1 < 1e-40 and the rounding of r^2/4 in its
+    # exponent dominates)
     @pytest.mark.parametrize("n", [2, 4])
     def test_matches_dense_rule(self, n, monkeypatch):
-        # the worst points sit just above the axis extension at r = 0.02
         rng = np.random.default_rng(40 + n)
         r = rng.uniform(0.02, 8.0, 2000)
         r[0] = 0.02
-        t = np.exp(rng.uniform(math.log(1e-3), math.log(50.0), r.size))
+        t = np.exp(rng.uniform(math.log(1e-10), math.log(200.0), r.size))
         value = hy.heat_kernel(n, r, t, scaled=True)
-        monkeypatch.setitem(hy._EVEN_RULES, n, dense_even_rule())
+        half_step_rule(monkeypatch)
         ref = hy.heat_kernel(n, r, t, scaled=True)
-        assert np.max(np.abs(value - ref) / np.abs(ref)) <= 1e-13
+        assert np.max(np.abs(value / ref - 1.0)) <= 1e-13
 
     @pytest.mark.parametrize("n", [2, 4])
-    def test_matches_dense_rule_at_axis_anchors(self, n, monkeypatch):
-        # the axis extension evaluates the rule at anchors down to r = 1e-3,
-        # paired with every t of the call; pairs with r^2/4t > 50 carry less
-        # than e^-50 of the unscaled kernel and are left out
+    def test_matches_dense_rule_near_axis(self, n, monkeypatch):
         rng = np.random.default_rng(50 + n)
-        r = np.exp(rng.uniform(math.log(1e-3), math.log(0.02), 2000))
-        t = np.exp(rng.uniform(math.log(1e-7), math.log(200.0), r.size))
-        keep = r * r / (4.0 * t) <= 50.0
-        r, t = r[keep], t[keep]
-        value = hy._heat_even(n, r, t, scaled=True)
-        monkeypatch.setitem(hy._EVEN_RULES, n, dense_even_rule())
-        ref = hy._heat_even(n, r, t, scaled=True)
-        assert np.max(np.abs(value - ref) / np.abs(ref)) <= 1e-10
+        r = np.exp(rng.uniform(math.log(1e-10), math.log(0.02), 2000))
+        r[:2] = 0.0, 1e-14
+        t = np.exp(rng.uniform(math.log(1e-10), math.log(200.0), r.size))
+        value = hy.heat_kernel(n, r, t, scaled=True)
+        half_step_rule(monkeypatch)
+        ref = hy.heat_kernel(n, r, t, scaled=True)
+        assert np.max(np.abs(value / ref - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_log_kernels_match_dense_rule(self, n, monkeypatch):
+        r = np.geomspace(1e-10, 30.0, 400)
+        values = hy.log_kernel_values(n, r)
+        half_step_rule(monkeypatch)
+        for value, ref in zip(values, hy.log_kernel_values(n, r)):
+            assert np.max(np.abs(value / ref - 1.0)) <= 1e-13
 
 
 class TestEnvelope:
@@ -410,9 +464,8 @@ class TestLogKernels:
 
     def test_even_rule_error_pinned(self):
         # the even-n descent against tight time quadrature over
-        # geomspace(0.05, 16, 30): measured 3.3e-15 (K1) and 3.6e-15 (K2) on
-        # H^2, 3.3e-15 and 5.3e-14 on H^4, where the bracket of the
-        # amplitude cancels near the axis
+        # geomspace(0.05, 16, 30): measured 5.3e-15 (K1) and 3.6e-15 (K2) on
+        # H^2, 6.7e-15 and 8.0e-15 on H^4
         r = np.geomspace(0.05, 16.0, 30)
         for n in (2, 4):
             k1, k2 = hy.log_kernel_values(n, r)
@@ -422,7 +475,8 @@ class TestLogKernels:
             assert np.max(err2) <= 2e-13
 
     # (K1, K2) from mpmath at 25 to 30 digits: nested quadrature of the
-    # u-form, the time integrals inside the u-integral
+    # u-form (on H^4, of its (1/sinh r) d/dr bracket), the time integrals
+    # inside the u-integral
     EVEN_NEAR_AXIS = {
         (2, 1e-3): (318309.39701851202, 0.036211629646535204),
         (2, 1e-4): (3.18309880070578e7, 0.0362116381509037),
@@ -434,16 +488,13 @@ class TestLogKernels:
 
     @pytest.mark.parametrize("key", list(EVEN_NEAR_AXIS), ids=str)
     def test_even_near_axis_matches_mpmath(self, key):
-        # the u-rule follows the K1 peak at u ~ sqrt(r): measured 2.2e-16 at
-        # r = 1e-3, where H^4's K2 is 3.7e-12 off from its cancelling
-        # bracket, and below 4.3e-12 at 1e-4 and 1e-5 (the references there
-        # have 15 digits); H^4's K2 below 1e-3 is the axis extension
+        # the u-rule follows the K1 peak at u ~ sqrt(r): measured at most
+        # 3.1e-15 (the references at 1e-4 and 1e-5 have 15 digits)
         n, r = key
         k1, k2 = hy.log_kernel_values(n, np.array([r]))
         ref1, ref2 = self.EVEN_NEAR_AXIS[key]
-        tol = 1e-13 if r == 1e-3 else 1e-9
-        assert k1[0] == pytest.approx(ref1, rel=tol)
-        assert k2[0] == pytest.approx(ref2, rel=max(tol, 1e-11) if n == 4 else tol)
+        assert k1[0] == pytest.approx(ref1, rel=1e-13, abs=0)
+        assert k2[0] == pytest.approx(ref2, rel=1e-13, abs=0)
 
     @pytest.mark.filterwarnings("error")
     def test_even_finite_near_axis_and_far_out(self):
@@ -514,7 +565,7 @@ class TestKernelTable:
 
     def test_batched_matches_row_by_row(self, tmp_path):
         # a whole-grid build and one-point builds give the same bytes; the
-        # grid reaches below 0.02, where the heat kernel's axis anchor applies
+        # grid reaches below 0.02, down toward the axis
         grid = np.linspace(0.005, 4.0, 8)
         cases = [(n, "heat", {"t": 0.3}) for n in (2, 3, 4, 5)]
         for n in (2, 3, 4, 5):
@@ -533,6 +584,14 @@ class TestKernelTable:
             for suffix in (".csv", ".csv.json"):
                 a = (tmp_path / f"a{suffix}").read_bytes()
                 assert a == (tmp_path / f"b{suffix}").read_bytes(), (n, kind, extra)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_even_log1_rows_near_axis(self, n):
+        # time quadrature of the heat kernel down to r = 1e-4 against the
+        # descent: measured 3.7e-15 (H^2) and 8.5e-13 (H^4)
+        r = np.array([1e-4, 1e-3])
+        k1 = hy.build_kernel_table(n, "log1", r).values
+        assert np.max(np.abs(k1 / hy.log_kernel_values(n, r)[0] - 1.0)) <= 1e-9
 
     def test_point_functions_are_table_rows(self):
         grid = np.array([0.005, 0.5, 3.0])
@@ -666,12 +725,15 @@ class TestPointwise:
         a = hy.log_pointwise_h(n, bump, 0.5)
         assert abs(a - hy.log_bochner_h(n, bump, 0.5)) <= 1e-10 * abs(a)
 
-    def test_bochner_route_sees_the_tent_apex(self):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bochner_route_sees_the_tent_apex(self, n):
         # each radial row is cut at r = 8 sqrt(t), so its first piece holds
-        # the heat kernel's peak of width sqrt(t): measured 3.1e-9
+        # the heat kernel's peak of width sqrt(t), which the even-n rule
+        # resolves down to the axis: measured 1.2e-9 (H^2), 3.1e-9 (H^3)
+        # and 8.6e-9 (H^4)
         tent = hy.hyper_registry()["tent"]
-        a = hy.log_pointwise_h(3, tent, 0.0)
-        assert abs(a - hy.log_bochner_h(3, tent, 0.0)) <= 1e-7 * abs(a)
+        a = hy.log_pointwise_h(n, tent, 0.0)
+        assert abs(a - hy.log_bochner_h(n, tent, 0.0)) <= 1e-7 * abs(a)
 
     def test_pointwise_unconverged_raises(self):
         bump = hy.hyper_registry()["bump"]
