@@ -16,7 +16,7 @@ from loglap import euclid
 from loglap.specfun import digamma, gamma
 
 L, N = 24.0, 2048
-bump = euclid.registry(1)["bump"]
+bump = euclid.registry()["bump"]
 grid = euclid.PeriodicGridFunction.from_function(bump, 1, L, N)
 mult = euclid.log_multiplier(grid)
 
@@ -31,7 +31,7 @@ for x1 in (0.0, 0.1875, -0.28125, 0.375, 0.46875):
 print()
 print("Gaussian closed forms at the origin (chi-square moments):")
 for n in (1, 2):
-    gauss = euclid.registry(n)["gaussian"]
+    gauss = euclid.registry()["gaussian"]
     x0 = np.zeros(n)
     log_target = digamma(0.5 * n) + math.log(2.0)
     print(f"  n={n}: log route gives {euclid.log_pointwise(gauss, x0):+.8f}, "

@@ -112,7 +112,7 @@ def _cmd_kernel(args) -> int:
             return _fail_args("euclid kernels cover n in 1..3")
         if args.kind == "heat":
             try:
-                gauss = _torus(euclid.registry(args.n)["gaussian"], args)
+                gauss = _torus(euclid.registry()["gaussian"], args)
                 grid = euclid.heat_apply(gauss, args.t)
             except ValueError as exc:
                 return _fail_args(str(exc))
@@ -170,7 +170,7 @@ def _cmd_apply(args) -> int:
         if args.space == "euclid":
             if args.n not in (1, 2, 3):
                 return _fail_args("euclid operators cover n in 1..3")
-            reg = euclid.registry(args.n)
+            reg = euclid.registry()
             if args.fn not in reg:
                 return _fail_args(f"unknown function id {args.fn!r}")
             f = reg[args.fn]
@@ -231,10 +231,7 @@ def _cmd_apply(args) -> int:
                 )
                 rows.append([xd, val])
             header = ["x_dist", "value"]
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NonFiniteIntegrandError as exc:
+    except (NonConvergenceError, NonFiniteIntegrandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -25,11 +25,13 @@ import numpy as np
 
 from . import reporting
 from .quadrature import (
+    BUMP,
     DEFAULT_CONFIG,
     NonConvergenceError,
     QuadratureConfig,
+    RadialFunction,
     SingularityHint,
-    edge_breaks,
+    SmoothnessTooLowError,
     integrate,
     integrate_semiinfinite,
     sphere_area,
@@ -44,7 +46,6 @@ __all__ = [
     "FracConstant",
     "frac_constant",
     "bochner_prefactor_numeric",
-    "TestFunction",
     "SmoothnessTooLowError",
     "registry",
     "PeriodicGridFunction",
@@ -63,8 +64,6 @@ __all__ = [
     "k2_flat",
     "frac_kernel_flat",
 ]
-
-GAUSSIAN_TRUNCATION_RADIUS = 12.0
 
 POINTWISE_CFG = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-9, max_subdivisions=1500)
 OUTER_TIME_CFG = QuadratureConfig(abs_tol=1e-10, rel_tol=3e-9, max_subdivisions=600)
@@ -127,9 +126,7 @@ def bochner_prefactor_numeric(
             -r * r / (4.0 * t)
         ) * t ** (-1.0 - s)
 
-    head = integrate(
-        integrand, 0.0, 1.0, hint=SingularityHint("lower", "inverse_sqrt"), cfg=cfg
-    )
+    head = integrate(integrand, 0.0, 1.0, hint=SingularityHint("lower"), cfg=cfg)
     tail = integrate_semiinfinite(integrand, 1.0, cfg=cfg)
     pref = s / gamma(1.0 - s)
     what = f"bochner_prefactor_numeric(n={n}, s={s}, r={r})"
@@ -140,84 +137,22 @@ def bochner_prefactor_numeric(
 # test function registry
 
 
-class SmoothnessTooLowError(ValueError):
-    """Declared regularity too weak for the near-diagonal integral."""
+def _radial_integral(f: RadialFunction, n: int, power: int) -> float:
+    """int |y|^power f(y) dy over R^n for radial f."""
+    res = integrate(
+        lambda r: f.profile(r) * r ** (n - 1 + power), 0.0, f.far_radius, cfg=DEFAULT_CONFIG
+    )
+    return sphere_area(n) * res.checked(f"{f.id}: moment {power}")
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Radial test function with known support and regularity; `breaks`
-    are the radii, ascending, where the profile is not analytic and the
-    radial rules split (the last, and by default only, one the edge of a
-    compact support)."""
-
-    id: str
-    dimension: int
-    profile: Callable[[np.ndarray], np.ndarray]
-    support_radius: float
-    smoothness: str = "smooth"  # "smooth" | "holder"
-    holder_beta: float | None = None
-    fourier: Callable[[np.ndarray], np.ndarray] | None = None
-    breaks: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.smoothness == "holder" and not (self.holder_beta and self.holder_beta > 0):
-            raise SmoothnessTooLowError(
-                f"{self.id}: holder class requires a positive exponent"
-            )
-        breaks = edge_breaks(self.id, self.breaks, self.support_radius)
-        object.__setattr__(self, "breaks", breaks)
-
-    def eval_radial(self, rho):
-        return self.profile(np.asarray(rho, dtype=float))
-
-    def eval(self, points):
-        """Evaluate at points of shape (..., n) (or plain arrays when n=1)."""
-        pts = np.asarray(points, dtype=float)
-        if self.dimension == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            rho = np.abs(pts)
-        else:
-            rho = np.sqrt(np.sum(pts * pts, axis=-1))
-        return self.profile(rho)
-
-    @property
-    def far_radius(self) -> float:
-        """Effective truncation radius for whole-space integrals."""
-        if math.isfinite(self.support_radius):
-            return self.support_radius
-        return GAUSSIAN_TRUNCATION_RADIUS
-
-    def _radial_integral(self, power: int) -> float:
-        """int |y|^power f(y) dy over R^n for radial f."""
-        res = integrate(
-            lambda r: self.profile(r) * r ** (self.dimension - 1 + power),
-            0.0,
-            self.far_radius,
-            cfg=DEFAULT_CONFIG,
-        )
-        return sphere_area(self.dimension) * res.checked(f"{self.id}: moment {power}")
-
-    def l1_norm(self) -> float:
-        """Integral of f over R^n (profile is nonnegative in the registry)."""
-        return self._radial_integral(0)
-
-    def moments(self, x_norm: float = 0.0) -> tuple[float, float]:
-        """(int f, int |y - x|^2 f(y) dy) for radial f, given |x|."""
-        mass = self._radial_integral(0)
-        return mass, self._radial_integral(2) + x_norm * x_norm * mass
+def _moments(f: RadialFunction, n: int, x_norm: float) -> tuple[float, float]:
+    """(int f, int |y - x|^2 f(y) dy) over R^n for radial f, given |x|."""
+    mass = _radial_integral(f, n, 0)
+    return mass, _radial_integral(f, n, 2) + x_norm * x_norm * mass
 
 
 def _gaussian_profile(rho):
     return np.exp(-0.5 * rho * rho)
-
-
-def _bump_profile(rho):
-    rho = np.asarray(rho, dtype=float)
-    out = np.zeros_like(rho)
-    inside = rho < 1.0
-    r = rho[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - r * r))
-    return out
 
 
 def _plateau_profile(rho):
@@ -229,21 +164,13 @@ def _plateau_profile(rho):
     return out
 
 
-def registry(n: int) -> dict[str, TestFunction]:
-    """The standard radial test functions in dimension n."""
-    if n not in (1, 2, 3):
-        raise ValueError(f"registry covers n in 1..3, got {n}")
-    gaussian_fourier = lambda xi: (2.0 * math.pi) ** (0.5 * n) * np.exp(
-        -0.5 * np.asarray(xi, dtype=float) ** 2
-    )
+def registry() -> dict[str, RadialFunction]:
+    """The standard radial test functions, in the dimension of the point a
+    route evaluates them at."""
     return {
-        "gaussian": TestFunction(
-            "gaussian", n, _gaussian_profile, math.inf, "smooth", None, gaussian_fourier
-        ),
-        "bump": TestFunction("bump", n, _bump_profile, 1.0, "smooth", breaks=(0.9, 1.0)),
-        "plateau": TestFunction(
-            "plateau", n, _plateau_profile, 1.0, "holder", 1.0, breaks=(0.5, 1.0)
-        ),
+        "gaussian": RadialFunction("gaussian", _gaussian_profile, math.inf),
+        "bump": BUMP,
+        "plateau": RadialFunction("plateau", _plateau_profile, 1.0, 1.0, breaks=(0.5, 1.0)),
     }
 
 
@@ -288,12 +215,12 @@ class PeriodicGridFunction:
 
     @classmethod
     def from_function(
-        cls, f: TestFunction | Callable, n: int, length: float, points: int
+        cls, f: RadialFunction | Callable, n: int, length: float, points: int
     ) -> "PeriodicGridFunction":
         i = np.arange(points)
         coords = -0.5 * length + i * (length / points)
         rho = np.sqrt(sum(np.ix_(*([coords * coords] * n))))
-        profile = f.profile if isinstance(f, TestFunction) else f
+        profile = f.profile if isinstance(f, RadialFunction) else f
         return cls(n, length, points, profile(rho))
 
     def index_of(self, point) -> tuple[int, ...]:
@@ -426,8 +353,9 @@ def _flat_dist(q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(q, 0.0))
 
 
-def sphere_average(f: TestFunction, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Average of f over the sphere of radius r centered at x (vector in r).
+def sphere_average(f: RadialFunction, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Average of f over the sphere of radius r centered at x (vector in r),
+    in R^n with n the number of coordinates of x.
 
     Without breaks (the Gaussian) the rule stops at the far radius, where the
     routes truncate f: the Gaussian's means about |x| = 8 are 1e-7 off over
@@ -437,18 +365,11 @@ def sphere_average(f: TestFunction, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     xn = math.sqrt(float(x @ x))
     r = np.atleast_1d(np.asarray(r, dtype=float))
     cuts = np.square(f.breaks or (f.far_radius,))
-    return sphere_mean(f.profile, f.dimension, xn * xn + r * r, 2.0 * xn * r, _flat_dist, cuts)
-
-
-def _check_dini(f: TestFunction):
-    if f.smoothness == "holder" and (f.holder_beta is None or f.holder_beta <= 0):
-        raise SmoothnessTooLowError(
-            f"{f.id}: near-diagonal integral needs a positive Holder exponent"
-        )
+    return sphere_mean(f.profile, x.size, xn * xn + r * r, 2.0 * xn * r, _flat_dist, cuts)
 
 
 def log_pointwise(
-    f: TestFunction, x, cfg: QuadratureConfig = POINTWISE_CFG
+    f: RadialFunction, x, cfg: QuadratureConfig = POINTWISE_CFG
 ) -> float:
     """Logarithmic Laplacian at x from the singular-integral representation.
 
@@ -456,12 +377,10 @@ def log_pointwise(
       - c_n int_{complement} f(y) / |x-y|^n dy + rho_n f(x),
     reduced to radial integrals of the spherical average; c_n |S^(n-1)| = 2.
     """
-    _check_dini(f)
-    n = f.dimension
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    cn = constants(n)
+    cn = constants(x.size)
     xn = float(np.linalg.norm(x))
-    fx = float(f.eval_radial(xn))
+    fx = float(f.profile(np.asarray(xn)))
     rmax = f.far_radius + xn + 1.0
 
     def near(r):
@@ -477,7 +396,7 @@ def log_pointwise(
 
 
 def frac_pointwise(
-    f: TestFunction, x, s: float, cfg: QuadratureConfig = POINTWISE_CFG
+    f: RadialFunction, x, s: float, cfg: QuadratureConfig = POINTWISE_CFG
 ) -> float:
     """(-Laplace)^s at x as the principal-value singular integral.
 
@@ -485,13 +404,12 @@ def frac_pointwise(
     by the substitution r = v^(1/(2-2s)); outside the far radius the
     spherical average vanishes and the tail integrates in closed form.
     """
-    _check_dini(f)
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    n = f.dimension
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = x.size
     xn = float(np.linalg.norm(x))
-    fx = float(f.eval_radial(xn))
+    fx = float(f.profile(np.asarray(xn)))
     rmax = f.far_radius + xn + 1.0
     pref = frac_constant(n, s).c_ns * sphere_area(n)
     p = 1.0 / (2.0 - 2.0 * s)
@@ -549,9 +467,11 @@ def _angular_mean(n: int, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"no radial heat rule for n={n}")
 
 
-def _radial_heat(f: TestFunction, xn: float, t: np.ndarray, deficit: bool) -> np.ndarray:
-    """e^{t Lap} f(x) at |x| = xn for each time in the (T,) array t, or
-    f(x) - e^{t Lap} f(x) when `deficit` is set.
+def _radial_heat(
+    f: RadialFunction, n: int, xn: float, t: np.ndarray, deficit: bool
+) -> np.ndarray:
+    """e^{t Lap} f(x) on R^n at |x| = xn for each time in the (T,) array t,
+    or f(x) - e^{t Lap} f(x) when `deficit` is set.
 
     For radial f the angular mean of the Gaussian is closed form:
 
@@ -567,7 +487,6 @@ def _radial_heat(f: TestFunction, xn: float, t: np.ndarray, deficit: bool) -> np
     enters. Every t gets the same panel layout (clipped panels have zero
     width), and each row's sum depends on its own t alone.
     """
-    n = f.dimension
     t = np.asarray(t, dtype=float)
     rt = np.sqrt(t)[:, None]
     lo = np.maximum(-xn / rt, _V_EDGES[0])
@@ -586,7 +505,7 @@ def _radial_heat(f: TestFunction, xn: float, t: np.ndarray, deficit: bool) -> np
     w *= _angular_mean(n, xn * rho / (2.0 * t[:, None, None]))
     values = f.profile(rho)
     if deficit:
-        values = float(f.eval_radial(xn)) - values
+        values = float(f.profile(np.asarray(xn))) - values
     rows = t.size
     return _heat_norm(n) * np.einsum("ij,ij->i", w.reshape(rows, -1), values.reshape(rows, -1))
 
@@ -596,7 +515,7 @@ _T_FAR = 1e4
 _TAU_FAR = math.log(_T_FAR)
 
 
-def _deficit_slope(f: TestFunction, xn: float) -> float:
+def _deficit_slope(f: RadialFunction, n: int, xn: float) -> float:
     """lim_{t->0} (f(x) - e^{t Lap} f(x)) / t, from two small-t samples.
 
     The quotient is a + b t + O(t^2); Richardson extrapolation from t0 and
@@ -604,27 +523,28 @@ def _deficit_slope(f: TestFunction, xn: float) -> float:
     t0 = 1e-6 and would bias the closed-form piece below t = 1e-8.
     """
     t0 = 1e-6
-    d1, d2 = _radial_heat(f, xn, np.array([t0, 2.0 * t0]), deficit=True)
+    d1, d2 = _radial_heat(f, n, xn, np.array([t0, 2.0 * t0]), deficit=True)
     return 2.0 * d1 / t0 - d2 / (2.0 * t0)
 
 
-def _short_deficit(f: TestFunction, xn: float, slope: float, t: np.ndarray) -> np.ndarray:
+def _short_deficit(
+    f: RadialFunction, n: int, xn: float, slope: float, t: np.ndarray
+) -> np.ndarray:
     """f(x) - e^{t Lap} f(x) for the times t < 1 of one panel; below
     t = 1e-8 its linear term."""
     deficit = slope * t
     late = t >= _T_TAYLOR
-    deficit[late] = _radial_heat(f, xn, t[late], deficit=True)
+    deficit[late] = _radial_heat(f, n, xn, t[late], deficit=True)
     return deficit
 
 
-def _heat_far_tail(f: TestFunction, xn: float, p: float) -> float:
+def _heat_far_tail(f: RadialFunction, n: int, xn: float, p: float) -> float:
     """int_{T_FAR}^inf (e^{t Lap} f)(x) t^(-1-p) dt in closed form.
 
     Past T_FAR the semigroup is its two-term expansion
     (4 pi t)^(-n/2) (mass - m2 / (4 t)), m2 the second moment about x.
     """
-    n = f.dimension
-    mass, m2 = f.moments(xn)
+    mass, m2 = _moments(f, n, xn)
     a = 0.5 * n + p
     return (4.0 * math.pi) ** (-0.5 * n) * (
         mass * _T_FAR ** (-a) / a - 0.25 * m2 * _T_FAR ** (-a - 1.0) / (a + 1.0)
@@ -632,7 +552,7 @@ def _heat_far_tail(f: TestFunction, xn: float, p: float) -> float:
 
 
 def log_bochner_point(
-    f: TestFunction, x, cfg: QuadratureConfig = OUTER_TIME_CFG
+    f: RadialFunction, x, cfg: QuadratureConfig = OUTER_TIME_CFG
 ) -> float:
     """Logarithmic Laplacian at x from the heat-semigroup time integral.
 
@@ -642,27 +562,27 @@ def log_bochner_point(
     subdivision step evaluates the semigroup at all its times (15, then 30)
     in one call.
     """
-    _check_dini(f)
-    xn = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    fx = float(f.eval_radial(xn))
-    slope = _deficit_slope(f, xn)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n, xn = x.size, float(np.linalg.norm(x))
+    fx = float(f.profile(np.asarray(xn)))
+    slope = _deficit_slope(f, n, xn)
 
     def head(t):
-        return (np.expm1(-t) * fx + _short_deficit(f, xn, slope, t)) / t
+        return (np.expm1(-t) * fx + _short_deficit(f, n, xn, slope, t)) / t
 
     def mid(tau):
         t = np.exp(tau)
-        return np.exp(-t) * fx - _radial_heat(f, xn, t, deficit=False)
+        return np.exp(-t) * fx - _radial_heat(f, n, xn, t, deficit=False)
 
     route = f"log_bochner_point({f.id}, |x|={xn!r})"
     head_part = integrate(head, 0.0, 1.0, cfg=cfg).checked(f"{route}: short-time")
     mid_part = integrate(mid, 0.0, _TAU_FAR, cfg=cfg).checked(f"{route}: long-time")
-    analytic = fx * exp_integral_e1(_T_FAR) - _heat_far_tail(f, xn, 0.0)
+    analytic = fx * exp_integral_e1(_T_FAR) - _heat_far_tail(f, n, xn, 0.0)
     return head_part + mid_part + analytic
 
 
 def frac_bochner_point(
-    f: TestFunction, x, s: float, cfg: QuadratureConfig = OUTER_TIME_CFG
+    f: RadialFunction, x, s: float, cfg: QuadratureConfig = OUTER_TIME_CFG
 ) -> float:
     """(-Laplace)^s at x via (s/Gamma(1-s)) int (f - e^{t Lap} f) t^(-1-s) dt.
 
@@ -673,27 +593,27 @@ def frac_bochner_point(
     expansion in closed form. Each subdivision step evaluates the semigroup
     at all its times (15, then 30) in one call.
     """
-    _check_dini(f)
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    xn = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    fx = float(f.eval_radial(xn))
-    slope = _deficit_slope(f, xn)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n, xn = x.size, float(np.linalg.norm(x))
+    fx = float(f.profile(np.asarray(xn)))
+    slope = _deficit_slope(f, n, xn)
     q = 1.0 / (1.0 - s)
 
     def short_sub(v):
         t = v ** q
-        return _short_deficit(f, xn, slope, t) * t ** (-1.0 - s) * q * v ** (q - 1.0)
+        return _short_deficit(f, n, xn, slope, t) * t ** (-1.0 - s) * q * v ** (q - 1.0)
 
     def mid(tau):
-        return _radial_heat(f, xn, np.exp(tau), deficit=False) * np.exp(-s * tau)
+        return _radial_heat(f, n, xn, np.exp(tau), deficit=False) * np.exp(-s * tau)
 
     route = f"frac_bochner_point({f.id}, |x|={xn!r}, s={s!r})"
     v_lo = _T_TAYLOR ** (1.0 - s)
     analytic_head = slope * _T_TAYLOR ** (1.0 - s) / (1.0 - s)
     short_part = integrate(short_sub, v_lo, 1.0, cfg=cfg).checked(f"{route}: short-time")
     mid_part = integrate(mid, 0.0, _TAU_FAR, cfg=cfg).checked(f"{route}: long-time")
-    far = fx / s - mid_part - _heat_far_tail(f, xn, s)
+    far = fx / s - mid_part - _heat_far_tail(f, n, xn, s)
     pref = s / gamma(1.0 - s)
     return pref * (analytic_head + short_part + far)
 
@@ -707,7 +627,7 @@ _CIRCLE_TERMS = 1000  # bound on the 2F1 circle-mean series of _image_potential
 
 
 def _image_potential(
-    f: TestFunction, centers: np.ndarray, power: float, cfg: QuadratureConfig
+    f: RadialFunction, centers: np.ndarray, power: float, cfg: QuadratureConfig
 ) -> float:
     """sum_j int f(y) |c_j - y|^(-power) dy over centers c_j, shape (J, n),
     all outside the support.
@@ -721,7 +641,7 @@ def _image_potential(
     image so close that this takes more than _CIRCLE_TERMS terms (rho/D
     above about 0.98) raises NonConvergenceError.
     """
-    n = f.dimension
+    n = centers.shape[1]
     dist = np.linalg.norm(centers, axis=1)
     if np.any(dist - f.far_radius <= 0):
         raise ValueError("image overlaps the support")
@@ -834,7 +754,7 @@ def _center_cell_potential(x: np.ndarray, L: float, n: int) -> float:
 
 
 def log_periodization_shift(
-    f: TestFunction,
+    f: RadialFunction,
     length: float,
     x,
     images: int = 12,
@@ -853,15 +773,15 @@ def log_periodization_shift(
     potential and C_0 the central cell minus the unit ball. The images
     within the window are one integral of their summed potentials.
     """
-    n = f.dimension
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = x.size
     if n not in (1, 2):
         raise ValueError("periodization shift implemented for n in {1, 2}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     xn = float(np.linalg.norm(x))
     if f.far_radius + xn + 1.0 >= length or xn + 1.0 >= 0.5 * length:
         raise ValueError("nearest image would reach the unit ball around x")
     cn = constants(n)
-    mass, m2 = f.moments()
+    mass, m2 = _moments(f, n, 0.0)
     m = mass / length ** n
     j, centers = _image_centers(x, length, images)
     images_sum = _image_potential(f, centers, float(n), cfg)
@@ -884,7 +804,7 @@ def log_periodization_shift(
 
 
 def frac_periodization_shift(
-    f: TestFunction,
+    f: RadialFunction,
     length: float,
     x,
     s: float,
@@ -901,16 +821,16 @@ def frac_periodization_shift(
     Images beyond the quadrature window are summed by their monopole term,
     with a Hurwitz-zeta tail in 1-D and a lattice-plus-disc tail in 2-D.
     """
-    n = f.dimension
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = x.size
     if n not in (1, 2):
         raise ValueError("periodization shift implemented for n in {1, 2}")
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     xn = float(np.linalg.norm(x))
     if f.far_radius + xn >= length:
         raise ValueError("nearest image would overlap the evaluation point")
-    mass = f.l1_norm()
+    mass = _radial_integral(f, n, 0)
     a = n + 2.0 * s
     _, centers = _image_centers(x, length, images)
     total = _image_potential(f, centers, a, cfg)
@@ -965,22 +885,13 @@ class LimitsReport:
         ]
 
 
-def limits_report(
-    f: TestFunction | PeriodicGridFunction,
-    s_grid,
-    length: float = 24.0,
-    points: int = 512,
-) -> LimitsReport:
+def limits_report(grid: PeriodicGridFunction, s_grid) -> LimitsReport:
     """Discrete L^2 limit diagnostics for the multiplier family on a torus.
 
     For each s: e0(s) = ||(-Lap)^s f - f||, e1(s) = ||(-Lap)^(1-s) f + Lap f||
     and q(s) = ||((-Lap)^s f - f)/s - log(-Lap) f||, all on the mean-zero
-    part of f (the zero mode is projected out).
+    part of the grid function f (the zero mode is projected out).
     """
-    if isinstance(f, PeriodicGridFunction):
-        grid = f
-    else:
-        grid = PeriodicGridFunction.from_function(f, f.dimension, length, points)
     spectrum = np.fft.rfftn(grid.samples, axes=tuple(range(grid.n)))
     q2 = grid.freq_sq()
     nonzero = q2 > 0.0

@@ -24,17 +24,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import reporting
 from .quadrature import (
+    BUMP,
     DEFAULT_CONFIG,
     NonConvergenceError,
     QuadratureConfig,
     QuadResult,
-    edge_breaks,
+    RadialFunction,
     integrate,
     integrate_rows,
     integrate_semiinfinite,
@@ -56,7 +56,6 @@ __all__ = [
     "asympt_fit",
     "FitReport",
     "IllConditionedError",
-    "HyperRadialFunction",
     "hyper_registry",
     "log_pointwise_h",
     "log_bochner_h",
@@ -308,18 +307,21 @@ def _frac_values(
         with np.errstate(over="ignore"):
             for dj, q in zip(d, _Q[n]):
                 total += dj * rcsch * 2.0 * (2.0 * sa / r) ** (q + s) * bessel_k(q + s, sa * r)
-        if not np.all(np.isfinite(total)):
-            bad = float(r[~np.isfinite(total)][0])
-            raise OverflowError(f"frac_kernel(n={n}, s={s}) overflows at r={bad}")
-        return total
-    if route != "time_quadrature":
+    elif route == "time_quadrature":
+        head = _time_integral(n, r, s, 1, cfg)
+        tail = _time_integral(n, r, s, 2, cfg)
+        bad = np.flatnonzero(~(head.converged & tail.converged))
+        if bad.size:
+            raise NonConvergenceError(f"frac_kernel(n={n}, s={s}, r={float(r[bad[0]])})")
+        # near the axis the kernel exceeds double precision (r = 1e-100 on H^3)
+        with np.errstate(over="ignore"):
+            total = (4.0 / (r * r)) ** s * head.value + tail.value
+    else:
         raise ValueError(f"unknown route {route!r}")
-    head = _time_integral(n, r, s, 1, cfg)
-    tail = _time_integral(n, r, s, 2, cfg)
-    bad = np.flatnonzero(~(head.converged & tail.converged))
-    if bad.size:
-        raise NonConvergenceError(f"frac_kernel(n={n}, s={s}, r={float(r[bad[0]])})")
-    return (4.0 / (r * r)) ** s * head.value + tail.value
+    if not np.all(np.isfinite(total)):
+        bad = float(r[~np.isfinite(total)][0])
+        raise OverflowError(f"frac_kernel(n={n}, s={s}) overflows at r={bad}")
+    return total
 
 
 def _check_radii(r: np.ndarray) -> None:
@@ -594,45 +596,12 @@ def asympt_fit(
 # radial functions, pointwise logarithmic Laplacian, split identity
 
 
-@dataclass(frozen=True)
-class HyperRadialFunction:
-    """Radial profile supported in a geodesic ball of radius support_radius;
-    `breaks` are the radii, ascending, where it is not analytic, the last
-    (by default the only) one the support edge."""
-
-    id: str
-    profile: Callable[[np.ndarray], np.ndarray]
-    support_radius: float
-    smoothness: str = "smooth"  # "smooth" | "holder"
-    holder_alpha: float | None = None
-    breaks: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.smoothness == "holder" and not (
-            self.holder_alpha and self.holder_alpha > 0
-        ):
-            raise ValueError("holder class requires a positive exponent")
-        breaks = edge_breaks(self.id, self.breaks, self.support_radius)
-        object.__setattr__(self, "breaks", breaks)
-
-
-def _hyper_bump(rho):
-    rho = np.asarray(rho, dtype=float)
-    out = np.zeros_like(rho)
-    inside = rho < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - rho[inside] ** 2))
-    return out
-
-
-def hyper_registry() -> dict[str, HyperRadialFunction]:
+def hyper_registry() -> dict[str, RadialFunction]:
+    """The standard radial functions on H^n: the smooth bump and the Lipschitz tent."""
     return {
-        "bump": HyperRadialFunction("bump", _hyper_bump, 1.0, "smooth", breaks=(0.9, 1.0)),
-        "tent": HyperRadialFunction(
-            "tent",
-            lambda rho: np.maximum(0.0, 1.0 - np.asarray(rho, dtype=float)),
-            1.0,
-            "holder",
-            1.0,
+        "bump": BUMP,
+        "tent": RadialFunction(
+            "tent", lambda rho: np.maximum(0.0, 1.0 - np.asarray(rho, dtype=float)), 1.0, 1.0
         ),
     }
 
@@ -673,7 +642,7 @@ def _k1_tail_constant(n: int) -> float:
 
 def log_pointwise_h(
     n: int,
-    f: HyperRadialFunction,
+    f: RadialFunction,
     x_dist: float,
     cfg: QuadratureConfig = POINTWISE_H_CFG,
 ) -> float:
@@ -682,8 +651,6 @@ def log_pointwise_h(
 
     int K1(d)(f(x) - f(y)) dvol - int K2(d) f(y) dvol + Gamma'(1) f(x).
     """
-    if f.smoothness == "holder" and (f.holder_alpha or 0) <= 0:
-        raise ValueError("f must be smooth or positively Holder continuous")
     if x_dist < 0:
         raise ValueError("x_dist must be nonnegative")
     area = sphere_area(n)
@@ -723,7 +690,7 @@ def log_pointwise_h(
 
 def log_bochner_h(
     n: int,
-    f: HyperRadialFunction,
+    f: RadialFunction,
     x_dist: float,
     cfg: QuadratureConfig = POINTWISE_H_CFG,
 ) -> float:
@@ -792,9 +759,40 @@ class SplitReport:
         return abs(self.near + self.far + self.remainder - self.direct)
 
 
+def _split_radial(n: int, f: RadialFunction, x_dist: float, cfg: QuadratureConfig):
+    """radial(weight, lo, hi) = |S^(n-1)| int_lo^hi weight(K1, K2, avg f)
+    sinh^(n-1) r dr, avg f the mean of f over the geodesic sphere of radius r
+    about the point at distance x_dist."""
+    area = sphere_area(n)
+    route = f"split_check(n={n}, {f.id}, x={x_dist!r})"
+
+    def radial(weight, lo: float, hi: float) -> float:
+        def g(r):
+            k1, k2 = log_kernel_values(n, r)
+            avg = _geodesic_average(f.profile, n, x_dist, r, f.breaks)
+            return weight(k1, k2, avg) * np.sinh(r) ** (n - 1)
+
+        return area * integrate(g, lo, hi, cfg=cfg).checked(f"{route}: ({lo}, {hi})")
+
+    return radial
+
+
+def _remainder(n: int, f: RadialFunction, x_dist: float, cfg: QuadratureConfig) -> float:
+    """The remainder of the split at x: -int_{B_1} K2 f(y) dvol -
+    int_{complement} K1 f(y) dvol + rho_n^H f(x)."""
+    radial = _split_radial(n, f, x_dist, cfg)
+    fx = float(f.profile(np.array([x_dist]))[0])
+    r_active = x_dist + f.support_radius
+    k1_outer = 0.0
+    if r_active > 1.0:
+        k1_outer = radial(lambda k1, k2, avg: k1 * avg, 1.0, r_active)
+    k2_inner = radial(lambda k1, k2, avg: k2 * avg, 0.0, min(1.0, r_active))
+    return -k2_inner - k1_outer + _k1_tail_constant(n) * fx
+
+
 def split_check(
     n: int,
-    f: HyperRadialFunction,
+    f: RadialFunction,
     x_dist: float,
     cfg: QuadratureConfig = POINTWISE_H_CFG,
 ) -> SplitReport:
@@ -804,29 +802,15 @@ def split_check(
     the remainder collects -int_{B_1} K2 f, -int_{complement} K1 f and the
     tail constant rho_n^H f(x); their sum must reproduce the direct value.
     """
-    area = sphere_area(n)
+    radial = _split_radial(n, f, x_dist, cfg)
     fx = float(f.profile(np.array([x_dist]))[0])
     r_active = x_dist + f.support_radius
-    route = f"split_check(n={n}, {f.id}, x={x_dist!r})"
-
-    def radial(weight, lo: float, hi: float) -> float:
-        """|S^(n-1)| int_lo^hi weight(K1, K2, avg f) sinh^(n-1) r dr."""
-
-        def g(r):
-            k1, k2 = log_kernel_values(n, r)
-            avg = _geodesic_average(f.profile, n, x_dist, r, f.breaks)
-            return weight(k1, k2, avg) * np.sinh(r) ** (n - 1)
-
-        return area * integrate(g, lo, hi, cfg=cfg).checked(f"{route}: ({lo}, {hi})")
-
     near = radial(lambda k1, k2, avg: k1 * (fx - avg), 0.0, 1.0)
-    far = k1_outer = 0.0
+    far = 0.0
     if r_active > 1.0:
         far = -radial(lambda k1, k2, avg: k2 * avg, 1.0, r_active)
-        k1_outer = radial(lambda k1, k2, avg: k1 * avg, 1.0, r_active)
-    k2_inner = radial(lambda k1, k2, avg: k2 * avg, 0.0, min(1.0, r_active))
+    remainder = _remainder(n, f, x_dist, cfg)
     rho_h = _k1_tail_constant(n)
-    remainder = -k2_inner - k1_outer + rho_h * fx
     direct = log_pointwise_h(n, f, x_dist, cfg=cfg)
     return SplitReport(near, far, remainder, rho_h, near + far + remainder, direct)
 
@@ -882,7 +866,7 @@ def kernel_norms(
     n: int,
     p: float,
     r_trunc_list,
-    f: HyperRadialFunction | None = None,
+    f: RadialFunction | None = None,
     energy_pq: tuple[float, float] | None = None,
     cfg: QuadratureConfig = POINTWISE_H_CFG,
 ) -> KernelNormReport:
@@ -943,7 +927,7 @@ def kernel_norms(
     return report
 
 
-def _lp_norm_radial(f: HyperRadialFunction, n: int, p: float) -> float:
+def _lp_norm_radial(f: RadialFunction, n: int, p: float) -> float:
     area = sphere_area(n)
     res = integrate(
         lambda r: np.abs(f.profile(np.atleast_1d(r))) ** p
@@ -955,20 +939,17 @@ def _lp_norm_radial(f: HyperRadialFunction, n: int, p: float) -> float:
 
 
 def _energy_inequality(
-    n: int, f: HyperRadialFunction, p: float, q: float, cfg: QuadratureConfig
+    n: int, f: RadialFunction, p: float, q: float, cfg: QuadratureConfig
 ) -> tuple[float, float]:
     """LHS = int |R_n(f; x)| |f(x)| dvol against the Young-type bound."""
     area = sphere_area(n)
     rho_h = _k1_tail_constant(n)
     # |remainder(x)| |f(x)| is smooth on the support; a short Gauss rule
-    # suffices and each node costs a full split evaluation
+    # suffices and each node costs two radial integrals
     gx, gw = np.polynomial.legendre.leggauss(10)
     xs = 0.5 * f.support_radius * (gx + 1.0)
     ws = 0.5 * f.support_radius * gw
-    lhs_vals = []
-    for xd in xs:
-        rep = split_check(n, f, float(xd), cfg=cfg)
-        lhs_vals.append(abs(rep.remainder))
+    lhs_vals = [abs(_remainder(n, f, float(xd), cfg)) for xd in xs]
     fx = np.abs(f.profile(xs))
     lhs = area * float(ws @ (np.array(lhs_vals) * fx * np.sinh(xs) ** (n - 1)))
 

@@ -1,5 +1,6 @@
-"""Adaptive 1-D quadrature, the mean over spheres in R^n and H^n
-(`sphere_mean`), and the scalar integral identities built on them.
+"""Adaptive 1-D quadrature, the radial functions of R^n and H^n
+(`RadialFunction`) and their mean over spheres (`sphere_mean`), and the
+scalar integral identities built on them.
 
 One engine integrates everything: a vectorized Gauss-Kronrod 7-15 pair with
 worst-panel-first subdivision (QUADPACK, Piessens et al. 1983) over R rows
@@ -62,7 +63,9 @@ __all__ = [
     "integrate_semiinfinite",
     "integrate_rows",
     "integrate_semiinfinite_rows",
-    "edge_breaks",
+    "SmoothnessTooLowError",
+    "RadialFunction",
+    "BUMP",
     "sphere_area",
     "sphere_mean",
     "frullani_log",
@@ -132,15 +135,12 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    split_time: float = 1.0
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.split_time <= 0:
-            raise ValueError("split_time must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -183,16 +183,13 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class SingularityHint:
+    """The endpoint of an inverse-square-root or logarithmic singularity."""
+
     endpoint: str = "none"  # lower | upper | none
-    kind: str = "none"  # inverse_sqrt | log | none
 
     def __post_init__(self):
         if self.endpoint not in ("lower", "upper", "none"):
             raise ValueError(f"bad endpoint {self.endpoint!r}")
-        if self.kind not in ("inverse_sqrt", "log", "none"):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if (self.kind == "none") != (self.endpoint == "none"):
-            raise ValueError("kind is 'none' exactly when endpoint is 'none'")
 
 
 NO_SINGULARITY = SingularityHint()
@@ -432,13 +429,55 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (0.5 * n) / gamma(0.5 * n)
 
 
-def edge_breaks(name: str, breaks, support_radius: float) -> tuple[float, ...]:
-    """A radial function's breaks, checked to ascend to its support edge,
-    where sphere_mean stops; a compact support without breaks has its edge."""
-    breaks = tuple(breaks) or ((support_radius,) if math.isfinite(support_radius) else ())
-    if list(breaks) != sorted(breaks) or (breaks and breaks[-1] != support_radius):
-        raise ValueError(f"{name}: breaks must ascend to the support edge, got {breaks!r}")
-    return breaks
+class SmoothnessTooLowError(ValueError):
+    """Declared regularity too weak for the pointwise (Dini) domain."""
+
+
+@dataclass(frozen=True)
+class RadialFunction:
+    """f = profile(|y|) on R^n, or profile(d(y, o)) on H^n, in any dimension:
+    R^n routes take n from the evaluation point, H^n routes from their n.
+
+    holder_exponent is None for a smooth profile, else its positive Holder
+    exponent. `breaks` are the radii, ascending, where the profile is not
+    analytic and the radial rules split; the last (by default the only) one
+    is the edge of a compact support, where sphere_mean stops.
+    """
+
+    id: str
+    profile: Callable[[np.ndarray], np.ndarray]
+    support_radius: float
+    holder_exponent: float | None = None
+    breaks: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if self.holder_exponent is not None and not self.holder_exponent > 0:
+            raise SmoothnessTooLowError(f"{self.id}: a Holder profile needs a positive exponent")
+        edge = self.support_radius
+        breaks = tuple(self.breaks) or ((edge,) if math.isfinite(edge) else ())
+        if list(breaks) != sorted(breaks) or (breaks and breaks[-1] != edge):
+            raise ValueError(f"{self.id}: breaks must ascend to the support edge, got {breaks!r}")
+        object.__setattr__(self, "breaks", breaks)
+
+    @property
+    def far_radius(self) -> float:
+        """Where whole-space integrals stop: the support edge, or 12 for an
+        unbounded support (the Gaussian e^(-rho^2/2) is below 1e-31 there)."""
+        return self.support_radius if math.isfinite(self.support_radius) else 12.0
+
+
+def _bump_profile(rho):
+    rho = np.asarray(rho, dtype=float)
+    out = np.zeros_like(rho)
+    inside = rho < 1.0
+    r = rho[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - r * r))
+    return out
+
+
+# e^(-1/(1 - rho^2)) in the unit ball, the smooth bump of both registries;
+# the break at 0.9 resolves its flat approach to the edge
+BUMP = RadialFunction("bump", _bump_profile, 1.0, breaks=(0.9, 1.0))
 
 
 def sphere_mean(
@@ -495,7 +534,7 @@ def frullani_log(lam: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """log(lam) as the scalar integral int_0^inf (e^-t - e^-lam t)/t dt.
 
     The integrand is evaluated as -e^-t expm1(-(lam-1) t)/t to avoid
-    cancellation, and the range is split at cfg.split_time.
+    cancellation, and the range is split at t = 1.
     """
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"frullani_log requires lam > 0, got {lam!r}")
@@ -514,9 +553,8 @@ def frullani_log(lam: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
         tail = (np.exp(-t) - np.exp(-lam * t)) / t
         return np.where(small, head, tail)
 
-    split = cfg.split_time
-    head = integrate(integrand, 0.0, split, cfg=cfg)
-    tail = integrate_semiinfinite(integrand, split, cfg=cfg)
+    head = integrate(integrand, 0.0, 1.0, cfg=cfg)
+    tail = integrate_semiinfinite(integrand, 1.0, cfg=cfg)
     return (head + tail).checked(f"frullani_log({lam})")
 
 
@@ -555,9 +593,7 @@ def _log_moment_identity_residual(n: int, cfg: QuadratureConfig) -> float:
 
     what = f"log moment identity (n={n})"
     part1 = integrate_semiinfinite(outer_tail, 0.25, cfg=cfg).checked(what)
-    hint = (
-        SingularityHint("lower", "inverse_sqrt") if n == 1 else NO_SINGULARITY
-    )
+    hint = SingularityHint("lower") if n == 1 else NO_SINGULARITY
     part2 = integrate(outer_head, 0.0, 0.25, hint=hint, cfg=cfg).checked(what)
     left = part1 - part2
     right = gn * digamma(half_n) / 2.0 + gn * math.log(2.0)

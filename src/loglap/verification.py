@@ -162,11 +162,11 @@ def suite_euclid() -> VerifyReport:
     rep = VerifyReport("euclid")
     length = 24.0
     grid_points = {1: 2048, 2: 512}
+    reg = euclid.registry()
 
     # route equivalence on the bump (criterion: both gaps <= 2e-3 relative)
+    bump = reg["bump"]
     for n in (1, 2):
-        reg = euclid.registry(n)
-        bump = reg["bump"]
         grid = euclid.PeriodicGridFunction.from_function(bump, n, length, grid_points[n])
         mult = euclid.log_multiplier(grid)
         worst_pm = 0.0
@@ -198,9 +198,8 @@ def suite_euclid() -> VerifyReport:
         )
 
     # Gaussian closed form: log(-Lap) f(0) = psi(n/2) + log 2 for f = e^(-|x|^2/2)
+    gauss = reg["gaussian"]
     for n in (1, 2):
-        reg = euclid.registry(n)
-        gauss = reg["gaussian"]
         target = digamma(0.5 * n) + math.log(2.0)
         x0 = np.zeros(n)
         rep.add(
@@ -248,7 +247,6 @@ def suite_euclid() -> VerifyReport:
     )
     worst = 0.0
     for n in (1, 2):
-        gauss = euclid.registry(n)["gaussian"]
         for s in (0.25, 0.5, 0.75):
             target = 2.0 ** s * gamma(0.5 * n + s) / gamma(0.5 * n)
             val = euclid.frac_pointwise(gauss, np.zeros(n), s)
@@ -262,7 +260,6 @@ def suite_euclid() -> VerifyReport:
     )
 
     # s-limits on the n=1 torus with the mean-zero bump
-    bump = euclid.registry(1)["bump"]
     grid = euclid.PeriodicGridFunction.from_function(bump, 1, length, 512)
     mz = grid.with_samples(grid.samples - grid.mean())
     lim = euclid.limits_report(mz, [0.2, 0.1, 0.05, 0.02])

@@ -123,6 +123,25 @@ class TestKernelCommand:
         )
         assert rc == 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", ["2", "3", "4", "5"])
+    def test_frac_table_overflow_near_axis_exits_2(self, tmp_path, capsys, n):
+        # at r = 1e-100 the kernel exceeds double precision for n >= 3; on
+        # H^3 (4/r^2)^s times the short-time integral once overflowed out of
+        # main(). On H^2 it is the flat kernel Gamma(1+s) 4^(1+s) r^(-2-2s) / 4 pi
+        out = tmp_path / "x.csv"
+        rc = main_rc(
+            "kernel", "--space", "hyperbolic", "--kind", "frac", "--n", n, "--s", "0.5",
+            "--r-min", "1e-100", "--r-max", "1", "--points", "3", "--out", str(out),
+        )
+        if n == "2":
+            assert rc == 0
+            flat = math.gamma(1.5) * 4.0 ** 1.5 / (4.0 * math.pi) * 1e300
+            assert read_rows(out)[1][0][1] == pytest.approx(flat, rel=1e-12)
+        else:
+            assert rc == 2
+            assert "r=1e-100" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["log1", "log2"])
     def test_euclid_kernel_overflow_exits_2(self, tmp_path, kind):
         rc = main_rc(
@@ -170,7 +189,7 @@ class TestApplyCommand:
         from loglap import euclid
 
         shift = euclid.log_periodization_shift(
-            euclid.registry(1)["bump"], 24.0, [0.0]
+            euclid.registry()["bump"], 24.0, [0.0]
         )
         assert v_point == pytest.approx(v_mult - shift, abs=1e-6)
 

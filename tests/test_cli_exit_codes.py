@@ -93,8 +93,9 @@ _VERIFY = st.tuples(
 @given(command=st.one_of(_KERNEL, _APPLY, _VERIFY), with_out=st.booleans())
 # drawn argvs that once escaped main(), pinned here since hypothesis's example
 # database is a local cache: a subnormal sinh|x| sinh r in the sphere mean
-# overflowed a division, the Bessel closed form overflowed at tiny radii, and
-# so did the heat kernel's t^(-q_j) at a subnormal t
+# overflowed a division, the Bessel closed form and the time-quadrature frac
+# table overflowed at tiny radii, and so did the heat kernel's t^(-q_j) at a
+# subnormal t
 @example(
     command=(["apply"], "--space hyperbolic --op log --fn bump --n 2 --x-dist 2.23e-311".split()),
     with_out=False,
@@ -104,6 +105,13 @@ _VERIFY = st.tuples(
         ["kernel"],
         "--space hyperbolic --kind frac --route bessel_closed_form --n 3 --s 0.5 "
         "--r-min 1e-300 --r-max 1 --points 2".split(),
+    ),
+    with_out=False,
+)
+@example(
+    command=(
+        ["kernel"],
+        "--space hyperbolic --kind frac --n 3 --s 0.5 --r-min 1e-100 --r-max 1 --points 3".split(),
     ),
     with_out=False,
 )

@@ -13,6 +13,7 @@ from loglap import euclid as eu
 from loglap.quadrature import (
     NonConvergenceError,
     QuadratureConfig,
+    RadialFunction,
     integrate,
     integrate_semiinfinite,
 )
@@ -68,39 +69,37 @@ class TestFracConstant:
 
 class TestRegistry:
     def test_members_present(self):
-        for n in (1, 2, 3):
-            reg = eu.registry(n)
-            assert set(reg) == {"gaussian", "bump", "plateau"}
+        assert set(eu.registry()) == {"gaussian", "bump", "plateau"}
 
     def test_supports(self):
-        reg = eu.registry(2)
+        reg = eu.registry()
         assert math.isinf(reg["gaussian"].support_radius)
         assert reg["gaussian"].far_radius == 12.0
         assert reg["bump"].support_radius == 1.0
         rho = np.array([0.0, 0.5, 0.999, 1.0, 2.0])
-        vals = reg["bump"].eval_radial(rho)
+        vals = reg["bump"].profile(rho)
         assert vals[3] == 0.0 and vals[4] == 0.0 and vals[0] == pytest.approx(
             math.exp(-1.0)
         )
 
     def test_plateau_shape(self):
-        reg = eu.registry(1)
+        reg = eu.registry()
         p = reg["plateau"]
-        assert p.eval_radial(np.array([0.3]))[0] == 1.0
-        assert p.eval_radial(np.array([1.0]))[0] == 0.0
-        assert p.smoothness == "holder" and p.holder_beta == 1.0
+        assert p.profile(np.array([0.3]))[0] == 1.0
+        assert p.profile(np.array([1.0]))[0] == 0.0
+        assert p.holder_exponent == 1.0
 
     def test_rough_function_rejected(self):
         with pytest.raises(eu.SmoothnessTooLowError):
-            eu.TestFunction("bad", 1, lambda r: r, 1.0, "holder", 0.0)
+            RadialFunction("bad", lambda r: r, 1.0, 0.0)
 
     def test_breaks(self):
-        reg = eu.registry(2)
+        reg = eu.registry()
         assert reg["bump"].breaks == (0.9, 1.0)
         assert reg["plateau"].breaks == (0.5, 1.0)
         assert reg["gaussian"].breaks == ()
         with pytest.raises(ValueError):
-            eu.TestFunction("short", 1, eu._bump_profile, 1.0, breaks=(0.9,))
+            RadialFunction("short", reg["bump"].profile, 1.0, breaks=(0.9,))
 
 
 class TestPeriodicGrid:
@@ -112,7 +111,7 @@ class TestPeriodicGrid:
 
     def test_heat_identity_limit(self):
         grid = eu.PeriodicGridFunction.from_function(
-            eu.registry(1)["gaussian"], 1, 24.0, 256
+            eu.registry()["gaussian"], 1, 24.0, 256
         )
         out = eu.heat_apply(grid, 1e-12)
         assert np.max(np.abs(out.samples - grid.samples)) <= 1e-10
@@ -124,7 +123,7 @@ class TestPeriodicGrid:
 
     def test_heat_preserves_mean(self):
         grid = eu.PeriodicGridFunction.from_function(
-            eu.registry(1)["bump"], 1, 24.0, 256
+            eu.registry()["bump"], 1, 24.0, 256
         )
         out = eu.heat_apply(grid, 0.7)
         assert out.mean() == pytest.approx(grid.mean(), abs=1e-15)
@@ -162,7 +161,7 @@ class TestPeriodicGrid:
 
     def test_frac_multiplier_semigroup(self):
         grid = eu.PeriodicGridFunction.from_function(
-            eu.registry(1)["bump"], 1, 24.0, 256
+            eu.registry()["bump"], 1, 24.0, 256
         )
         twice = eu.frac_multiplier(eu.frac_multiplier(grid, 0.5), 0.5)
         lap = eu.laplacian_multiplier(grid)
@@ -192,7 +191,7 @@ class TestPeriodicGrid:
     @pytest.mark.parametrize("n", [1, 2])
     def test_half_spectrum_matches_full_fft(self, n):
         # test-local reference: the whole mode grid through fftn / ifftn
-        grid = eu.PeriodicGridFunction.from_function(eu.registry(n)["bump"], n, 12.0, 64)
+        grid = eu.PeriodicGridFunction.from_function(eu.registry()["bump"], n, 12.0, 64)
         xi = 2.0 * math.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
         q = sum(g * g for g in np.meshgrid(*([xi] * n), indexing="ij"))
         logq = np.log(np.where(q > 0.0, q, 1.0)) * (q > 0.0)
@@ -213,7 +212,7 @@ class TestPeriodicGrid:
     def test_point_values_match_full_grid(self, n, points):
         # every node, against the full grid's value_at (its samples, in C order)
         rng = np.random.default_rng(points + n)
-        grid = eu.PeriodicGridFunction.from_function(eu.registry(n)["bump"], n, 6.0, points)
+        grid = eu.PeriodicGridFunction.from_function(eu.registry()["bump"], n, 6.0, points)
         grid = grid.with_samples(grid.samples + 0.1 * rng.normal(size=grid.samples.shape))
         c = grid.axis_coords()
         nodes = np.stack(np.meshgrid(*([c] * n), indexing="ij"), axis=-1).reshape(-1, n)
@@ -227,7 +226,7 @@ class TestPeriodicGrid:
             assert np.max(np.abs(at_nodes - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_point_values_keep_order_and_repeats(self):
-        grid = eu.PeriodicGridFunction.from_function(eu.registry(2)["bump"], 2, 6.0, 16)
+        grid = eu.PeriodicGridFunction.from_function(eu.registry()["bump"], 2, 6.0, 16)
         full = eu.log_multiplier(grid)
         pts = [[0.375, -0.75], [0.0, 0.0], [0.375, -0.75], [-3.0, 2.625]]
         vals = eu.log_multiplier(grid, at=pts)
@@ -251,7 +250,7 @@ class TestPeriodicGrid:
 
     def test_csv_serialization(self, tmp_path):
         grid = eu.PeriodicGridFunction.from_function(
-            eu.registry(2)["bump"], 2, 10.0, 8
+            eu.registry()["bump"], 2, 10.0, 8
         )
         csv_path = tmp_path / "grid.csv"
         grid.to_csv(csv_path)
@@ -264,31 +263,26 @@ class TestPeriodicGrid:
 
 class TestLogPointwise:
     def test_gaussian_chi_square_moment_n1(self):
-        gauss = eu.registry(1)["gaussian"]
+        gauss = eu.registry()["gaussian"]
         target = digamma(0.5) + math.log(2.0)
         assert eu.log_pointwise(gauss, [0.0]) == pytest.approx(target, abs=1e-3)
 
     def test_gaussian_chi_square_moment_n2(self):
-        gauss = eu.registry(2)["gaussian"]
+        gauss = eu.registry()["gaussian"]
         target = digamma(1.0) + math.log(2.0)
         assert eu.log_pointwise(gauss, [0.0, 0.0]) == pytest.approx(target, abs=1e-3)
 
     def test_outside_support_negative(self):
-        bump = eu.registry(1)["bump"]
+        bump = eu.registry()["bump"]
         val = eu.log_pointwise(bump, [2.5])
         # first and third terms vanish; what remains is minus a positive mass
         assert val < 0.0
 
     def test_linearity(self):
-        reg = eu.registry(1)
+        reg = eu.registry()
         f, g = reg["bump"], reg["plateau"]
-        combo = eu.TestFunction(
-            "combo",
-            1,
-            lambda r: 2.0 * f.profile(r) - 0.5 * g.profile(r),
-            1.0,
-            "holder",
-            1.0,
+        combo = RadialFunction(
+            "combo", lambda r: 2.0 * f.profile(r) - 0.5 * g.profile(r), 1.0, 1.0
         )
         x = [0.25]
         lhs = eu.log_pointwise(combo, x)
@@ -298,14 +292,14 @@ class TestLogPointwise:
 
 class TestFracPointwise:
     def test_gaussian_moment(self):
-        gauss = eu.registry(1)["gaussian"]
+        gauss = eu.registry()["gaussian"]
         assert eu.frac_pointwise(gauss, [0.0], 0.5) == pytest.approx(
             math.sqrt(2.0 / math.pi), abs=1e-3
         )
 
     def test_gaussian_moment_general(self):
         for n in (1, 2):
-            gauss = eu.registry(n)["gaussian"]
+            gauss = eu.registry()["gaussian"]
             for s in (0.25, 0.75):
                 target = 2.0 ** s * gamma(0.5 * n + s) / gamma(0.5 * n)
                 val = eu.frac_pointwise(gauss, np.zeros(n), s)
@@ -314,17 +308,17 @@ class TestFracPointwise:
     def test_constant_extension_vanishes(self):
         # f identically 1 over the whole truncation region: the difference
         # integrand is zero and only the far boundary layer survives
-        const = eu.TestFunction("const", 1, lambda r: np.ones_like(r), 60.0, "smooth")
+        const = RadialFunction("const", lambda r: np.ones_like(r), 60.0)
         assert abs(eu.frac_pointwise(const, [0.0], 0.75)) <= 1e-3
 
     def test_domain(self):
-        gauss = eu.registry(1)["gaussian"]
+        gauss = eu.registry()["gaussian"]
         with pytest.raises(ValueError):
             eu.frac_pointwise(gauss, [0.0], 1.5)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_unconverged_raises(self, n):
-        bump = eu.registry(n)["bump"]
+        bump = eu.registry()["bump"]
         cfg = QuadratureConfig(max_subdivisions=1)
         with pytest.raises(NonConvergenceError, match="log_pointwise"):
             eu.log_pointwise(bump, np.full(n, 0.3), cfg=cfg)
@@ -335,7 +329,7 @@ class TestFracPointwise:
         # a one-sample quadratic fit below r = 2e-3 left this point 1.9e-5 off
         # the torus multiplier minus its periodization shift (4096- to
         # 65536-point grids: -0.1660664199) and off the Bochner route
-        bump = eu.registry(1)["bump"]
+        bump = eu.registry()["bump"]
         val = eu.frac_pointwise(bump, [0.75], 0.75)
         assert abs(val + 0.1660664199) <= 3e-8 * 0.166
         assert abs(val - eu.frac_bochner_point(bump, [0.75], 0.75)) <= 2e-8 * 0.166
@@ -357,12 +351,12 @@ def _bump_n3_outside_reference() -> float:
 
 class TestBochnerRoutes:
     def test_zero_function(self):
-        zero = eu.TestFunction("zero", 1, lambda r: np.zeros_like(r), 1.0, "smooth")
+        zero = RadialFunction("zero", lambda r: np.zeros_like(r), 1.0)
         assert eu.log_bochner_point(zero, [0.0]) == pytest.approx(0.0, abs=1e-12)
         assert eu.frac_bochner_point(zero, [0.0], 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_log_matches_pointwise_on_bump(self):
-        bump = eu.registry(1)["bump"]
+        bump = eu.registry()["bump"]
         a = eu.log_bochner_point(bump, [0.0])
         b = eu.log_pointwise(bump, [0.0])
         assert a == pytest.approx(b, abs=1e-4)
@@ -371,19 +365,19 @@ class TestBochnerRoutes:
     # the support edge and the gap reached 2e-4 to 6e-4
     @pytest.mark.parametrize("x", [0.140625, 0.28125, 0.328125, 0.421875])
     def test_log_matches_pointwise_across_support_edge(self, x):
-        bump = eu.registry(1)["bump"]
+        bump = eu.registry()["bump"]
         a = eu.log_bochner_point(bump, [x])
         b = eu.log_pointwise(bump, [x])
         assert abs(a - b) <= 1e-6 * max(abs(b), 1e-2)
 
     def test_frac_matches_pointwise_on_bump(self):
-        bump = eu.registry(1)["bump"]
+        bump = eu.registry()["bump"]
         a = eu.frac_bochner_point(bump, [0.0], 0.5)
         b = eu.frac_pointwise(bump, [0.0], 0.5)
         assert a == pytest.approx(b, abs=1e-4)
 
     def test_gaussian_closed_forms(self):
-        gauss = eu.registry(1)["gaussian"]
+        gauss = eu.registry()["gaussian"]
         assert eu.log_bochner_point(gauss, [0.0]) == pytest.approx(
             digamma(0.5) + math.log(2.0), abs=1e-3
         )
@@ -394,13 +388,13 @@ class TestBochnerRoutes:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("s", [0.26, 0.5, 0.74])
     def test_frac_gaussian_chi_square_moment(self, n, s):
-        gauss = eu.registry(n)["gaussian"]
+        gauss = eu.registry()["gaussian"]
         target = 2.0 ** s * gamma(0.5 * n + s) / gamma(0.5 * n)
         assert abs(eu.frac_bochner_point(gauss, np.zeros(n), s) - target) <= 1e-7
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_log_gaussian_chi_square_moment(self, n):
-        gauss = eu.registry(n)["gaussian"]
+        gauss = eu.registry()["gaussian"]
         target = digamma(0.5 * n) + math.log(2.0)
         assert abs(eu.log_bochner_point(gauss, np.zeros(n)) - target) <= 1e-8
 
@@ -408,7 +402,7 @@ class TestBochnerRoutes:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("s", [None, 0.25, 0.5, 0.75])
     def test_bump_matches_pointwise_on_grid_nodes(self, n, s):
-        bump = eu.registry(n)["bump"]
+        bump = eu.registry()["bump"]
         worst = 0.0
         for k in range(0, 34, 3):
             x = np.zeros(n)
@@ -424,7 +418,7 @@ class TestBochnerRoutes:
     # largest gap left is 4.6e-8, frac at s = 0.75 and |x| = 0.9375
     @pytest.mark.parametrize("xn", [0.0, 0.3, 0.6, 0.9375])
     def test_bump_matches_pointwise_n3(self, xn):
-        bump = eu.registry(3)["bump"]
+        bump = eu.registry()["bump"]
         x = np.array([xn, 0.0, 0.0])
         pairs = [(eu.log_bochner_point(bump, x), eu.log_pointwise(bump, x))] + [
             (eu.frac_bochner_point(bump, x, s), eu.frac_pointwise(bump, x, s)) for s in (0.25, 0.75)
@@ -437,7 +431,7 @@ class TestBochnerRoutes:
         # spheres about |x| = 8 see the Gaussian as a narrow cap: one
         # theta-panel over the whole sphere left log 7.6e-8 (2-d) and 3.9e-7
         # (3-d) off; stopped at the far radius it is within 7.4e-10
-        gauss = eu.registry(n)["gaussian"]
+        gauss = eu.registry()["gaussian"]
         x = np.zeros(n)
         x[0] = 8.0
         a, b = eu.log_pointwise(gauss, x), eu.log_bochner_point(gauss, x)
@@ -446,14 +440,14 @@ class TestBochnerRoutes:
         assert abs(a - b) <= 5e-9 * abs(b)
 
     def test_bump_n3_outside_support_exact(self):
-        val = eu.log_bochner_point(eu.registry(3)["bump"], [1.2, 0.0, 0.0])
+        val = eu.log_bochner_point(eu.registry()["bump"], [1.2, 0.0, 0.0])
         ref = _bump_n3_outside_reference()
         assert abs(val - ref) <= 1e-10 * abs(ref)
 
     def test_bump_n3_outside_support_pointwise(self):
         # the 32 x 64-direction sphere rule missed the cap where spheres
         # about |x| = 1.2 meet the support: log was 5.7e-6 off, frac 6.8e-6
-        bump = eu.registry(3)["bump"]
+        bump = eu.registry()["bump"]
         x = np.array([1.2, 0.0, 0.0])
         ref = _bump_n3_outside_reference()
         assert abs(eu.log_pointwise(bump, x) - ref) <= 1e-9 * abs(ref)
@@ -467,7 +461,7 @@ class TestBochnerRoutes:
         heat, integrate_ = eu._radial_heat, eu.integrate
 
         def counted_heat(*args, **kwargs):
-            calls.append(np.size(args[2]))
+            calls.append(np.size(args[3]))
             return heat(*args, **kwargs)
 
         def counted_integrate(*args, **kwargs):
@@ -478,7 +472,7 @@ class TestBochnerRoutes:
 
         monkeypatch.setattr(eu, "_radial_heat", counted_heat)
         monkeypatch.setattr(eu, "integrate", counted_integrate)
-        bump = eu.registry(n)["bump"]
+        bump = eu.registry()["bump"]
         x = np.full(n, 0.3)
         for route in (lambda: eu.log_bochner_point(bump, x), lambda: eu.frac_bochner_point(bump, x, 0.4)):
             calls.clear()
@@ -498,7 +492,7 @@ class TestBochnerRoutes:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_unconverged_raises(self, n):
-        bump = eu.registry(n)["bump"]
+        bump = eu.registry()["bump"]
         cfg = QuadratureConfig(max_subdivisions=1)
         with pytest.raises(NonConvergenceError, match="log_bochner_point"):
             eu.log_bochner_point(bump, np.full(n, 0.3), cfg=cfg)
@@ -512,43 +506,43 @@ class TestRadialHeat:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gaussian_closed_form(self, n):
         # e^{t Lap} e^(-|y|^2/2) at |x| = a: (1+2t)^(-n/2) e^(-a^2/(2(1+2t)))
-        gauss = eu.registry(n)["gaussian"]
+        gauss = eu.registry()["gaussian"]
         t = np.geomspace(1e-6, 1e4, 41)
         for a in (0.0, 0.3, 1.0, 2.5, 5.0):
             exact = (1.0 + 2.0 * t) ** (-0.5 * n) * np.exp(-a * a / (2.0 * (1.0 + 2.0 * t)))
-            value = eu._radial_heat(gauss, a, t, deficit=False)
+            value = eu._radial_heat(gauss, n, a, t, deficit=False)
             assert np.max(np.abs(value / exact - 1.0)) <= 1e-11
             # f(x) - e^{t Lap} f(x), without cancellation, for the short times
             short = t[t <= 1.0]
             exact_deficit = -math.exp(-0.5 * a * a) * np.expm1(
                 a * a * short / (1.0 + 2.0 * short) - 0.5 * n * np.log1p(2.0 * short)
             )
-            deficit = eu._radial_heat(gauss, a, short, deficit=True)
+            deficit = eu._radial_heat(gauss, n, a, short, deficit=True)
             assert np.all(np.abs(deficit - exact_deficit) <= 1e-9 * short)
 
     def test_bump_value_resolved_at_support_edge(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 25
-        bump = eu.registry(1)["bump"]
+        bump = eu.registry()["bump"]
         for a, t in ((0.0, 1.0), (1.2, 1.0), (0.5, 10.0)):
             a_, t_ = mp.mpf(a), mp.mpf(t)
             kernel = lambda r: (4 * mp.pi * t_) ** -0.5 * (
                 mp.e ** (-(a_ - r) ** 2 / (4 * t_)) + mp.e ** (-(a_ + r) ** 2 / (4 * t_))
             )
             ref = float(mp.quad(lambda r: mp.e ** (-1 / (1 - r * r)) * kernel(r), [0, 0.5, 0.9, 0.99, 1]))
-            value = eu._radial_heat(bump, a, np.array([t]), deficit=False)[0]
+            value = eu._radial_heat(bump, 1, a, np.array([t]), deficit=False)[0]
             assert abs(value - ref) <= 1e-14 * ref
 
     def test_batched_row_equals_single_time(self):
         rng = np.random.default_rng(7)
         for n in (1, 2, 3):
             for name in ("bump", "gaussian"):
-                f = eu.registry(n)[name]
+                f = eu.registry()[name]
                 for a in (0.0, 0.3, 0.97, 1.4):
                     t = np.exp(rng.uniform(math.log(1e-8), math.log(1e4), 15))
                     for deficit in (True, False):
-                        row = eu._radial_heat(f, a, t, deficit)
-                        one = [eu._radial_heat(f, a, t[i : i + 1], deficit)[0] for i in range(t.size)]
+                        row = eu._radial_heat(f, n, a, t, deficit)
+                        one = [eu._radial_heat(f, n, a, t[i : i + 1], deficit)[0] for i in range(t.size)]
                         assert np.array_equal(row, one)
 
 
@@ -557,7 +551,7 @@ class TestPeriodizationShift:
     are pure quadrature/aliasing noise."""
 
     def test_log_identity_gaussian_n1(self):
-        gauss = eu.registry(1)["gaussian"]
+        gauss = eu.registry()["gaussian"]
         grid = eu.PeriodicGridFunction.from_function(gauss, 1, 24.0, 512)
         vt = eu.log_multiplier(grid).value_at([0.0])
         vp = eu.log_pointwise(gauss, [0.0])
@@ -565,7 +559,7 @@ class TestPeriodizationShift:
         assert abs(vt - vp - shift) <= 1e-7
 
     def test_log_identity_bump_n1_offcenter(self):
-        bump = eu.registry(1)["bump"]
+        bump = eu.registry()["bump"]
         grid = eu.PeriodicGridFunction.from_function(bump, 1, 24.0, 2048)
         out = eu.log_multiplier(grid)
         for x1 in (0.0, 0.1875, -0.28125):
@@ -575,7 +569,7 @@ class TestPeriodizationShift:
             assert abs(vt - vp - shift) <= 1e-7
 
     def test_frac_identity_gaussian_n1(self):
-        gauss = eu.registry(1)["gaussian"]
+        gauss = eu.registry()["gaussian"]
         grid = eu.PeriodicGridFunction.from_function(gauss, 1, 24.0, 512)
         for s in (0.25, 0.5):
             vt = eu.frac_multiplier(grid, s).value_at([0.0])
@@ -584,7 +578,7 @@ class TestPeriodizationShift:
             assert abs(vt - vp - shift) <= 5e-7
 
     def test_log_identity_n2(self):
-        gauss = eu.registry(2)["gaussian"]
+        gauss = eu.registry()["gaussian"]
         grid = eu.PeriodicGridFunction.from_function(gauss, 2, 24.0, 256)
         vt = eu.log_multiplier(grid).value_at([0.0, 0.0])
         vp = eu.log_pointwise(gauss, [0.0, 0.0])
@@ -592,7 +586,7 @@ class TestPeriodizationShift:
         assert abs(vt - vp - shift) <= 1e-6
 
     def test_geometry_guard(self):
-        bump = eu.registry(1)["bump"]
+        bump = eu.registry()["bump"]
         with pytest.raises(ValueError):
             eu.log_periodization_shift(bump, 3.0, [1.2])
 
@@ -600,7 +594,7 @@ class TestPeriodizationShift:
 def _image_potential_ref(f, center, power, cfg):
     """One adaptive integral per lattice image, as the shifts once ran."""
     dist = float(np.linalg.norm(center))
-    if f.dimension == 1:
+    if center.size == 1:
         g = lambda rho: f.profile(rho) * ((dist - rho) ** -power + (dist + rho) ** -power)
     else:
         cos = np.cos(2.0 * math.pi * (np.arange(256) + 0.5) / 256.0)
@@ -641,10 +635,10 @@ def _far_rows_ref(x, length, images, box, term):
 
 def _shift_ref(f, length, x, images, cfg, s=None):
     """log (s None) or fractional periodization shift, image by image."""
-    n = f.dimension
     x = np.asarray(x, dtype=float)
+    n = x.size
     power = n + 2.0 * s if s is not None else float(n)
-    mass, m2 = f.moments()
+    mass, m2 = eu._moments(f, n, 0.0)
     m = mass / length ** n
     total = 0.0
     for j in itertools.product(range(-images, images + 1), repeat=n):
@@ -685,7 +679,7 @@ class TestPeriodizationShiftEquivalence:
     @pytest.mark.parametrize("name", ["bump", "gaussian"])
     @pytest.mark.parametrize("s", [None, 0.25, 0.75])
     def test_matches_image_by_image(self, n, images, name, s):
-        f = eu.registry(n)[name]
+        f = eu.registry()[name]
         x = [0.1875, -0.09375][:n]
         if s is None:
             got = eu.log_periodization_shift(f, 24.0, x, images=images, cfg=self.CFG)
@@ -697,7 +691,7 @@ class TestPeriodizationShiftEquivalence:
     def test_frac_n2_pinned(self):
         # values computed with the 801 x 801 meshgrid far tail this lattice
         # sum replaced; on the Gaussian the image integrals agree to 1e-15
-        gauss = eu.registry(2)["gaussian"]
+        gauss = eu.registry()["gaussian"]
         pinned = {
             (0.0, 0.25): -0.002836045259601957,
             (0.0, 0.75): -0.00011215012208320469,
@@ -712,7 +706,7 @@ class TestPeriodizationShiftEquivalence:
         # an image at rho/D = 0.975 of the bump's edge takes most of the
         # series' terms; the circle mean against mpmath's 2F1
         mp = pytest.importorskip("mpmath")
-        bump = eu.registry(2)["bump"]
+        bump = eu.registry()["bump"]
         d, power = 1.0 / 0.975, 3.0
 
         def g(rho):
@@ -725,13 +719,13 @@ class TestPeriodizationShiftEquivalence:
 
     def test_circle_series_past_its_bound_raises(self):
         # the nearest image 0.01 from the bump's edge: rho/D up to 0.99
-        bump = eu.registry(2)["bump"]
+        bump = eu.registry()["bump"]
         with pytest.raises(NonConvergenceError, match="circle series"):
             eu.frac_periodization_shift(bump, 2.2, [1.19, 0.0], 0.5)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_unconverged_raises(self, n):
-        f = eu.registry(n)["gaussian"]
+        f = eu.registry()["gaussian"]
         cfg = QuadratureConfig(max_subdivisions=1)
         with pytest.raises(NonConvergenceError):
             eu.log_periodization_shift(f, 24.0, np.zeros(n), cfg=cfg)
@@ -741,7 +735,7 @@ class TestPeriodizationShiftEquivalence:
 
 class TestLimits:
     def test_e0_monotone_and_quotient(self):
-        bump = eu.registry(1)["bump"]
+        bump = eu.registry()["bump"]
         grid = eu.PeriodicGridFunction.from_function(bump, 1, 24.0, 512)
         mz = grid.with_samples(grid.samples - grid.mean())
         rep = eu.limits_report(mz, [0.2, 0.1, 0.05, 0.02])
@@ -751,7 +745,7 @@ class TestLimits:
             assert 1.0 / 3.0 <= b / a <= 3.0
 
     def test_s_to_one(self):
-        bump = eu.registry(1)["bump"]
+        bump = eu.registry()["bump"]
         grid = eu.PeriodicGridFunction.from_function(bump, 1, 24.0, 512)
         mz = grid.with_samples(grid.samples - grid.mean())
         rep = eu.limits_report(mz, [1e-4])

@@ -4,13 +4,12 @@ and the pointwise operator with its splitting."""
 
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from loglap import hyperbolic as hy
-from loglap.quadrature import NonConvergenceError, QuadratureConfig
+from loglap.quadrature import NonConvergenceError, QuadratureConfig, RadialFunction
 from loglap.specfun import EULER_GAMMA, bessel_k
 
 REL_CFG = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10, max_subdivisions=4000)
@@ -673,7 +672,7 @@ class TestAsymptFit:
 
 class TestPointwise:
     def test_zero_function(self):
-        zero = hy.HyperRadialFunction("zero", lambda r: np.zeros_like(r), 1.0)
+        zero = RadialFunction("zero", lambda r: np.zeros_like(r), 1.0)
         assert hy.log_pointwise_h(3, zero, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_far_outside_support_negative(self):
@@ -749,7 +748,7 @@ class TestPointwise:
         reg = hy.hyper_registry()
         assert reg["bump"].breaks == (0.9, 1.0) and reg["tent"].breaks == (1.0,)
         with pytest.raises(ValueError):
-            hy.HyperRadialFunction("late", hy._hyper_bump, 1.0, breaks=(0.9, 2.0))
+            RadialFunction("late", reg["bump"].profile, 1.0, breaks=(0.9, 2.0))
 
     def test_bochner_route_unconverged_raises(self):
         bump = hy.hyper_registry()["bump"]
@@ -763,7 +762,7 @@ class TestPointwise:
             assert rep.identity_residual <= 1e-8 * (1.0 + abs(rep.direct))
 
     def test_split_zero_function(self):
-        zero = hy.HyperRadialFunction("zero", lambda r: np.zeros_like(r), 1.0)
+        zero = RadialFunction("zero", lambda r: np.zeros_like(r), 1.0)
         rep = hy.split_check(3, zero, 0.0)
         assert rep.near == rep.far == 0.0
         assert rep.remainder == pytest.approx(0.0, abs=1e-15)
@@ -806,10 +805,9 @@ class TestKernelNorms:
             hy.kernel_norms(3, 2.0, [6.0], cfg=cfg)
         with pytest.raises(NonConvergenceError, match="weighted L1"):
             hy.kernel_norms(3, 2.0, [1.0], f=bump, cfg=cfg)
-        # the remainder's split check raises on its own; past it, the kernel
-        # integrals of the bound must raise too
-        no_remainder = SimpleNamespace(remainder=0.0)
-        monkeypatch.setattr(hy, "split_check", lambda *args, **kwargs: no_remainder)
+        # the remainder's radial integrals raise on their own; past them, the
+        # kernel integrals of the bound must raise too
+        monkeypatch.setattr(hy, "_remainder", lambda *args, **kwargs: 0.0)
         with pytest.raises(NonConvergenceError, match="energy inequality"):
             hy._energy_inequality(3, bump, 2.0, 1.0, cfg)
 
