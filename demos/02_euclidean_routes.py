@@ -53,6 +53,6 @@ print("Small-s limits on the torus (mean-zero bump):")
 mz = grid.with_samples(grid.samples - grid.mean())
 rep = euclid.limits_report(mz, [0.2, 0.1, 0.05, 0.02])
 print(f"{'s':>6} {'||(-Lap)^s f - f||':>20} {'||q(s)/s - log route||':>24}")
-for s, e0, _, qv in rep.rows:
+for s, e0, _, qv in rep.table():
     print(f"{s:6.2f} {e0:20.8f} {qv / s:24.8f}")
 print("the first column decreases; the second stabilizes at a constant")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -699,18 +699,14 @@ def _cell_potential_1d(x1: float, j: np.ndarray, L: float) -> np.ndarray:
     return np.log(np.where(right, (hi - x1) / (lo - x1), (x1 - lo) / (x1 - hi)))
 
 
-_CELL_GL = np.polynomial.legendre.leggauss(24)
-
-
 def _cell_potential_2d(x: np.ndarray, j: np.ndarray, L: float) -> float:
     """sum over square cells j, shape (J, 2), of int |x - y|^(-2) dy (cells
     away from x)."""
-    gx, gw = _CELL_GL
-    d1 = j[:, 0, None] * L + 0.5 * L * gx - x[0]
-    d2 = j[:, 1, None] * L + 0.5 * L * gx - x[1]
+    d1 = j[:, 0, None] * L + 0.5 * L * _GL_NODES - x[0]
+    d2 = j[:, 1, None] * L + 0.5 * L * _GL_NODES - x[1]
     vals = d1[:, :, None] ** 2 + d2[:, None, :] ** 2
     np.reciprocal(vals, out=vals)
-    w = 0.5 * L * gw
+    w = 0.5 * L * _GL_WEIGHTS
     return float(np.einsum("a,jab,b->", w, vals, w))
 
 
@@ -876,7 +872,6 @@ class LimitsReport:
     e1: list[float]
     quotient: list[float]
     laplacian_norm: float
-    rows: list[tuple] = field(default_factory=list)
 
     def table(self):
         return [
@@ -916,9 +911,7 @@ def limits_report(grid: PeriodicGridFunction, s_grid) -> LimitsReport:
         e1.append(norm_of(m1s - q2safe * nonzero))
         quot.append(norm_of((ms - 1.0 * nonzero) / s - logq))
     lap_norm = norm_of(q2safe * nonzero)
-    rep = LimitsReport(list(s_grid), e0, e1, quot, lap_norm)
-    rep.rows = rep.table()
-    return rep
+    return LimitsReport(list(s_grid), e0, e1, quot, lap_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -98,12 +98,13 @@ def _odd_heat_coefficients(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _time_factors(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> list[np.ndarray]:
-    """t^(-q_j), times e^(-a t - r^2/4t) unless scaled, one per q_j. Unscaled,
-    the exponent goes inside the power, as (e^(-(a t + r^2/4t)/q) / t)^q at
-    the first q, and each next q_j = q_(j-1) + 1 divides by t once more; so
-    where t^(-q_j) overflows but r^2/4t is large the factor is 0, and where
-    the factor itself overflows, OverflowError names the pair."""
-    qs = _Q[n]
+    """t^(-q_j) (t^(1/2-q_j) on even n, whose u-rule sum is of order sqrt t),
+    times e^(-a t - r^2/4t) unless scaled, one per q_j. Unscaled, the
+    exponent goes inside the power, as (e^(-(a t + r^2/4t)/q) / t)^q at the
+    first q, and each next q_j = q_(j-1) + 1 divides by t once more; so where
+    t^(-q_j) overflows but r^2/4t is large the factor is 0, and where the
+    factor itself overflows, OverflowError names the pair."""
+    qs = _Q[n] if n % 2 else [q - 0.5 for q in _Q[n]]
     if scaled:
         return [t ** -q for q in qs]
     with np.errstate(over="ignore"):
@@ -180,7 +181,8 @@ def _abel_amplitudes(n: int, r: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _heat_even(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray:
     """Heat kernel for n in {2, 4} at matching 1-d arrays r, t. The pair
-    factors carry e^(-r^2/4t) and the nodes e^-(x^2 - r^2)/4t."""
+    factors carry e^(-r^2/4t) and the nodes e^-(x^2 - r^2)/4t; the sum, of
+    order sqrt t, is divided by sqrt t last, so nothing overflows before it."""
     g = np.minimum(1.0, 4.0 * t / (np.sqrt(r * r + 4.0 * t) + r))
     umax = np.minimum(8.0, np.sqrt(184.0 * t / (np.sqrt(r * r + 184.0 * t) + r)))
     factors = _time_factors(n, r, t, scaled)
@@ -192,7 +194,7 @@ def _heat_even(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray
         amp = _abel_amplitudes(n, rc, u)
         vals = sum(aj * fj[pairs, None] for aj, fj in zip(amp, factors))
         out[pairs] = np.cumsum(vals * gauss * weight, axis=-1)[:, -1]
-    return out
+    return out / np.sqrt(t)
 
 
 def heat_kernel(n: int, r, t, scaled: bool = False) -> float | np.ndarray:
@@ -207,7 +209,10 @@ def heat_kernel(n: int, r, t, scaled: bool = False) -> float | np.ndarray:
     at every r including the axis. Even n is the descent from n + 1 on the
     u-rule above, at every r including the axis; each value depends on its
     own (r, t) alone, whatever else the call holds. Raises OverflowError
-    where a value exceeds double precision (t below about 1e-206 near r = 0).
+    where its largest time factor, t^(-q_j) e^(-a t - r^2/4t) (t^(1/2-q_j)
+    times the exponential on even n), exceeds double precision: near r = 0
+    for t below 5.2e-309, 3.0e-206, 7.4e-155 and 4.7e-124 on H^2..H^5. The
+    value is that factor times a constant, 1/(4 pi) on H^2.
     """
     if n not in (2, 3, 4, 5):
         raise ValueError(f"dimension must be in 2..5, got {n}")
@@ -627,17 +632,35 @@ _R_INFINITY = 16.0  # K1 * volume growth is ~ e^(-r^2/4 + (n-1)r/2): dead by 16
 POINTWISE_H_CFG = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=500)
 
 
+def _shell(n: int, g, lo: float, hi: float, cfg: QuadratureConfig, what: str) -> float:
+    """|S^(n-1)| int_lo^hi g(r) sinh^(n-1) r dr: the integral over the shell
+    lo < d(o, y) < hi of H^n of the radial function g(d(o, y)); an
+    unconverged integral raises NonConvergenceError naming `what`."""
+    res = integrate(lambda r: g(r) * np.sinh(r) ** (n - 1), lo, hi, cfg=cfg)
+    return sphere_area(n) * res.checked(what)
+
+
+def _log_weighted(n: int, f: RadialFunction, x_dist: float, weight):
+    """r -> weight(K1(r), K2(r), avg f(r)), avg f the mean of f over the
+    geodesic sphere of radius r about the point at distance x_dist."""
+
+    def g(r):
+        k1, k2 = log_kernel_values(n, r)
+        return weight(k1, k2, _geodesic_average(f.profile, n, x_dist, r, f.breaks))
+
+    return g
+
+
+def _log_power(n: int, part: int, power: float = 1.0):
+    """r -> K1(r)^power (part 1) or K2(r)^power (part 2)."""
+    return lambda r: log_kernel_values(n, r)[part - 1] ** power
+
+
 @functools.cache
 def _k1_tail_constant(n: int) -> float:
     """rho_n^H = |S^(n-1)| int_1^inf K1(r) sinh^(n-1) r dr + Gamma'(1)."""
-    area = sphere_area(n)
-
-    def g(r):
-        k1, _ = log_kernel_values(n, r)
-        return k1 * np.sinh(r) ** (n - 1)
-
-    res = integrate(g, 1.0, _R_INFINITY, cfg=POINTWISE_H_CFG)
-    return area * res.checked(f"K1 tail constant (n={n})") - EULER_GAMMA
+    what = f"K1 tail constant (n={n})"
+    return _shell(n, _log_power(n, 1), 1.0, _R_INFINITY, POINTWISE_H_CFG, what) - EULER_GAMMA
 
 
 def log_pointwise_h(
@@ -653,7 +676,6 @@ def log_pointwise_h(
     """
     if x_dist < 0:
         raise ValueError("x_dist must be nonnegative")
-    area = sphere_area(n)
     fx = float(f.profile(np.array([x_dist]))[0])
     route = f"log_pointwise_h(n={n}, {f.id}, x={x_dist!r})"
     if x_dist > f.support_radius + 0.5:
@@ -665,26 +687,15 @@ def log_pointwise_h(
             return (k1 + k2).reshape(d.shape)
 
         def far_form(rho):
-            ksum = _geodesic_average(k_sum, n, x_dist, rho)
-            return f.profile(rho) * ksum * np.sinh(rho) ** (n - 1)
+            return f.profile(rho) * _geodesic_average(k_sum, n, x_dist, rho)
 
-        far = integrate(far_form, 0.0, f.support_radius, cfg=cfg)
-        return -area * far.checked(f"{route}: far form")
+        return -_shell(n, far_form, 0.0, f.support_radius, cfg, f"{route}: far form")
     r_active = x_dist + f.support_radius
-
-    def core(r):
-        k1, k2 = log_kernel_values(n, r)
-        avg = _geodesic_average(f.profile, n, x_dist, r, f.breaks)
-        return (k1 * (fx - avg) - k2 * avg) * np.sinh(r) ** (n - 1)
-
-    def k1_only(r):
-        k1, _ = log_kernel_values(n, r)
-        return k1 * np.sinh(r) ** (n - 1)
-
-    value = area * integrate(core, 0.0, r_active, cfg=cfg).checked(f"{route}: core")
+    core = _log_weighted(n, f, x_dist, lambda k1, k2, avg: k1 * (fx - avg) - k2 * avg)
+    value = _shell(n, core, 0.0, r_active, cfg, f"{route}: core")
     if fx != 0.0:
-        tail = integrate(k1_only, r_active, _R_INFINITY, cfg=cfg)
-        value += fx * area * tail.checked(f"{route}: K1 tail")
+        what = f"{route}: K1 tail"
+        value += fx * _shell(n, _log_power(n, 1), r_active, _R_INFINITY, cfg, what)
     return value - EULER_GAMMA * fx
 
 
@@ -759,34 +770,19 @@ class SplitReport:
         return abs(self.near + self.far + self.remainder - self.direct)
 
 
-def _split_radial(n: int, f: RadialFunction, x_dist: float, cfg: QuadratureConfig):
-    """radial(weight, lo, hi) = |S^(n-1)| int_lo^hi weight(K1, K2, avg f)
-    sinh^(n-1) r dr, avg f the mean of f over the geodesic sphere of radius r
-    about the point at distance x_dist."""
-    area = sphere_area(n)
-    route = f"split_check(n={n}, {f.id}, x={x_dist!r})"
-
-    def radial(weight, lo: float, hi: float) -> float:
-        def g(r):
-            k1, k2 = log_kernel_values(n, r)
-            avg = _geodesic_average(f.profile, n, x_dist, r, f.breaks)
-            return weight(k1, k2, avg) * np.sinh(r) ** (n - 1)
-
-        return area * integrate(g, lo, hi, cfg=cfg).checked(f"{route}: ({lo}, {hi})")
-
-    return radial
-
-
 def _remainder(n: int, f: RadialFunction, x_dist: float, cfg: QuadratureConfig) -> float:
     """The remainder of the split at x: -int_{B_1} K2 f(y) dvol -
     int_{complement} K1 f(y) dvol + rho_n^H f(x)."""
-    radial = _split_radial(n, f, x_dist, cfg)
     fx = float(f.profile(np.array([x_dist]))[0])
     r_active = x_dist + f.support_radius
+    route = f"split_check(n={n}, {f.id}, x={x_dist!r})"
     k1_outer = 0.0
     if r_active > 1.0:
-        k1_outer = radial(lambda k1, k2, avg: k1 * avg, 1.0, r_active)
-    k2_inner = radial(lambda k1, k2, avg: k2 * avg, 0.0, min(1.0, r_active))
+        k1_avg = _log_weighted(n, f, x_dist, lambda k1, k2, avg: k1 * avg)
+        k1_outer = _shell(n, k1_avg, 1.0, r_active, cfg, f"{route}: (1.0, {r_active})")
+    inner = min(1.0, r_active)
+    k2_avg = _log_weighted(n, f, x_dist, lambda k1, k2, avg: k2 * avg)
+    k2_inner = _shell(n, k2_avg, 0.0, inner, cfg, f"{route}: (0.0, {inner})")
     return -k2_inner - k1_outer + _k1_tail_constant(n) * fx
 
 
@@ -802,13 +798,15 @@ def split_check(
     the remainder collects -int_{B_1} K2 f, -int_{complement} K1 f and the
     tail constant rho_n^H f(x); their sum must reproduce the direct value.
     """
-    radial = _split_radial(n, f, x_dist, cfg)
     fx = float(f.profile(np.array([x_dist]))[0])
     r_active = x_dist + f.support_radius
-    near = radial(lambda k1, k2, avg: k1 * (fx - avg), 0.0, 1.0)
+    route = f"split_check(n={n}, {f.id}, x={x_dist!r})"
+    near_form = _log_weighted(n, f, x_dist, lambda k1, k2, avg: k1 * (fx - avg))
+    near = _shell(n, near_form, 0.0, 1.0, cfg, f"{route}: (0.0, 1.0)")
     far = 0.0
     if r_active > 1.0:
-        far = -radial(lambda k1, k2, avg: k2 * avg, 1.0, r_active)
+        k2_avg = _log_weighted(n, f, x_dist, lambda k1, k2, avg: k2 * avg)
+        far = -_shell(n, k2_avg, 1.0, r_active, cfg, f"{route}: (1.0, {r_active})")
     remainder = _remainder(n, f, x_dist, cfg)
     rho_h = _k1_tail_constant(n)
     direct = log_pointwise_h(n, f, x_dist, cfg=cfg)
@@ -817,34 +815,20 @@ def split_check(
 
 def heat_mass(n: int, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Total heat-kernel mass |S^(n-1)| int p_n(r, t) sinh^(n-1) r dr."""
-    area = sphere_area(n)
     rmax = (n - 1) * t + 14.0 * math.sqrt(t) + 12.0
-
-    def g(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return heat_kernel(n, r, t) * np.sinh(r) ** (n - 1)
-
-    return area * integrate(g, 0.0, rmax, cfg=cfg).checked(f"heat_mass(n={n}, t={t})")
-
-
-def _panels(edges):
-    """Composite 24-point Gauss-Legendre nodes and weights on consecutive edges."""
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(24)
-    edges = np.asarray(edges, dtype=float)
-    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
-    return (lo + half * (gl_nodes + 1.0)).ravel(), (half * gl_weights).ravel()
-
-
-_CK_R, _CK_W = _panels(np.linspace(0.0, 14.0, 29))
+    return _shell(n, lambda r: heat_kernel(n, r, t), 0.0, rmax, cfg, f"heat_mass(n={n}, t={t})")
 
 
 def chapman_kolmogorov_residual(t: float, s: float, dist: float) -> float:
     """|int p_t(x, y) p_s(y, z) dvol(y) - p_{t+s}(d(x,z))| on H^3."""
     n = 3
-    rr, wr = _CK_R, _CK_W
-    inner = _geodesic_average(lambda d: heat_kernel(n, d, s), n, dist, rr)
-    total = 4.0 * math.pi * float((wr * heat_kernel(n, rr, t) * np.sinh(rr) ** 2) @ inner)
-    return abs(total - heat_kernel(n, dist, t + s))
+
+    def g(r):
+        inner = _geodesic_average(lambda d: heat_kernel(n, d, s), n, dist, r)
+        return heat_kernel(n, r, t) * inner
+
+    what = f"chapman_kolmogorov_residual(t={t}, s={s}, d={dist})"
+    return abs(_shell(n, g, 0.0, 14.0, DEFAULT_CONFIG, what) - heat_kernel(n, dist, t + s))
 
 
 # ---------------------------------------------------------------------------
@@ -882,67 +866,43 @@ def kernel_norms(
     radii = [float(r) for r in r_trunc_list]
     if sorted(radii) != radii:
         raise ValueError("truncation radii must increase")
-    area = sphere_area(n)
-
-    def k2_pow(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        _, k2 = log_kernel_values(n, r)
-        return k2 ** p * np.sinh(r) ** (n - 1)
-
+    k2_pow = _log_power(n, 2, p)
     norms = []
     acc = 0.0
     prev = 0.0
     for rt in radii:
-        acc += integrate(k2_pow, prev, rt, cfg=cfg).checked(
-            f"kernel_norms(n={n}, p={p}): ({prev}, {rt})"
-        )
+        acc += _shell(n, k2_pow, prev, rt, cfg, f"kernel_norms(n={n}, p={p}): ({prev}, {rt})")
         prev = rt
-        norms.append((area * acc) ** (1.0 / p))
-    rates = []
-    for i in range(1, len(radii)):
-        inc = norms[i] ** p - norms[i - 1] ** p if p == 1.0 else 0.0
-        if p == 1.0:
-            rates.append(inc / math.log(radii[i] / radii[i - 1]))
+        norms.append(acc ** (1.0 / p))
+    steps = zip(norms, norms[1:], radii, radii[1:])
+    rates = [(b - a) / math.log(rb / ra) for a, b, ra, rb in steps] if p == 1.0 else []
     report = KernelNormReport(p, radii, norms, rates)
     if f is not None:
         def weighted(r):
-            r = np.atleast_1d(np.asarray(r, dtype=float))
-            return (
-                np.abs(f.profile(r))
-                * np.exp(-(n - 1) * r)
-                / (1.0 + r)
-                * np.sinh(r) ** (n - 1)
-            )
+            return np.abs(f.profile(r)) * np.exp(-(n - 1) * r) / (1.0 + r)
 
-        report.weighted_l1 = area * integrate(
-            weighted, 0.0, f.support_radius, cfg=cfg
-        ).checked(f"kernel_norms(n={n}): weighted L1 of {f.id}")
+        what = f"kernel_norms(n={n}): weighted L1 of {f.id}"
+        report.weighted_l1 = _shell(n, weighted, 0.0, f.support_radius, cfg, what)
     if f is not None and energy_pq is not None:
         pe, qe = energy_pq
         if abs(1.0 / qe + 2.0 / pe - 2.0) > 1e-12:
             raise ValueError("energy exponents must satisfy 1/q + 2/p = 2")
-        report.energy_lhs, report.energy_rhs = _energy_inequality(
-            n, f, pe, qe, cfg
-        )
+        report.energy_lhs, report.energy_rhs = _energy_inequality(n, f, pe, qe, cfg)
     return report
 
 
 def _lp_norm_radial(f: RadialFunction, n: int, p: float) -> float:
-    area = sphere_area(n)
-    res = integrate(
-        lambda r: np.abs(f.profile(np.atleast_1d(r))) ** p
-        * np.sinh(np.atleast_1d(r)) ** (n - 1),
-        0.0,
-        f.support_radius,
-    )
-    return (area * res.checked(f"L^{p} norm of {f.id}")) ** (1.0 / p)
+    def g(r):
+        return np.abs(f.profile(r)) ** p
+
+    what = f"L^{p} norm of {f.id}"
+    return _shell(n, g, 0.0, f.support_radius, DEFAULT_CONFIG, what) ** (1.0 / p)
 
 
 def _energy_inequality(
     n: int, f: RadialFunction, p: float, q: float, cfg: QuadratureConfig
 ) -> tuple[float, float]:
     """LHS = int |R_n(f; x)| |f(x)| dvol against the Young-type bound."""
-    area = sphere_area(n)
     rho_h = _k1_tail_constant(n)
     # |remainder(x)| |f(x)| is smooth on the support; a short Gauss rule
     # suffices and each node costs two radial integrals
@@ -951,23 +911,11 @@ def _energy_inequality(
     ws = 0.5 * f.support_radius * gw
     lhs_vals = [abs(_remainder(n, f, float(xd), cfg)) for xd in xs]
     fx = np.abs(f.profile(xs))
-    lhs = area * float(ws @ (np.array(lhs_vals) * fx * np.sinh(xs) ** (n - 1)))
-
-    def k2_ball(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        _, k2 = log_kernel_values(n, r)
-        return k2 ** q * np.sinh(r) ** (n - 1)
-
-    def k1_outside(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        k1, _ = log_kernel_values(n, r)
-        return k1 ** q * np.sinh(r) ** (n - 1)
+    lhs = sphere_area(n) * float(ws @ (np.array(lhs_vals) * fx * np.sinh(xs) ** (n - 1)))
 
     what = f"energy inequality (n={n}, q={q})"
-    k2_q = (area * integrate(k2_ball, 0.0, 1.0, cfg=cfg).checked(f"{what}: K2")) ** (1.0 / q)
-    k1_q = (
-        area * integrate(k1_outside, 1.0, _R_INFINITY, cfg=cfg).checked(f"{what}: K1")
-    ) ** (1.0 / q)
+    k2_q = _shell(n, _log_power(n, 2, q), 0.0, 1.0, cfg, f"{what}: K2") ** (1.0 / q)
+    k1_q = _shell(n, _log_power(n, 1, q), 1.0, _R_INFINITY, cfg, f"{what}: K1") ** (1.0 / q)
     fp = _lp_norm_radial(f, n, p)
     f2 = _lp_norm_radial(f, n, 2.0)
     rhs = k2_q * fp ** 2 + k1_q * fp ** 2 + abs(rho_h) * f2 ** 2

@@ -113,6 +113,24 @@ class TestKernelCommand:
         )
         assert rc == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", ["2", "4"])
+    def test_tiny_time_heat_table(self, tmp_path, capsys, n):
+        # p_2 ~ (4 pi t)^(-1) = 7.96e248 fits at t = 1e-250, where t^(-3/2)
+        # once overflowed; p_4 ~ t^(-2) does not, and exits 2 with no warning
+        out = tmp_path / "x.csv"
+        rc = main_rc(
+            "kernel", "--space", "hyperbolic", "--kind", "heat", "--n", n, "--t", "1e-250",
+            "--r-min", "1e-130", "--r-max", "1e-125", "--points", "3", "--out", str(out),
+        )
+        if n == "2":
+            assert rc == 0
+            flat = math.exp(-1e-260 / 4e-250) * 1e250 / (4.0 * math.pi)
+            assert read_rows(out)[1][0][1] == pytest.approx(flat, rel=1e-13)
+        else:
+            assert rc == 2
+            assert "r=1e-130, t=1e-250" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", ["2", "4"])
     def test_even_frac_table_near_axis(self, tmp_path, n):
         # the even-n heat kernel is resolved down to the axis, so the table

@@ -95,7 +95,7 @@ _VERIFY = st.tuples(
 # database is a local cache: a subnormal sinh|x| sinh r in the sphere mean
 # overflowed a division, the Bessel closed form and the time-quadrature frac
 # table overflowed at tiny radii, and so did the heat kernel's t^(-q_j) at a
-# subnormal t
+# subnormal t; at t = 1e-250 the H^2 heat table fits and the H^4 one does not
 @example(
     command=(["apply"], "--space hyperbolic --op log --fn bump --n 2 --x-dist 2.23e-311".split()),
     with_out=False,
@@ -117,6 +117,22 @@ _VERIFY = st.tuples(
 )
 @example(
     command=(["kernel"], "--space hyperbolic --kind heat --n 2 --t 4.94e-324".split()),
+    with_out=False,
+)
+@example(
+    command=(
+        ["kernel"],
+        "--space hyperbolic --kind heat --n 2 --t 1e-250 --r-min 1e-130 --r-max 1e-125 "
+        "--points 3".split(),
+    ),
+    with_out=False,
+)
+@example(
+    command=(
+        ["kernel"],
+        "--space hyperbolic --kind heat --n 4 --t 1e-250 --r-min 1e-130 --r-max 1e-125 "
+        "--points 3".split(),
+    ),
     with_out=False,
 )
 def test_documented_exit_codes(tmp_path_factory, command, with_out):
