@@ -43,6 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--route",
         choices=["time_quadrature", "bessel_closed_form"],
         default="time_quadrature",
+        help="hyperbolic frac/log1/log2 tables: adaptive time quadrature of the"
+        " heat kernel, or its exact time transform (Bessel K for frac, erfc and"
+        " Bessel K for log1/log2) on n in 2..5; heat and euclid tables take the"
+        " default only",
     )
     k.add_argument("--grid-points", type=int, default=64, help="torus samples per axis")
     k.add_argument("--length", type=float, default=24.0, help="torus side length")
@@ -110,6 +114,8 @@ def _cmd_kernel(args) -> int:
     if args.space == "euclid":
         if args.n not in (1, 2, 3):
             return _fail_args("euclid kernels cover n in 1..3")
+        if args.route != "time_quadrature":
+            return _fail_args("euclid kernels are closed forms and take no --route")
         if args.kind == "heat":
             try:
                 gauss = _torus(euclid.registry()["gaussian"], args)
@@ -136,8 +142,6 @@ def _cmd_kernel(args) -> int:
 
     if args.n not in (2, 3, 4, 5):
         return _fail_args("hyperbolic kernels cover n in 2..5")
-    if args.kind == "frac" and args.route == "bessel_closed_form" and args.n not in (3, 5):
-        return _fail_args("the Bessel closed form needs n in {3, 5}")
     try:
         table = hyperbolic.build_kernel_table(
             args.n,

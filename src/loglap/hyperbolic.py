@@ -14,9 +14,10 @@ The heat kernel is that form at given t. The logarithmic kernels K1 and K2
 (the integrals of p_n dt/t over (0, 1] and (1, inf)) replace t^(-q_j)
 e^(-a t - x^2/4t) by its time integrals, closed forms of erfc and
 half-integer Bessel K, in `log_kernel_values`; `log_kernels` and the log
-tables integrate the heat kernel in time adaptively. The fractional kernel
-comes from time quadrature of the heat kernel or, in dimensions 3 and 5,
-from the whole-line transform, one Bessel K_(q_j+s) per coefficient c_j.
+tables integrate the heat kernel in time adaptively, or take those closed
+forms on the transform route. The fractional kernel comes from time
+quadrature of the heat kernel or, in every dimension, from the whole-line
+transform, one Bessel K_(q_j+s) per amplitude A_j.
 """
 
 from __future__ import annotations
@@ -89,7 +90,10 @@ def _odd_heat_coefficients(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     rcsch = np.where(r > 0.0, 2.0 * r * e / one_minus, 1.0)
     if n == 3:
         return rcsch, np.full((1,) + (1,) * np.ndim(r), _ODD_PREF)
-    h1 = (r * (1.0 + e * e) / one_minus - 1.0) / np.maximum(r * r, 1.0)
+    # past r = 1e100, where e and so every c_j is 0, h1 is taken at 1e100 so
+    # that r^2 does not overflow
+    rh = np.minimum(r, 1e100)
+    h1 = (rh * (1.0 + e * e) / one_minus - 1.0) / np.maximum(rh * rh, 1.0)
     small = r < 1.0
     if small.any():
         h1[small] = rcsch[small] * _horner(r[small] ** 2, _H1_SERIES)
@@ -103,19 +107,23 @@ def _time_factors(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> list[np
     exponent goes inside the power, as (e^(-(a t + r^2/4t)/q) / t)^q at the
     first q, and each next q_j = q_(j-1) + 1 divides by t once more; so where
     t^(-q_j) overflows but r^2/4t is large the factor is 0, and where the
-    factor itself overflows, OverflowError names the pair."""
+    factor itself overflows, OverflowError names the pair; so it does where
+    a scaled factor t^(-q_j) overflows."""
     qs = _Q[n] if n % 2 else [q - 0.5 for q in _Q[n]]
-    if scaled:
-        return [t ** -q for q in qs]
     with np.errstate(over="ignore"):
-        expo = 0.25 * (n - 1) ** 2 * t + r * r / (4.0 * t)
-        factors = [(np.exp(-expo / qs[0]) / t) ** qs[0]]
-        for _ in qs[1:]:
-            factors.append(factors[-1] / t)
+        if scaled:
+            factors = [t ** -q for q in qs]
+        else:
+            expo = 0.25 * (n - 1) ** 2 * t + r * r / (4.0 * t)
+            factors = [(np.exp(-expo / qs[0]) / t) ** qs[0]]
+            for _ in qs[1:]:
+                factors.append(factors[-1] / t)
     # the last factor is the largest wherever t < 1, and all are <= 1 where not
     bad = ~np.isfinite(factors[-1])
     if bad.any():
-        rb, tb = (float(np.broadcast_to(v, bad.shape)[bad][0]) for v in (r, t))
+        shape = np.broadcast_shapes(np.shape(r), np.shape(t))
+        bad = np.broadcast_to(bad, shape)
+        rb, tb = (float(np.broadcast_to(v, shape)[bad][0]) for v in (r, t))
         raise OverflowError(f"heat_kernel(n={n}) overflows double precision at r={rb}, t={tb}")
     return factors
 
@@ -136,29 +144,31 @@ def _heat_odd(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray:
 # is the midpoint rule in w for u = c sinh w at one fixed step, which
 # converges geometrically since the integrand is even and analytic in w;
 # c^2 follows the smaller of the scales r (the peak of 1/sinh y) and g (the
-# Gaussian's u^2 scale, 1 for the time transforms), floored at 1e-12 g.
+# Gaussian's u^2 scale, 1 for the time transforms), floored at 1e-12 g for
+# the heat kernel, which has no peak to follow there, and at 1e-150 for the
+# transforms, whose t^(-q_j) singularity makes one at u ~ sqrt r on every r.
 # Each pair takes the nodes up to its own wmax = arsinh(umax / c), umax the
 # u where the Gaussian has fallen to e^-46, or 8 (where the amplitudes and
 # G_q have fallen below e^-32), and sums them with a running sum, so that
 # its value does not depend on the other pairs of its block
 def _midpoint_rule(step: float) -> tuple[float, np.ndarray, np.ndarray]:
     """(step, sinh w_k, cosh w_k) at w_k = (k + 1/2) step up to the largest
-    wmax, arsinh(8e6)."""
-    w = (np.arange(math.ceil(math.asinh(8e6) / step) + 1) + 0.5) * step
+    wmax, arsinh(8e75)."""
+    w = (np.arange(math.ceil(math.asinh(8e75) / step) + 1) + 0.5) * step
     return step, np.sinh(w), np.cosh(w)
 
 
 _U_RULE = _midpoint_rule(0.07)
 _EVEN_CHUNK = 1 << 12  # (pair, u) elements per temporary array
+_C2_FLOOR = 1e-150  # u^4 stays normal where r and g are smaller still
 
 
-def _u_blocks(r: np.ndarray, g, umax):
+def _u_blocks(r: np.ndarray, g, umax, floor):
     """(pairs, u, weights) for blocks of the pairs with radii r, Gaussian
-    scales g and cutoffs umax; the weights past a pair's own wmax are 0. c^2
-    is floored at 1e-150 too, so that u^4 stays normal where r and g are
-    smaller still; the values there are 0 or overflow."""
+    scales g, cutoffs umax and floors of c^2, each at least _C2_FLOOR; the
+    weights past a pair's own wmax are 0."""
     step, sinh_w, cosh_w = _U_RULE
-    c = np.sqrt(np.maximum(np.minimum(r, g), np.maximum(1e-12 * g, 1e-150)))
+    c = np.sqrt(np.maximum(np.minimum(r, g), floor))
     count = np.ceil(np.arcsinh(umax / c) / step).clip(1, sinh_w.size).astype(int)
     size = max(1, _EVEN_CHUNK // int(count.max(initial=1)))
     for lo in range(0, r.size, size):
@@ -187,7 +197,8 @@ def _heat_even(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray
     umax = np.minimum(8.0, np.sqrt(184.0 * t / (np.sqrt(r * r + 184.0 * t) + r)))
     factors = _time_factors(n, r, t, scaled)
     out = np.empty(r.shape)
-    for pairs, u, weight in _u_blocks(r, g, umax):
+    floor = np.maximum(1e-12 * g, _C2_FLOOR)
+    for pairs, u, weight in _u_blocks(r, g, umax, floor):
         rc, u2 = r[pairs, None], u * u
         with np.errstate(over="ignore"):
             gauss = np.exp(-u2 * (2.0 * rc + u2) / (4.0 * t[pairs, None]))
@@ -212,7 +223,9 @@ def heat_kernel(n: int, r, t, scaled: bool = False) -> float | np.ndarray:
     where its largest time factor, t^(-q_j) e^(-a t - r^2/4t) (t^(1/2-q_j)
     times the exponential on even n), exceeds double precision: near r = 0
     for t below 5.2e-309, 3.0e-206, 7.4e-155 and 4.7e-124 on H^2..H^5. The
-    value is that factor times a constant, 1/(4 pi) on H^2.
+    value is that factor times a constant, 1/(4 pi) on H^2. With scaled=True
+    the factor is t^(-q_j) alone (t^(1/2-q_j) on even n), and it raises where
+    that factor overflows, at every r.
     """
     if n not in (2, 3, 4, 5):
         raise ValueError(f"dimension must be in 2..5, got {n}")
@@ -285,9 +298,10 @@ def frac_kernel(
     """Fractional kernel int_0^inf p_n(r, t) t^(-1-s) dt on H^n.
 
     route="time_quadrature" splits at t = 1 with the short-time substitution
-    u = r^2/4t; route="bessel_closed_form" (n in {3, 5}) evaluates the exact
-    Bessel-function form, one K_(q_j+s) per heat-kernel coefficient c_j. The
-    value is the row of r in any `frac` table with the same arguments.
+    u = r^2/4t; route="bessel_closed_form" evaluates the exact time
+    transform, one Bessel K_(q_j+s) per heat-kernel amplitude: per
+    coefficient c_j on odd n, summed over the u-rule of the descent on even
+    n. The value is the row of r in any `frac` table with the same arguments.
     """
     return float(_frac_values(n, s, np.array([r], dtype=float), route, cfg)[0])
 
@@ -299,19 +313,9 @@ def _frac_values(
         raise ValueError(f"s must lie in (0, 1), got {s}")
     _check_radii(r)
     if route == "bessel_closed_form":
-        if n not in (3, 5):
-            raise ValueError("closed Bessel form available for n in {3, 5} only")
-        # the time integral of c_j t^(-q_j-1-s) e^(-a t - r^2/4t) over (0, inf)
-        # is c_j 2 (2 sqrt(a) / r)^p K_p(sqrt(a) r) with p = q_j + s; with
-        # nu = s + 1/2 that is 2^nu / (2 pi^(3/2)) r^-nu csch r K_(nu+1)(r) on
-        # H^3 and 4^nu / (4 pi^(5/2)) 2 r^-nu csch^2 r [2 K_(nu+2)(2r) +
-        # (coth r - 1/r) K_(nu+1)(2r)] on H^5
-        sa = 0.5 * (n - 1)
-        total = np.zeros(r.shape)
-        rcsch, d = _odd_heat_coefficients(n, r)
+        # near the axis the kernel exceeds double precision (r = 1e-100 on H^3)
         with np.errstate(over="ignore"):
-            for dj, q in zip(d, _Q[n]):
-                total += dj * rcsch * 2.0 * (2.0 * sa / r) ** (q + s) * bessel_k(q + s, sa * r)
+            (total,) = _transform(n, r, lambda x, amp: (_bessel_transform(n, s, x, amp),))
     elif route == "time_quadrature":
         head = _time_integral(n, r, s, 1, cfg)
         tail = _time_integral(n, r, s, 2, cfg)
@@ -323,15 +327,33 @@ def _frac_values(
             total = (4.0 / (r * r)) ** s * head.value + tail.value
     else:
         raise ValueError(f"unknown route {route!r}")
-    if not np.all(np.isfinite(total)):
-        bad = float(r[~np.isfinite(total)][0])
-        raise OverflowError(f"frac_kernel(n={n}, s={s}) overflows at r={bad}")
-    return total
+    return _finite(total, r, f"frac_kernel(n={n}, s={s})")
+
+
+def _bessel_transform(n: int, s: float, x: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """sum_j A_j 2 (2 sqrt(a) / x)^p K_p(sqrt(a) x), p = q_j + s: the time
+    integral of A_j t^(-q_j-1-s) e^(-a t - x^2/4t) over (0, inf), for A_j
+    stacked along the first axis of amp, one per q_j of n. On H^3 that is
+    2^nu / (2 pi^(3/2)) r^-nu csch r K_(nu+1)(r) with nu = s + 1/2."""
+    sa = 0.5 * (n - 1)
+    return sum(
+        aj * 2.0 * (2.0 * sa / x) ** (q + s) * bessel_k(q + s, sa * x)
+        for aj, q in zip(amp, _Q[n])
+    )
 
 
 def _check_radii(r: np.ndarray) -> None:
     if not np.all(r > 0.0):
         raise ValueError(f"r must be positive, got {r[~(r > 0.0)][0]}")
+
+
+def _finite(values: np.ndarray, r: np.ndarray, what: str) -> np.ndarray:
+    """values, or OverflowError naming the first radius whose value is not
+    finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise OverflowError(f"{what} overflows double precision at r={float(r[bad][0])}")
+    return values
 
 
 def _time_integral(
@@ -362,9 +384,16 @@ def _time_integral(
 # logarithmic kernels K1 (short time) and K2 (long time)
 
 
-def _log_values(n: int, r: np.ndarray, part: int, cfg: QuadratureConfig) -> np.ndarray:
-    """K1 (part 1, short time) or K2 (part 2, long time) at each radius."""
+def _log_values(
+    n: int, r: np.ndarray, part: int, route: str, cfg: QuadratureConfig
+) -> np.ndarray:
+    """K1 (part 1, short time) or K2 (part 2, long time) at each radius; on
+    the transform route K2 is finite even where K1's transform overflows."""
     _check_radii(r)
+    if route == "bessel_closed_form":
+        return _finite(_log_transform_values(n, r)[part - 1], r, f"K{part}(n={n})")
+    if route != "time_quadrature":
+        raise ValueError(f"unknown route {route!r}")
     res = _time_integral(n, r, 0.0, part, cfg)
     bad = np.flatnonzero(~res.converged)
     if bad.size:
@@ -378,7 +407,7 @@ def log_kernels(
     """(K1, K2) = (int_0^1, int_1^inf) of p_n(r, t) dt/t, adaptively; the
     rows of r in `log1` and `log2` tables."""
     r = np.array([r], dtype=float)
-    return float(_log_values(n, r, 1, cfg)[0]), float(_log_values(n, r, 2, cfg)[0])
+    return tuple(float(_log_values(n, r, part, "time_quadrature", cfg)[0]) for part in (1, 2))
 
 
 # K1 = sum_j A_j F_(q_j) and K2 = sum_j A_j G_(q_j), where F_q and G_q integrate
@@ -436,32 +465,53 @@ def _log_transforms(n: int, sb: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray
     return np.sum(amp * f, axis=0), np.sum(amp * g, axis=0)
 
 
+def _transform(n: int, r: np.ndarray, kernel, outputs: int = 1) -> tuple[np.ndarray, ...]:
+    """The time transforms kernel(x, amp) of the heat kernel's form at each
+    radius: x = r and amp the coefficients c_j(r) on odd n; on even n
+    summed over the u-rule (g = 1), x = r + u^2 and amp the amplitudes
+    A_j(r, u) times the rule's weights. kernel returns `outputs` arrays,
+    each summed over j."""
+    if n not in _Q:
+        raise ValueError(f"dimension must be in 2..5, got {n}")
+    if n % 2:
+        rcsch, d = _odd_heat_coefficients(n, r)
+        return kernel(r, d * rcsch)
+    out = np.empty((outputs,) + r.shape)
+    for pairs, u, weight in _u_blocks(r, 1.0, 8.0, _C2_FLOOR):
+        rc = r[pairs, None]
+        amp = _abel_amplitudes(n, rc, u) * weight
+        for o, v in zip(out, kernel(rc + u * u, amp)):
+            o[pairs] = np.cumsum(v, axis=-1)[:, -1]
+    return tuple(out)
+
+
 def log_kernel_values(n: int, r_values) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (K1, K2) over an array of positive radii, without error
     estimates; used inside pointwise operators and norm integrals, where the
-    kernels are needed at many quadrature nodes.
+    kernels are needed at many quadrature nodes, and the rows of `log1` and
+    `log2` tables on the transform route.
 
     Both are time transforms of the heat kernel's form, summed over the
     coefficients c_j on odd n and over the u-rule of the heat kernel on even
     n. Against mpmath they are within 1e-13 (relative) for r in [1e-3, 16]
     (K1) and [1e-3, 30] (K2) on odd n, and at r = 1e-3, 1e-4 and 1e-5 on
-    even n; 0 where they underflow. Even n is within 1e-14 of tight time quadrature
-    over [0.05, 16].
+    even n; 0 where they underflow. Even n is within 1e-14 of tight time
+    quadrature over [0.05, 16], and the u-rule follows the K1 peak down to
+    r = 1e-150. Raises OverflowError naming the radius where K1's transform
+    exceeds double precision, near the axis: below r = 3.7e-103 (H^2),
+    4.8e-103 (H^3), 7.4e-62 (H^4) and 1.1e-61 (H^5).
     """
-    if n not in (2, 3, 4, 5):
-        raise ValueError(f"dimension must be in 2..5, got {n}")
     r = np.atleast_1d(np.asarray(r_values, dtype=float))
     _check_radii(r)
-    if n % 2:
-        rcsch, d = _odd_heat_coefficients(n, r)
-        return _log_transforms(n, 0.5 * r, d * rcsch)
-    k1, k2 = np.empty(r.shape), np.empty(r.shape)
-    for pairs, u, weight in _u_blocks(r, 1.0, 8.0):
-        rc = r[pairs, None]
-        amp = _abel_amplitudes(n, rc, u) * weight
-        f, g = _log_transforms(n, 0.5 * (rc + u * u), amp)
-        k1[pairs], k2[pairs] = np.cumsum(f, axis=-1)[:, -1], np.cumsum(g, axis=-1)[:, -1]
-    return k1, k2
+    what = f"log_kernel_values(n={n})"
+    return tuple(_finite(k, r, what) for k in _log_transform_values(n, r))
+
+
+def _log_transform_values(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K1, K2) at positive radii, with inf or nan where K1's transform
+    overflows; the recurrence for F_q runs through inf and 0 * inf there."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _transform(n, r, lambda x, amp: _log_transforms(n, 0.5 * x, amp), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -519,23 +569,27 @@ def build_kernel_table(
 ) -> KernelTable:
     """Tabulate a radial kernel over r_grid.
 
-    kind: "frac" (needs s), "log1"/"log2", or "heat" (needs t). Heat and
-    Bessel closed-form tables are one array evaluation; the time-quadrature
-    kinds run one independent adaptive integral per radius, all rows in
-    lockstep, so every row equals its one-point table bit for bit.
+    kind: "frac" (needs s), "log1"/"log2", or "heat" (needs t). Heat
+    tables and, for the other kinds, route="bessel_closed_form" (the exact
+    time transforms of `frac_kernel` and `log_kernel_values`) are one array
+    evaluation; route="time_quadrature" runs one independent adaptive
+    integral per radius, all rows in lockstep. Either way every row equals
+    its one-point table bit for bit. Heat tables have no route but the
+    default, which their sidecar records.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if kind == "heat":
+        if route != "time_quadrature":
+            raise ValueError(f"heat tables have no route {route!r}")
         values = heat_kernel(n, r_grid, t)
     elif kind == "frac":
         values = _frac_values(n, s, r_grid, route, cfg)
     elif kind in ("log1", "log2"):
-        values = _log_values(n, r_grid, 1 if kind == "log1" else 2, cfg)
+        values = _log_values(n, r_grid, 1 if kind == "log1" else 2, route, cfg)
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
     parameter = s if kind == "frac" else t if kind == "heat" else None
-    table_route = route if kind == "frac" else "time_quadrature"
-    return KernelTable(n, parameter, r_grid, values, table_route, cfg, kind)
+    return KernelTable(n, parameter, r_grid, values, route, cfg, kind)
 
 
 class IllConditionedError(ValueError):

@@ -34,8 +34,11 @@ from .specfun import (
 
 SUITES = ("specfun", "identities", "euclid", "hyperbolic", "spectral")
 
-# relative-error quadrature for kernel tables far in the exponential tail
+# relative-error time quadrature, the check route of the transforms
 REL_CFG = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10, max_subdivisions=4000)
+# the exact time transforms of the heat kernel, for the asymptotic fits
+TRANSFORM = "bessel_closed_form"
+DUAL_ROUTE_RADII = (0.5, 1.0, 2.0, 4.0)
 
 LARGE_R_WINDOW = (28.0, 64.0)
 K1_GAUSS_WINDOW = (5.0, 12.0)
@@ -364,11 +367,11 @@ def suite_hyperbolic() -> VerifyReport:
             statement="uniform two-sided heat-kernel comparison",
         )
 
-    # fractional kernel asymptotics
+    # fractional kernel asymptotics, on the exact transforms
     for n in (2, 3):
         for s in (0.25, 0.5, 0.75):
             small = hyperbolic.build_kernel_table(
-                n, "frac", np.geomspace(0.01, 0.25, 8), s=s, cfg=REL_CFG
+                n, "frac", np.geomspace(0.01, 0.25, 8), s=s, route=TRANSFORM
             )
             fit = hyperbolic.asympt_fit(small, "small_r", "power")
             tgt = -(n + 2.0 * s)
@@ -380,7 +383,7 @@ def suite_hyperbolic() -> VerifyReport:
                 statement="kernel ~ r^-(n+2s) as r -> 0",
             )
             large = hyperbolic.build_kernel_table(
-                n, "frac", np.linspace(*LARGE_R_WINDOW, 10), s=s, cfg=REL_CFG
+                n, "frac", np.linspace(*LARGE_R_WINDOW, 10), s=s, route=TRANSFORM
             )
             fit = hyperbolic.asympt_fit(large, "large_r", "power_exp", LARGE_R_WINDOW)
             rep.add(
@@ -401,7 +404,7 @@ def suite_hyperbolic() -> VerifyReport:
     # log kernel asymptotics
     for n in (2, 3):
         small = hyperbolic.build_kernel_table(
-            n, "log1", np.geomspace(0.01, 0.25, 8), cfg=REL_CFG
+            n, "log1", np.geomspace(0.01, 0.25, 8), route=TRANSFORM
         )
         fit = hyperbolic.asympt_fit(small, "small_r", "power")
         rep.add(
@@ -412,7 +415,7 @@ def suite_hyperbolic() -> VerifyReport:
             statement="K1 ~ r^-n as r -> 0",
         )
         k1tab = hyperbolic.build_kernel_table(
-            n, "log1", np.linspace(*K1_GAUSS_WINDOW, 10), cfg=REL_CFG
+            n, "log1", np.linspace(*K1_GAUSS_WINDOW, 10), route=TRANSFORM
         )
         fit = hyperbolic.asympt_fit(k1tab, "large_r", "gaussian_tail", K1_GAUSS_WINDOW)
         rep.add(
@@ -423,7 +426,7 @@ def suite_hyperbolic() -> VerifyReport:
             statement="K1 ~ r^((n-5)/2) e^(-(n-1)r/2) e^(-r^2/4) for large r",
         )
         k2tab = hyperbolic.build_kernel_table(
-            n, "log2", np.linspace(*LARGE_R_WINDOW, 10), cfg=REL_CFG
+            n, "log2", np.linspace(*LARGE_R_WINDOW, 10), route=TRANSFORM
         )
         fit = hyperbolic.asympt_fit(k2tab, "large_r", "power_exp", LARGE_R_WINDOW)
         rep.add(
@@ -440,7 +443,9 @@ def suite_hyperbolic() -> VerifyReport:
             0.15,
             statement="same asymptotic, power factor",
         )
-        k2near = hyperbolic.build_kernel_table(n, "log2", np.linspace(0.01, 0.1, 7)).values
+        k2near = hyperbolic.build_kernel_table(
+            n, "log2", np.linspace(0.01, 0.1, 7), route=TRANSFORM
+        ).values
         rep.add(
             f"k2-const-n{n}",
             f"long-time log kernel flat near the diagonal, n={n}",
@@ -499,23 +504,38 @@ def suite_hyperbolic() -> VerifyReport:
         statement="two independent routes to log(-Lap) on H^3",
     )
 
-    # dual-route fractional kernel
-    worst = 0.0
-    for n in (3, 5):
-        for s in (0.25, 0.5, 0.75):
-            a, b = (
-                hyperbolic.build_kernel_table(n, "frac", [0.5, 1.0, 2.0, 4.0], s=s, route=route)
-                .values
-                for route in ("time_quadrature", "bessel_closed_form")
-            )
-            worst = max(worst, float(np.max(np.abs(a - b) / np.abs(b))))
+    # dual-route kernels: time quadrature against the exact transforms
+    def dual_route(n, kind, s=None, cfg=hyperbolic.DEFAULT_CONFIG):
+        a, b = (
+            hyperbolic.build_kernel_table(n, kind, DUAL_ROUTE_RADII, s=s, route=route, cfg=cfg)
+            .values
+            for route in ("time_quadrature", TRANSFORM)
+        )
+        return float(np.max(np.abs(a - b) / b))
+
     rep.add(
         "frac-dual-route",
         "time quadrature vs Bessel closed form on the (n, s, r) grid",
-        worst,
+        max(dual_route(n, "frac", s) for n in (3, 5) for s in (0.25, 0.5, 0.75)),
         1e-7,
         statement="both evaluations of the fractional kernel agree",
     )
+    for n in (2, 4):
+        rep.add(
+            f"frac-dual-route-n{n}",
+            f"Bessel transform of the descent vs time quadrature, s in {{0.25, 0.75}}, n={n}",
+            max(dual_route(n, "frac", s, REL_CFG) for s in (0.25, 0.75)),
+            1e-9,
+            statement="the u-rule sum of Bessel K_(q_j+s) equals the fractional kernel",
+        )
+    for n in (2, 3, 4, 5):
+        rep.add(
+            f"log-dual-route-n{n}",
+            f"closed-form K1 and K2 vs time quadrature, n={n}",
+            max(dual_route(n, kind, cfg=REL_CFG) for kind in ("log1", "log2")),
+            1e-9,
+            statement="the erfc and Bessel K transforms equal the log kernels",
+        )
     return rep
 
 

@@ -102,6 +102,12 @@ CRITERIA = {
         ["frac-dual-route"],
         "Bessel closed form vs time quadrature",
     ),
+    17: (
+        "hyperbolic",
+        ["frac-dual-route-n2", "frac-dual-route-n4"]
+        + [f"log-dual-route-n{n}" for n in (2, 3, 4, 5)],
+        "exact time transforms vs time quadrature on every n",
+    ),
 }
 
 

@@ -169,15 +169,68 @@ class TestKernelCommand:
         assert rc == 2
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n", ["3", "5"])
+    @pytest.mark.parametrize("n", ["2", "3", "4", "5"])
     @pytest.mark.parametrize("r_min", ["1e-300", "1e-100"])
     def test_bessel_kernel_overflow_exits_2(self, tmp_path, n, r_min):
+        # as on the time-quadrature route, the H^2 kernel fits at r = 1e-100
+        out = tmp_path / "x.csv"
         rc = main_rc(
             "kernel", "--space", "hyperbolic", "--kind", "frac", "--route",
             "bessel_closed_form", "--n", n, "--s", "0.5", "--r-min", r_min,
-            "--r-max", "1", "--points", "2", "--out", str(tmp_path / "x.csv"),
+            "--r-max", "1", "--points", "2", "--out", str(out),
+        )
+        if (n, r_min) == ("2", "1e-100"):
+            assert rc == 0
+            flat = math.gamma(1.5) * 4.0 ** 1.5 / (4.0 * math.pi) * 1e300
+            assert read_rows(out)[1][0][1] == pytest.approx(flat, rel=1e-12)
+        else:
+            assert rc == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["log1", "log2"])
+    @pytest.mark.parametrize("n", ["2", "3", "4", "5"])
+    def test_log_transform_table(self, tmp_path, kind, n):
+        # the rows are log_kernel_values, and the sidecar names the route
+        import numpy as np
+
+        from loglap import hyperbolic
+
+        out = tmp_path / "x.csv"
+        rc = main_rc(
+            "kernel", "--space", "hyperbolic", "--kind", kind, "--route", "bessel_closed_form",
+            "--n", n, "--r-min", "0.05", "--r-max", "6", "--points", "8", "--out", str(out),
+        )
+        assert rc == 0
+        values = [row[1] for row in read_rows(out)[1]]
+        ref = hyperbolic.log_kernel_values(int(n), np.linspace(0.05, 6.0, 8))[kind == "log2"]
+        assert values == pytest.approx(list(ref), rel=1e-15)
+        assert json.loads((tmp_path / "x.csv.json").read_text())["route"] == "bessel_closed_form"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", ["2", "4"])
+    def test_log_transform_overflow_exits_2(self, tmp_path, capsys, n):
+        # K1's transform exceeds double precision near the axis; the u-rule
+        # once gave wrong values there and exited 0
+        rc = main_rc(
+            "kernel", "--space", "hyperbolic", "--kind", "log1", "--route", "bessel_closed_form",
+            "--n", n, "--r-min", "1e-300", "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 2
+        assert "r=1e-300" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "space, kind, n",
+        [("hyperbolic", "heat", "3"), ("euclid", "log1", "1"), ("euclid", "heat", "1")],
+    )
+    def test_route_without_meaning_exits_2(self, tmp_path, space, kind, n):
+        # heat tables and euclid kernels have one route; another is an
+        # argument error, not a sidecar that names the default
+        rc = main_rc(
+            "kernel", "--space", space, "--kind", kind, "--n", n, "--t", "1.0",
+            "--route", "bessel_closed_form", "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_euclid_dimension_out_of_range_exits_2(self, tmp_path):
         rc = main_rc(

@@ -95,7 +95,9 @@ _VERIFY = st.tuples(
 # database is a local cache: a subnormal sinh|x| sinh r in the sphere mean
 # overflowed a division, the Bessel closed form and the time-quadrature frac
 # table overflowed at tiny radii, and so did the heat kernel's t^(-q_j) at a
-# subnormal t; at t = 1e-250 the H^2 heat table fits and the H^4 one does not
+# subnormal t; at t = 1e-250 the H^2 heat table fits and the H^4 one does not;
+# the even-n transform route once returned wrong K1 values near the axis,
+# and overflowed in b = r^2/4 far out
 @example(
     command=(["apply"], "--space hyperbolic --op log --fn bump --n 2 --x-dist 2.23e-311".split()),
     with_out=False,
@@ -132,6 +134,36 @@ _VERIFY = st.tuples(
         ["kernel"],
         "--space hyperbolic --kind heat --n 4 --t 1e-250 --r-min 1e-130 --r-max 1e-125 "
         "--points 3".split(),
+    ),
+    with_out=False,
+)
+@example(
+    command=(
+        ["kernel"],
+        "--space hyperbolic --kind log1 --route bessel_closed_form --n 2 --r-min 1e-300".split(),
+    ),
+    with_out=False,
+)
+@example(
+    command=(
+        ["kernel"],
+        "--space hyperbolic --kind frac --s 0.5 --route bessel_closed_form --n 4 "
+        "--r-min 1e-300".split(),
+    ),
+    with_out=False,
+)
+@example(
+    command=(
+        ["kernel"],
+        "--space hyperbolic --kind log2 --route bessel_closed_form --n 2 --r-max 1e300".split(),
+    ),
+    with_out=False,
+)
+@example(
+    command=(
+        ["kernel"],
+        "--space hyperbolic --kind frac --s 0.5 --route bessel_closed_form --n 4 "
+        "--r-max 1e300".split(),
     ),
     with_out=False,
 )

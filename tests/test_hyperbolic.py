@@ -4,6 +4,7 @@ and the pointwise operator with its splitting."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +243,17 @@ class TestHeatKernel:
                 plain = hy.heat_kernel(n, r, t) * scale
                 assert hy.heat_kernel(n, r, t, scaled=True) == pytest.approx(plain, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_scaled_overflow_names_the_pair(self, n):
+        # t^(-q_j) overflows at a subnormal t, where the scaled value would
+        # need it; the error names the first such (r, t), as unscaled
+        with pytest.raises(OverflowError, match=r"r=0\.0, t=1e-320"):
+            hy.heat_kernel(n, [0.0, 1.0], 1e-320, scaled=True)
+        with pytest.raises(OverflowError, match=r"r=0\.5, t=1e-320"):
+            hy.heat_kernel(n, np.array([0.5, 2.0])[:, None], [1.0, 1e-320], scaled=True)
+        assert np.all(np.isfinite(hy.heat_kernel(n, [0.0, 1.0], 1e-100, scaled=True)))
+
     def test_mass_one_all_dimensions(self):
         for n in (2, 4, 5):
             for t in (0.01, 0.1, 1.0, 10.0):
@@ -389,10 +401,40 @@ class TestFracKernel:
         assert abs(v2 / v3 - 1.0) <= 0.03
 
     def test_route_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            hy.frac_kernel(2, 0.5, 1.0, route="bessel_closed_form")
+        # the transform route covers n in 2..5, as time quadrature does
+        for route in ("time_quadrature", "bessel_closed_form"):
+            with pytest.raises(ValueError, match="dimension"):
+                hy.frac_kernel(6, 0.5, 1.0, route=route)
+        with pytest.raises(ValueError, match="route"):
+            hy.frac_kernel(2, 0.5, 1.0, route="spectral")
         with pytest.raises(ValueError):
             hy.frac_kernel(3, 1.5, 1.0)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_even_transform_matches_time_quadrature(self, n):
+        # the u-rule sum of Bessel K_(q_j+s) against rel_tol 1e-13 time
+        # quadrature: measured 4.0e-15 (H^2) and 3.8e-15 (H^4). REL_CFG
+        # (rel_tol 1e-10) is itself up to 3.3e-12 off on H^2 at s = 0.75
+        r = np.geomspace(1e-3, 16.0, 12)
+        for s in (0.25, 0.5, 0.75):
+            value = hy.build_kernel_table(n, "frac", r, s=s, route="bessel_closed_form").values
+            ref = hy.build_kernel_table(n, "frac", r, s=s, cfg=TIGHT_CFG).values
+            assert np.max(np.abs(value / ref - 1.0)) <= 1e-14
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_transform_overflow_near_the_axis(self, n):
+        # the transform raises OverflowError where the kernel exceeds double
+        # precision, and agrees with time quadrature near that edge
+        # (measured 3.2e-14 on H^2)
+        with pytest.raises(OverflowError):
+            hy.frac_kernel(n, 0.5, 1e-300, route="bessel_closed_form")
+        edge = {2: 1e-90, 3: 1e-75, 4: 1e-60, 5: 1e-50}[n]
+        a, b = (
+            hy.frac_kernel(n, 0.5, edge, route=route)
+            for route in ("time_quadrature", "bessel_closed_form")
+        )
+        assert a == pytest.approx(b, rel=1e-12)
 
 
 class TestLogKernels:
@@ -512,6 +554,39 @@ class TestLogKernels:
             k1, k2 = hy.log_kernel_values(n, np.geomspace(1e-8, 1e-5, 13))
             assert np.all(k1 > 0.0) and np.all(k2 > 0.0) and np.all(np.diff(k1) < 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_even_resolved_toward_the_axis(self, n):
+        # below r = 1e-12 the u-rule still follows the K1 peak at u ~ sqrt r,
+        # which a floor at c^2 = 1e-12 once missed (98 % off at r = 1e-16 on
+        # H^2). K1 against the flat kernel Gamma(n/2) pi^(-n/2) r^-n, which it
+        # meets up to O(r^2 log r): measured 1.0e-15. K2 against its value
+        # at r = 1e-8: measured 3.8e-15
+        r = np.array([1e-13, 1e-14, 1e-16, 1e-30, 1e-60])
+        k1, k2 = hy.log_kernel_values(n, r)
+        flat = math.gamma(0.5 * n) * math.pi ** (-0.5 * n) * r ** -n
+        assert np.max(np.abs(k1 / flat - 1.0)) <= 1e-14
+        k2_near = hy.log_kernel_values(n, [1e-8])[1]
+        assert np.max(np.abs(k2 / k2_near - 1.0)) <= 1e-13
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, edge", [(2, 1e-102), (3, 1e-102), (4, 1e-61), (5, 1e-60)])
+    def test_overflow_near_the_axis_and_zero_far_out(self, n, edge):
+        # K1's transform exceeds double precision just below the edge:
+        # OverflowError names the radius, while a K2 table stays finite, flat
+        # toward the axis (within 4.9e-15 of its value at the edge). Far out
+        # both kernels are 0, with no overflow on the way (b = r^2/4 once
+        # did past r = 1e154)
+        k2_edge = hy.log_kernel_values(n, [edge])[1]
+        for tiny in (0.1 * edge, 1e-300):
+            with pytest.raises(OverflowError, match=re.escape(f"r={tiny}")):
+                hy.log_kernel_values(n, [1.0, tiny])
+            table = hy.build_kernel_table(n, "log2", [tiny, 1.0], route="bessel_closed_form")
+            assert table.values[0] == pytest.approx(k2_edge[0], rel=1e-14)
+        k1, k2 = hy.log_kernel_values(n, [1.0, 1e200, 1e300])
+        assert k1[0] > 0.0 and k2[0] > 0.0
+        assert np.all(k1[1:] == 0.0) and np.all(k2[1:] == 0.0)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             hy.log_kernel_values(7, np.array([1.0]))
@@ -578,7 +653,9 @@ class TestKernelTable:
             for cfg in (hy.DEFAULT_CONFIG, REL_CFG):
                 cases += [(n, "log1", {"cfg": cfg}), (n, "log2", {"cfg": cfg})]
                 cases.append((n, "frac", {"s": 0.37, "cfg": cfg}))
-        cases += [(n, "frac", {"s": 0.37, "route": "bessel_closed_form"}) for n in (3, 5)]
+            transform = {"route": "bessel_closed_form"}
+            cases += [(n, "log1", transform), (n, "log2", transform)]
+            cases.append((n, "frac", {"s": 0.37, **transform}))
         for n, kind, extra in cases:
             whole = hy.build_kernel_table(n, kind, grid, **extra)
             rows = [hy.build_kernel_table(n, kind, [r], **extra).values[0] for r in grid]
@@ -602,15 +679,18 @@ class TestKernelTable:
     def test_point_functions_are_table_rows(self):
         grid = np.array([0.005, 0.5, 3.0])
         for n in (2, 3, 4, 5):
-            routes = ["time_quadrature"] + (["bessel_closed_form"] if n % 2 else [])
-            for route in routes:
+            for route in ("time_quadrature", "bessel_closed_form"):
                 table = hy.build_kernel_table(n, "frac", grid, s=0.37, route=route)
                 points = [hy.frac_kernel(n, 0.37, float(r), route=route) for r in grid]
                 assert table.values.tobytes() == np.array(points).tobytes()
-            k1 = hy.build_kernel_table(n, "log1", grid).values
-            k2 = hy.build_kernel_table(n, "log2", grid).values
-            pairs = np.array([hy.log_kernels(n, float(r)) for r in grid])
-            assert pairs.tobytes() == np.stack([k1, k2], axis=1).tobytes()
+            for route, point in (
+                ("time_quadrature", lambda r: hy.log_kernels(n, r)),
+                ("bessel_closed_form", lambda r: np.ravel(hy.log_kernel_values(n, r))),
+            ):
+                k1 = hy.build_kernel_table(n, "log1", grid, route=route).values
+                k2 = hy.build_kernel_table(n, "log2", grid, route=route).values
+                pairs = np.array([point(float(r)) for r in grid])
+                assert pairs.tobytes() == np.stack([k1, k2], axis=1).tobytes()
 
     def test_unconverged_row_names_its_radius(self):
         # at s = 0.5 the short-time integral of r = 0.3 needs 8 subdivisions,
