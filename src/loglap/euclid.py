@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import reporting
+from . import reporting, spectral
 from .quadrature import (
     BUMP,
     DEFAULT_CONFIG,
@@ -32,6 +32,7 @@ from .quadrature import (
     RadialFunction,
     SingularityHint,
     SmoothnessTooLowError,
+    _power_head,
     integrate,
     integrate_semiinfinite,
     sphere_area,
@@ -312,14 +313,7 @@ def _node_values(spectrum: np.ndarray, points: int, nodes: np.ndarray) -> np.nda
 
 def heat_apply(grid: PeriodicGridFunction, t: float) -> PeriodicGridFunction:
     """Heat semigroup: multiply mode k by exp(-t |xi_k|^2)."""
-    if not (t > 0.0):
-        raise ValueError(f"t must be positive, got {t}")
-    return _apply_multiplier(grid, lambda q: np.exp(-t * q))
-
-
-def _log_symbol(q: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), 0.0)
+    return _apply_multiplier(grid, spectral.PhiSpec("heat", t=t).values)
 
 
 def log_multiplier(grid: PeriodicGridFunction, at=None):
@@ -330,14 +324,12 @@ def log_multiplier(grid: PeriodicGridFunction, at=None):
     Returns the operator grid, or with `at` (a sequence of grid nodes) the
     (P,) array of its values there, without building the grid.
     """
-    return _apply_multiplier(grid, _log_symbol, at)
+    return _apply_multiplier(grid, spectral.PhiSpec("log").values, at)
 
 
 def frac_multiplier(grid: PeriodicGridFunction, s: float, at=None):
     """Multiply mode k by |xi_k|^(2s); `at` as in log_multiplier."""
-    if not (0.0 < s < 1.0):
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    return _apply_multiplier(grid, lambda q: q ** s, at)
+    return _apply_multiplier(grid, spectral.PhiSpec("frac", s=s).values, at)
 
 
 def laplacian_multiplier(grid: PeriodicGridFunction) -> PeriodicGridFunction:
@@ -400,9 +392,11 @@ def frac_pointwise(
 ) -> float:
     """(-Laplace)^s at x as the principal-value singular integral.
 
-    The radial integrand (f(x) - avg f) r^(-1-2s) is flattened near r = 0
-    by the substitution r = v^(1/(2-2s)); outside the far radius the
-    spherical average vanishes and the tail integrates in closed form.
+    The radial integrand (f(x) - avg f) r^(-1-2s) over r < 1 is the power
+    head of `quadrature._power_head` (k = 2: the curvature from r = 1e-4 and
+    2e-4, closed form below r = 2e-4, flattened by r = v^(1/(2-2s)) above);
+    outside the far radius the spherical average vanishes and the tail
+    integrates in closed form.
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
@@ -412,32 +406,18 @@ def frac_pointwise(
     fx = float(f.profile(np.asarray(xn)))
     rmax = f.far_radius + xn + 1.0
     pref = frac_constant(n, s).c_ns * sphere_area(n)
-    p = 1.0 / (2.0 - 2.0 * s)
 
-    def near_sub(v):
-        v = np.asarray(v, dtype=float)
-        r = v ** p
-        jac = p * v ** (p - 1.0)
-        return (fx - sphere_average(f, x, r)) * r ** (-1.0 - 2.0 * s) * jac
+    def deficit(r):
+        return fx - sphere_average(f, x, r)
 
     def mid(r):
-        return (fx - sphere_average(f, x, r)) * r ** (-1.0 - 2.0 * s)
+        return deficit(r) * r ** (-1.0 - 2.0 * s)
 
-    # below r_floor the difference f(x) - avg f is c r^2 + O(r^4), but the
-    # evaluated difference is rounding noise amplified by r^(-1-2s); the
-    # curvature c is Richardson-extrapolated from r_floor and r_floor/2 and
-    # that piece integrates in closed form
-    r_floor = 2e-4
-    radii = np.array([r_floor, 0.5 * r_floor])
-    quot = (fx - sphere_average(f, x, radii)) / radii ** 2
-    curv = float(4.0 * quot[1] - quot[0]) / 3.0
-    analytic_near = curv * r_floor ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    v_floor = r_floor ** (2.0 - 2.0 * s)
     route = f"frac_pointwise({f.id}, |x|={xn!r}, s={s!r})"
-    near_part = integrate(near_sub, v_floor, 1.0, cfg=cfg).checked(f"{route}: near")
+    near_part = _power_head(deficit, 2, 2.0 * s, 1e-4, 2e-4, cfg, f"{route}: near")
     mid_part = integrate(mid, 1.0, rmax, cfg=cfg).checked(f"{route}: far")
     tail = fx * rmax ** (-2.0 * s) / (2.0 * s)
-    return pref * (analytic_near + near_part + mid_part + tail)
+    return pref * (near_part + mid_part + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -510,32 +490,10 @@ def _radial_heat(
     return _heat_norm(n) * np.einsum("ij,ij->i", w.reshape(rows, -1), values.reshape(rows, -1))
 
 
-_T_TAYLOR = 1e-8
+_T_SLOPE = 1e-6  # the short-time deficit's slope is taken at t = 1e-6 and 2e-6
+_T_TAYLOR = 1e-8  # and below t = 1e-8 it is its linear term
 _T_FAR = 1e4
 _TAU_FAR = math.log(_T_FAR)
-
-
-def _deficit_slope(f: RadialFunction, n: int, xn: float) -> float:
-    """lim_{t->0} (f(x) - e^{t Lap} f(x)) / t, from two small-t samples.
-
-    The quotient is a + b t + O(t^2); Richardson extrapolation from t0 and
-    2 t0 removes b t, which near the edge of a support is 8e-4 of a at
-    t0 = 1e-6 and would bias the closed-form piece below t = 1e-8.
-    """
-    t0 = 1e-6
-    d1, d2 = _radial_heat(f, n, xn, np.array([t0, 2.0 * t0]), deficit=True)
-    return 2.0 * d1 / t0 - d2 / (2.0 * t0)
-
-
-def _short_deficit(
-    f: RadialFunction, n: int, xn: float, slope: float, t: np.ndarray
-) -> np.ndarray:
-    """f(x) - e^{t Lap} f(x) for the times t < 1 of one panel; below
-    t = 1e-8 its linear term."""
-    deficit = slope * t
-    late = t >= _T_TAYLOR
-    deficit[late] = _radial_heat(f, n, xn, t[late], deficit=True)
-    return deficit
 
 
 def _heat_far_tail(f: RadialFunction, n: int, xn: float, p: float) -> float:
@@ -556,29 +514,30 @@ def log_bochner_point(
 ) -> float:
     """Logarithmic Laplacian at x from the heat-semigroup time integral.
 
-    int_0^inf (e^-t f(x) - e^{t Lap} f(x)) / t dt, split at t = 1. Over
-    (1, 1e4) it is integrated in tau = log t, where the integrand is smooth;
-    the far tail uses the two-term heat expansion in closed form. Each
-    subdivision step evaluates the semigroup at all its times (15, then 30)
-    in one call.
+    int_0^inf (e^-t f(x) - e^{t Lap} f(x)) / t dt, split at t = 1. Below
+    t = 1 the f(x) (e^-t - 1)/t part is -(E1(1) + gamma) f(x) in closed
+    form, and the deficit (f(x) - e^{t Lap} f(x))/t is the power head of
+    `quadrature._power_head` (k = 1, alpha = 0), the same head as the
+    fractional route's. Over (1, 1e4) it is integrated in tau = log t, where
+    the integrand is smooth; the far tail uses the two-term heat expansion in
+    closed form. Each subdivision step evaluates the semigroup at all its
+    times (15, then 30) in one call.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n, xn = x.size, float(np.linalg.norm(x))
     fx = float(f.profile(np.asarray(xn)))
-    slope = _deficit_slope(f, n, xn)
-
-    def head(t):
-        return (np.expm1(-t) * fx + _short_deficit(f, n, xn, slope, t)) / t
+    deficit = functools.partial(_radial_heat, f, n, xn, deficit=True)
 
     def mid(tau):
         t = np.exp(tau)
         return np.exp(-t) * fx - _radial_heat(f, n, xn, t, deficit=False)
 
     route = f"log_bochner_point({f.id}, |x|={xn!r})"
-    head_part = integrate(head, 0.0, 1.0, cfg=cfg).checked(f"{route}: short-time")
+    head = _power_head(deficit, 1, 0.0, _T_SLOPE, _T_TAYLOR, cfg, f"{route}: short-time")
     mid_part = integrate(mid, 0.0, _TAU_FAR, cfg=cfg).checked(f"{route}: long-time")
-    analytic = fx * exp_integral_e1(_T_FAR) - _heat_far_tail(f, n, xn, 0.0)
-    return head_part + mid_part + analytic
+    # the f(x) parts: E1(1e4) past t = 1e4, and -Ein(1) = -(E1(1) + gamma) below t = 1
+    e1 = exp_integral_e1(_T_FAR) - exp_integral_e1(1.0) - EULER_GAMMA
+    return head + mid_part + fx * e1 - _heat_far_tail(f, n, xn, 0.0)
 
 
 def frac_bochner_point(
@@ -586,36 +545,30 @@ def frac_bochner_point(
 ) -> float:
     """(-Laplace)^s at x via (s/Gamma(1-s)) int (f - e^{t Lap} f) t^(-1-s) dt.
 
-    The short-time integrand is flattened by t = v^(1/(1-s)); below t = 1e-8
-    the deficit is its linear term and that piece integrates in closed form.
-    Past t = 1 the f(x) term gives f(x)/s, the semigroup term is integrated
-    in tau = log t up to t = 1e4, and its far tail uses the two-term heat
-    expansion in closed form. Each subdivision step evaluates the semigroup
-    at all its times (15, then 30) in one call.
+    Below t = 1 the deficit is the power head of `quadrature._power_head`
+    (k = 1, alpha = s: its slope from t = 1e-6 and 2e-6, closed form below
+    t = 1e-8, flattened by t = v^(1/(1-s)) above). Past t = 1 the f(x) term
+    gives f(x)/s, the semigroup term is integrated in tau = log t up to
+    t = 1e4, and its far tail uses the two-term heat expansion in closed
+    form. Each subdivision step evaluates the semigroup at all its times
+    (15, then 30) in one call.
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n, xn = x.size, float(np.linalg.norm(x))
     fx = float(f.profile(np.asarray(xn)))
-    slope = _deficit_slope(f, n, xn)
-    q = 1.0 / (1.0 - s)
-
-    def short_sub(v):
-        t = v ** q
-        return _short_deficit(f, n, xn, slope, t) * t ** (-1.0 - s) * q * v ** (q - 1.0)
+    deficit = functools.partial(_radial_heat, f, n, xn, deficit=True)
 
     def mid(tau):
         return _radial_heat(f, n, xn, np.exp(tau), deficit=False) * np.exp(-s * tau)
 
     route = f"frac_bochner_point({f.id}, |x|={xn!r}, s={s!r})"
-    v_lo = _T_TAYLOR ** (1.0 - s)
-    analytic_head = slope * _T_TAYLOR ** (1.0 - s) / (1.0 - s)
-    short_part = integrate(short_sub, v_lo, 1.0, cfg=cfg).checked(f"{route}: short-time")
+    head = _power_head(deficit, 1, s, _T_SLOPE, _T_TAYLOR, cfg, f"{route}: short-time")
     mid_part = integrate(mid, 0.0, _TAU_FAR, cfg=cfg).checked(f"{route}: long-time")
     far = fx / s - mid_part - _heat_far_tail(f, n, xn, s)
     pref = s / gamma(1.0 - s)
-    return pref * (analytic_head + short_part + far)
+    return pref * (head + far)
 
 
 # ---------------------------------------------------------------------------
@@ -888,11 +841,8 @@ def limits_report(grid: PeriodicGridFunction, s_grid) -> LimitsReport:
     part of the grid function f (the zero mode is projected out).
     """
     spectrum = np.fft.rfftn(grid.samples, axes=tuple(range(grid.n)))
+    spectrum[(0,) * grid.n] = 0.0  # the mean-zero part
     q2 = grid.freq_sq()
-    nonzero = q2 > 0.0
-    spectrum = np.where(nonzero, spectrum, 0.0)  # mean-zero part
-    q2safe = np.where(nonzero, q2, 1.0)
-    logq = np.where(nonzero, np.log(q2safe), 0.0)
     # discrete L^2 norm via Parseval: ||g||^2 = (L^n / N^2n) sum |G_k|^2 over
     # the full spectrum; on the half spectrum the modes whose conjugate is
     # not stored (last-axis index 1..N/2-1) count twice
@@ -903,14 +853,13 @@ def limits_report(grid: PeriodicGridFunction, s_grid) -> LimitsReport:
     def norm_of(mult):
         return math.sqrt(scale * float(np.sum(twice * np.abs(mult * spectrum) ** 2)))
 
+    log = spectral.PhiSpec("log").values(q2)
     e0, e1, quot = [], [], []
     for s in s_grid:
-        ms = np.where(nonzero, q2safe ** s, 0.0)
-        e0.append(norm_of(ms - 1.0 * nonzero))
-        m1s = np.where(nonzero, q2safe ** (1.0 - s), 0.0)
-        e1.append(norm_of(m1s - q2safe * nonzero))
-        quot.append(norm_of((ms - 1.0 * nonzero) / s - logq))
-    lap_norm = norm_of(q2safe * nonzero)
+        e0.append(norm_of(spectral.PhiSpec("frac", s=s).values(q2) - 1.0))
+        e1.append(norm_of(spectral.PhiSpec("frac", s=1.0 - s).values(q2) - q2))
+        quot.append(norm_of(spectral.PhiSpec("shifted_frac_quotient", s=s).values(q2) - log))
+    lap_norm = norm_of(q2)
     return LimitsReport(list(s_grid), e0, e1, quot, lap_norm)
 
 

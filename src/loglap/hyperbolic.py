@@ -69,19 +69,19 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # odd dimensions: p_n(r, t) = sum_j c_j(r) t^(-q_j) e^(-a t - r^2/4t) with
-# c_j = d_j (r / sinh r): d = pref on H^3, and on H^5 d_j = pref_j (r / sinh r)
-# h_j with h_2 = 1 and h_1 = (r cosh r - sinh r) / (r^2 sinh r), whose
-# difference cancels below r = 1, where h_1 = (r / sinh r) sum_(k>=1) 2k
-# r^(2k-2) / (2k+1)!. _Q holds the q_j of every dimension; H^2 and H^4 have
-# those of H^3 and H^5
+# c_j = P d_j (r / sinh r), P = (4 pi)^(-n/2): d = 1 on H^3, and on H^5
+# d_j = (2/j) (r / sinh r) h_j with h_2 = 1 and h_1 = (r cosh r - sinh r) /
+# (r^2 sinh r), whose difference cancels below r = 1, where h_1 = (r / sinh r)
+# sum_(k>=1) 2k r^(2k-2) / (2k+1)!. _Q and _PREF hold the q_j and P of every
+# dimension; H^2 and H^4 have those of H^3 and H^5
 
 _Q = {2: (1.5,), 3: (1.5,), 4: (1.5, 2.5), 5: (1.5, 2.5)}
-_ODD_PREF = (4.0 * math.pi) ** -1.5  # pref on H^3; pref_j = pref / (2 pi j) on H^5
+_PREF = {n: (4.0 * math.pi) ** -(n // 2 + 0.5) for n in _Q}
 _H1_SERIES = np.array([2.0 * k / math.factorial(2 * k + 1) for k in range(1, 11)])
 
 
 def _odd_heat_coefficients(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r / sinh r, d_j(r)) with c_j = d_j r / sinh r, the d_j stacked along
+    """(r / sinh r, d_j(r)) with c_j = P d_j r / sinh r, the d_j stacked along
     a new first axis, one per q_j, without overflow at any r >= 0: with
     e = e^-r, r / sinh r = 2 r e / (1 - e^2) (1 at r = 0) and r coth r =
     r (1 + e^2) / (1 - e^2)."""
@@ -89,7 +89,7 @@ def _odd_heat_coefficients(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     one_minus = np.where(r > 0.0, -np.expm1(-2.0 * r), 1.0)
     rcsch = np.where(r > 0.0, 2.0 * r * e / one_minus, 1.0)
     if n == 3:
-        return rcsch, np.full((1,) + (1,) * np.ndim(r), _ODD_PREF)
+        return rcsch, np.ones((1,) + (1,) * np.ndim(r))
     # past r = 1e100, where e and so every c_j is 0, h1 is taken at 1e100 so
     # that r^2 does not overflow
     rh = np.minimum(r, 1e100)
@@ -97,34 +97,26 @@ def _odd_heat_coefficients(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     small = r < 1.0
     if small.any():
         h1[small] = rcsch[small] * _horner(r[small] ** 2, _H1_SERIES)
-    d2 = _ODD_PREF / (4.0 * math.pi) * rcsch
-    return rcsch, np.array([2.0 * d2 * h1, d2])
+    return rcsch, np.array([2.0 * rcsch * h1, rcsch])
 
 
 def _time_factors(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> list[np.ndarray]:
-    """t^(-q_j) (t^(1/2-q_j) on even n, whose u-rule sum is of order sqrt t),
-    times e^(-a t - r^2/4t) unless scaled, one per q_j. Unscaled, the
-    exponent goes inside the power, as (e^(-(a t + r^2/4t)/q) / t)^q at the
-    first q, and each next q_j = q_(j-1) + 1 divides by t once more; so where
-    t^(-q_j) overflows but r^2/4t is large the factor is 0, and where the
-    factor itself overflows, OverflowError names the pair; so it does where
-    a scaled factor t^(-q_j) overflows."""
+    """P t^(-q_j) (t^(1/2-q_j) on even n, whose u-rule sum is of order sqrt t),
+    times e^(-a t - r^2/4t) unless scaled, one per q_j. The constant and the
+    exponent go inside the power, as (P^(1/q) e^(-(a t + r^2/4t)/q) / t)^q at
+    the first q, and each next q_j = q_(j-1) + 1 divides by t once more; so
+    where t^(-q_j) overflows but r^2/4t is large the factor is 0, and a
+    factor overflows (to inf, silently) only where the kernel itself does."""
     qs = _Q[n] if n % 2 else [q - 0.5 for q in _Q[n]]
-    with np.errstate(over="ignore"):
-        if scaled:
-            factors = [t ** -q for q in qs]
-        else:
-            expo = 0.25 * (n - 1) ** 2 * t + r * r / (4.0 * t)
-            factors = [(np.exp(-expo / qs[0]) / t) ** qs[0]]
-            for _ in qs[1:]:
-                factors.append(factors[-1] / t)
-    # the last factor is the largest wherever t < 1, and all are <= 1 where not
-    bad = ~np.isfinite(factors[-1])
-    if bad.any():
-        shape = np.broadcast_shapes(np.shape(r), np.shape(t))
-        bad = np.broadcast_to(bad, shape)
-        rb, tb = (float(np.broadcast_to(v, shape)[bad][0]) for v in (r, t))
-        raise OverflowError(f"heat_kernel(n={n}) overflows double precision at r={rb}, t={tb}")
+    pref = _PREF[n] ** (1.0 / qs[0])
+    if scaled:
+        base = pref / t
+    else:
+        expo = 0.25 * (n - 1) ** 2 * t + r * r / (4.0 * t)
+        base = np.exp(-expo / qs[0]) * pref / t
+    factors = [base ** qs[0]]
+    for _ in qs[1:]:
+        factors.append(factors[-1] / t)
     return factors
 
 
@@ -160,13 +152,13 @@ def _midpoint_rule(step: float) -> tuple[float, np.ndarray, np.ndarray]:
 
 _U_RULE = _midpoint_rule(0.07)
 _EVEN_CHUNK = 1 << 12  # (pair, u) elements per temporary array
-_C2_FLOOR = 1e-150  # u^4 stays normal where r and g are smaller still
+_C2_FLOOR = 1e-150  # the transforms' floor of c^2
 
 
 def _u_blocks(r: np.ndarray, g, umax, floor):
     """(pairs, u, weights) for blocks of the pairs with radii r, Gaussian
-    scales g, cutoffs umax and floors of c^2, each at least _C2_FLOOR; the
-    weights past a pair's own wmax are 0."""
+    scales g, cutoffs umax and floors of c^2; the weights past a pair's own
+    wmax are 0."""
     step, sinh_w, cosh_w = _U_RULE
     c = np.sqrt(np.maximum(np.minimum(r, g), floor))
     count = np.ceil(np.arcsinh(umax / c) / step).clip(1, sinh_w.size).astype(int)
@@ -182,10 +174,12 @@ def _u_blocks(r: np.ndarray, g, umax, floor):
 def _abel_amplitudes(n: int, r: np.ndarray, u: np.ndarray) -> np.ndarray:
     """A_j(r, u) = d_j(x) x w, stacked along a new first axis, one per q_j,
     for n in {2, 4} and r >= 0, u > 0 broadcast against each other; w goes
-    through e^-x/2, e^-u^2 and e^-2y = e^-(r+x) so that nothing overflows."""
+    through e^-x/2, e^-u^2 and e^-2y = e^-(r+x) so that nothing overflows,
+    and takes the square roots apart, which stay normal where their product
+    (of order u^4 at r = 0) would not."""
     u2 = u * u
     x = r + u2
-    w = 4.0 * u * np.exp(-0.5 * x) / np.sqrt(np.expm1(-u2) * np.expm1(-r - x))
+    w = 4.0 * u * np.exp(-0.5 * x) / (np.sqrt(-np.expm1(-u2)) * np.sqrt(-np.expm1(-r - x)))
     return _odd_heat_coefficients(n + 1, x)[1] * (x * w)
 
 
@@ -197,11 +191,10 @@ def _heat_even(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray
     umax = np.minimum(8.0, np.sqrt(184.0 * t / (np.sqrt(r * r + 184.0 * t) + r)))
     factors = _time_factors(n, r, t, scaled)
     out = np.empty(r.shape)
-    floor = np.maximum(1e-12 * g, _C2_FLOOR)
-    for pairs, u, weight in _u_blocks(r, g, umax, floor):
+    # g underflows to 0 only far out, where e^(-r^2/4t) is 0 as well
+    for pairs, u, weight in _u_blocks(r, g, umax, np.maximum(1e-12 * g, 1e-300)):
         rc, u2 = r[pairs, None], u * u
-        with np.errstate(over="ignore"):
-            gauss = np.exp(-u2 * (2.0 * rc + u2) / (4.0 * t[pairs, None]))
+        gauss = np.exp(-u2 * (2.0 * rc + u2) / (4.0 * t[pairs, None]))
         amp = _abel_amplitudes(n, rc, u)
         vals = sum(aj * fj[pairs, None] for aj, fj in zip(amp, factors))
         out[pairs] = np.cumsum(vals * gauss * weight, axis=-1)[:, -1]
@@ -220,12 +213,11 @@ def heat_kernel(n: int, r, t, scaled: bool = False) -> float | np.ndarray:
     at every r including the axis. Even n is the descent from n + 1 on the
     u-rule above, at every r including the axis; each value depends on its
     own (r, t) alone, whatever else the call holds. Raises OverflowError
-    where its largest time factor, t^(-q_j) e^(-a t - r^2/4t) (t^(1/2-q_j)
-    times the exponential on even n), exceeds double precision: near r = 0
-    for t below 5.2e-309, 3.0e-206, 7.4e-155 and 4.7e-124 on H^2..H^5. The
-    value is that factor times a constant, 1/(4 pi) on H^2. With scaled=True
-    the factor is t^(-q_j) alone (t^(1/2-q_j) on even n), and it raises where
-    that factor overflows, at every r.
+    where the value exceeds double precision, and only there: at r = 0, where
+    it is (4 pi t)^(-n/2), for t below 4.4e-310, 2.5e-207, 5.9e-156 and
+    4.0e-125 on H^2..H^5 (the constant (4 pi)^(-n/2), that of n + 1 on even
+    n, is folded into the time factors, which so overflow no earlier than the
+    value). With scaled=True it raises where the scaled value overflows.
     """
     if n not in (2, 3, 4, 5):
         raise ValueError(f"dimension must be in 2..5, got {n}")
@@ -235,13 +227,20 @@ def heat_kernel(n: int, r, t, scaled: bool = False) -> float | np.ndarray:
         raise ValueError("t must be positive")
     if not np.all(r_arr >= 0):
         raise ValueError("r must be nonnegative")
-    if n % 2:
-        # at least 1-d, so that scalars take the same array loops as arrays
-        out = _heat_odd(n, np.atleast_1d(r_arr), np.atleast_1d(t_arr), scaled).reshape(shape)
-    else:
-        rf = np.broadcast_to(r_arr, shape).ravel()
-        tf = np.broadcast_to(t_arr, shape).ravel()
-        out = _heat_even(n, rf, tf, scaled).reshape(shape)
+    # an overflowing factor makes the value inf, or nan against a zero weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n % 2:
+            # at least 1-d, so that scalars take the same array loops as arrays
+            out = _heat_odd(n, np.atleast_1d(r_arr), np.atleast_1d(t_arr), scaled)
+        else:
+            rf = np.broadcast_to(r_arr, shape).ravel()
+            tf = np.broadcast_to(t_arr, shape).ravel()
+            out = _heat_even(n, rf, tf, scaled)
+    out = out.reshape(shape)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        rb, tb = (float(np.broadcast_to(v, shape)[bad][0]) for v in (r_arr, t_arr))
+        raise OverflowError(f"heat_kernel(n={n}) overflows double precision at r={rb}, t={tb}")
     if np.ndim(r) == 0 and np.ndim(t) == 0:
         return float(out)
     return out
@@ -370,7 +369,13 @@ def _time_integral(
         rr = r * r
 
         def f(i, u):
-            return heat_kernel(n, r[i, None], rr[i, None] / (4.0 * u)) * u ** (s - 1.0)
+            t = rr[i, None] / (4.0 * u)
+            gone = ~(t > 0.0).all(axis=1)
+            if gone.any():
+                # r^2 is 0 or nearly so; the kernel, about r^-n, is out of range
+                rb = float(r[i][gone][0])
+                raise ValueError(f"time quadrature underflows at r={rb}: t = r^2/4u is 0")
+            return heat_kernel(n, r[i, None], t) * u ** (s - 1.0)
 
         return integrate_semiinfinite_rows(f, 0.25 * rr, cfg)
 
@@ -475,11 +480,11 @@ def _transform(n: int, r: np.ndarray, kernel, outputs: int = 1) -> tuple[np.ndar
         raise ValueError(f"dimension must be in 2..5, got {n}")
     if n % 2:
         rcsch, d = _odd_heat_coefficients(n, r)
-        return kernel(r, d * rcsch)
+        return kernel(r, _PREF[n] * d * rcsch)
     out = np.empty((outputs,) + r.shape)
     for pairs, u, weight in _u_blocks(r, 1.0, 8.0, _C2_FLOOR):
         rc = r[pairs, None]
-        amp = _abel_amplitudes(n, rc, u) * weight
+        amp = _PREF[n] * _abel_amplitudes(n, rc, u) * weight
         for o, v in zip(out, kernel(rc + u * u, amp)):
             o[pairs] = np.cumsum(v, axis=-1)[:, -1]
     return tuple(out)

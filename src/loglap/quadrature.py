@@ -1,6 +1,6 @@
-"""Adaptive 1-D quadrature, the radial functions of R^n and H^n
-(`RadialFunction`) and their mean over spheres (`sphere_mean`), and the
-scalar integral identities built on them.
+"""Adaptive 1-D quadrature, radial functions on R^n and H^n (`RadialFunction`)
+and their sphere means (`sphere_mean`), the singular head of the pointwise
+and Bochner routes (`_power_head`), and the scalar identities built on them.
 
 One engine integrates everything: a vectorized Gauss-Kronrod 7-15 pair with
 worst-panel-first subdivision (QUADPACK, Piessens et al. 1983) over R rows
@@ -528,6 +528,32 @@ def sphere_mean(
     # the weight's integral over [0, pi]
     norm = math.sqrt(math.pi) * math.gamma(0.5 * (n - 1)) / math.gamma(0.5 * n)
     return np.einsum("...ij,...ij->...", w, values) / norm
+
+
+def _power_head(
+    g: Callable, k: int, alpha: float, h: float, floor: float, cfg: QuadratureConfig, what: str
+) -> float:
+    """int_0^1 g(y) y^(-1-alpha) dy for g(y) = c y^k + O(y^(2k)), 0 <= alpha < k:
+    the singular end of a principal-value integral in r (k = 2) or of a
+    Bochner time integral (k = 1).
+
+    Below `floor` the evaluated g is rounding noise amplified by y^(-1-alpha),
+    so that piece is c floor^(k-alpha)/(k-alpha) in closed form, with c
+    extrapolated from q = g/y^k at h and 2h (one call to g) as
+    (2^k q(h) - q(2h))/(2^k - 1). The rest is one integral in v = y^(k-alpha),
+    where the integrand is flat; NonConvergenceError names `what`.
+    """
+    y = np.array([h, 2.0 * h])
+    q = g(y) / y ** k
+    c = float(2 ** k * q[0] - q[1]) / (2 ** k - 1)
+    p = 1.0 / (k - alpha)
+
+    def flat(v):
+        y = v ** p
+        return g(y) * y ** (-1.0 - alpha) * (p * v ** (p - 1.0))
+
+    v_floor = floor ** (k - alpha)
+    return c * v_floor / (k - alpha) + integrate(flat, v_floor, 1.0, cfg=cfg).checked(what)
 
 
 def frullani_log(lam: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

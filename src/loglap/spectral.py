@@ -119,19 +119,19 @@ class PhiSpec:
 
     def values(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
-        positive = lam > 0.0
-        safe = np.where(positive, lam, 1.0)
-        if self.kind == "frac":
-            return np.where(positive, safe ** self.s, 0.0)
-        if self.kind == "log":
-            # the zero eigenvalue carries no logarithm: that coefficient is
-            # annihilated (projection onto constants removed)
-            return np.where(positive, np.log(safe), 0.0)
         if self.kind == "heat":
             return np.exp(-self.t * lam)
-        if self.kind == "shifted_frac_quotient":
-            return np.where(positive, (safe ** self.s - 1.0) / self.s, 0.0)
-        return np.asarray(self.fn(lam), dtype=float)
+        if self.kind == "custom":
+            return np.asarray(self.fn(lam), dtype=float)
+        if self.kind == "frac":
+            out = np.fmax(lam, 0.0, out=np.empty_like(lam))  # 0 where lam <= 0 or NaN
+            return np.power(out, self.s, out=out)  # in place, as cheap as a bare power
+        # lam <= 0 is masked out: the zero eigenvalue carries no logarithm, so
+        # that coefficient is annihilated (projection onto constants removed)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.kind == "log":
+                return np.where(lam > 0.0, np.log(lam), 0.0)
+            return np.where(lam > 0.0, (lam ** self.s - 1.0) / self.s, 0.0)
 
 
 def apply_phi(

@@ -180,3 +180,22 @@ def test_documented_exit_codes(tmp_path_factory, command, with_out):
     rc = cli.main(argv)
     event(f"{head[0]} exit {rc}")
     assert rc in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "--kind log1 --n 3 --r-min 1e-300 --r-max 1 --points 3",
+        "--kind frac --s 0.5 --n 2 --r-min 1e-170",
+    ],
+)
+def test_underflowing_time_quadrature_names_the_radius(tmp_path, capsys, flags):
+    # t = r^2/4u is 0 where r^2 underflows; the error names r, not a --t
+    # the command never took
+    from loglap import cli
+
+    argv = ["kernel", "--space", "hyperbolic", *flags.split(), "--out", str(tmp_path / "k.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    r_min = flags.split("--r-min ")[1].split()[0]
+    assert f"r={r_min}" in err and "t must be positive" not in err

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from loglap import euclid as eu
+from loglap import quadrature
 from loglap.quadrature import (
     NonConvergenceError,
     QuadratureConfig,
@@ -471,7 +472,10 @@ class TestBochnerRoutes:
             return res
 
         monkeypatch.setattr(eu, "_radial_heat", counted_heat)
+        # the long-time integral runs in euclid, the short-time one in the
+        # power head of quadrature
         monkeypatch.setattr(eu, "integrate", counted_integrate)
+        monkeypatch.setattr(quadrature, "integrate", counted_integrate)
         bump = eu.registry()["bump"]
         x = np.full(n, 0.3)
         for route in (lambda: eu.log_bochner_point(bump, x), lambda: eu.frac_bochner_point(bump, x, 0.4)):

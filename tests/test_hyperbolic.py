@@ -222,6 +222,15 @@ class TestHeatKernel:
             with pytest.raises(OverflowError, match=r"r=0.0, t=1e-250"):
                 hy.heat_kernel(n, 0.0, 1e-250)
 
+    @pytest.mark.parametrize("n, t", [(2, 1e-309), (3, 2.5e-206), (4, 5e-155), (5, 4e-124)])
+    def test_axis_value_fits_where_it_is_in_range(self, n, t):
+        # the time factors carry the constant (4 pi)^(-n/2), so they overflow
+        # only with the value; t / 20 puts (4 pi t)^(-n/2) past the largest double
+        flat = (4.0 * math.pi * t) ** (-0.5 * n)
+        assert hy.heat_kernel(n, 0.0, t) == pytest.approx(flat, rel=1e-12, abs=0)
+        with pytest.raises(OverflowError, match="overflows double precision"):
+            hy.heat_kernel(n, 0.0, t / 20.0)
+
     def test_even_matches_pointwise_formula(self):
         radii = np.array([0.05, 0.3, 1.0, 2.5, 5.0])
         times = np.array([0.02, 0.2, 1.0, 4.0])

@@ -475,6 +475,30 @@ class TestSphereMean:
             breaks(1.0, (0.9,))
 
 
+class TestPowerHead:
+    """_power_head: int_0^1 g(y) y^(-1-alpha) dy for g = c y^k + O(y^(2k))."""
+
+    @pytest.mark.parametrize(
+        "k, alpha, h, floor",
+        [(2, 0.5, 1e-4, 2e-4), (2, 1.5, 1e-4, 2e-4), (1, 0.25, 1e-6, 1e-8), (1, 0.0, 1e-6, 1e-8)],
+    )
+    def test_two_term_closed_form(self, k, alpha, h, floor):
+        c, d = 1.7, -0.6
+        cfg = q.QuadratureConfig(abs_tol=1e-14, rel_tol=1e-13)
+        got = q._power_head(lambda y: c * y ** k + d * y ** (2 * k), k, alpha, h, floor, cfg, "g")
+        exact = c / (k - alpha) + d / (2 * k - alpha)
+        # the extrapolated slope is exact for this g, so the closed form below
+        # the floor drops only the d term's share of that piece
+        dropped = d * floor ** (2 * k - alpha) / (2 * k - alpha)
+        assert abs(got - (exact - dropped)) <= 1e-12 * abs(exact)
+
+    def test_unconverged_raises_naming_what(self):
+        cfg = q.QuadratureConfig(max_subdivisions=1)
+        g = lambda y: y + y * y * np.cos(50.0 * y)  # noqa: E731
+        with pytest.raises(q.NonConvergenceError, match="oscillating head"):
+            q._power_head(g, 1, 0.5, 1e-6, 1e-8, cfg, "oscillating head")
+
+
 class TestScalarIdentities:
     def test_report_passes(self):
         rep = q.verify_scalar_identities([1, 2, 3, 4, 5, 6])
