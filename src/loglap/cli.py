@@ -100,6 +100,13 @@ def _torus(f, args) -> euclid.PeriodicGridFunction:
     return euclid.PeriodicGridFunction.from_function(f, args.n, args.length, args.grid_points)
 
 
+def _torus_too_large(args) -> str:
+    return (
+        f"the torus of --grid-points {args.grid_points} per axis in {args.n} dimensions"
+        " does not fit in memory; lower --grid-points"
+    )
+
+
 def _cmd_kernel(args) -> int:
     if args.kind == "frac":
         if args.s is None or not (0.0 < args.s < 1.0):
@@ -119,10 +126,11 @@ def _cmd_kernel(args) -> int:
         if args.kind == "heat":
             try:
                 gauss = _torus(euclid.registry()["gaussian"], args)
-                grid = euclid.heat_apply(gauss, args.t)
+                euclid.heat_apply(gauss, args.t).to_csv(args.out)
             except ValueError as exc:
                 return _fail_args(str(exc))
-            grid.to_csv(args.out)
+            except MemoryError:
+                return _fail_args(_torus_too_large(args))
             return 0
         flat = {
             "frac": lambda r: euclid.frac_kernel_flat(args.n, args.s, r),
@@ -200,6 +208,8 @@ def _cmd_apply(args) -> int:
                     )
                 except ValueError as exc:
                     return _fail_args(str(exc))
+                except MemoryError:
+                    return _fail_args(_torus_too_large(args))
                 meta["length"] = args.length
                 meta["grid_points"] = args.grid_points
             elif args.route == "pointwise":

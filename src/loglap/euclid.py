@@ -34,6 +34,7 @@ from .quadrature import (
     SmoothnessTooLowError,
     _power_head,
     integrate,
+    integrate_rows,
     integrate_semiinfinite,
     sphere_area,
     sphere_mean,
@@ -138,18 +139,18 @@ def bochner_prefactor_numeric(
 # test function registry
 
 
-def _radial_integral(f: RadialFunction, n: int, power: int) -> float:
-    """int |y|^power f(y) dy over R^n for radial f."""
-    res = integrate(
-        lambda r: f.profile(r) * r ** (n - 1 + power), 0.0, f.far_radius, cfg=DEFAULT_CONFIG
-    )
-    return sphere_area(n) * res.checked(f"{f.id}: moment {power}")
-
-
 def _moments(f: RadialFunction, n: int, x_norm: float) -> tuple[float, float]:
-    """(int f, int |y - x|^2 f(y) dy) over R^n for radial f, given |x|."""
-    mass = _radial_integral(f, n, 0)
-    return mass, _radial_integral(f, n, 2) + x_norm * x_norm * mass
+    """(int f, int |y - x|^2 f(y) dy) over R^n for radial f, given |x|: the
+    radial integrals of f r^(n-1) and f r^(n+1), two rows of one
+    integrate_rows call."""
+    powers = (n - 1, n + 1)
+
+    def g(rows, r):
+        return f.profile(r) * np.stack([r[i] ** powers[row] for i, row in enumerate(rows)])
+
+    res = integrate_rows(g, [0.0, 0.0], [f.far_radius] * 2, cfg=DEFAULT_CONFIG)
+    mass, second = map(float, sphere_area(n) * res.checked(f"{f.id}: moments"))
+    return mass, second + x_norm * x_norm * mass
 
 
 def _gaussian_profile(rho):
@@ -179,25 +180,59 @@ def registry() -> dict[str, RadialFunction]:
 # periodic grids and multipliers
 
 
-@dataclass
 class PeriodicGridFunction:
-    n: int
-    length: float
-    points: int
-    samples: np.ndarray
+    """A function on the torus [-L/2, L/2)^n, sampled at the N^n nodes
+    -L/2 + i h, h = L/N and i = 0..N-1 on every axis.
 
-    def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"n must be 1..3, got {self.n}")
-        if self.length <= 0:
+    A grid from `from_function` is even about the centre node i = N/2 on
+    every axis, and holds only its orthant: `orthant[m]` is the value at the
+    nodes |i - N/2| = m, for m = 0..N/2 on every axis. `samples` builds the
+    N^n array from it, by flips, the first time it is read. A grid built from
+    arbitrary samples has no orthant (None).
+    """
+
+    def __init__(self, n: int, length: float, points: int, samples: np.ndarray):
+        self.n, self.length, self.points = n, length, points
+        self._samples = self._checked(samples, points)
+        self.orthant = None
+
+    @classmethod
+    def _even(cls, n: int, length: float, points: int, orthant: np.ndarray):
+        """The even grid with this (N/2 + 1)^n orthant (see the class docstring)."""
+        grid = cls.__new__(cls)
+        grid.n, grid.length, grid.points = n, length, points
+        grid.orthant = grid._checked(orthant, points // 2 + 1)
+        grid._samples = None
+        return grid
+
+    @staticmethod
+    def _check_grid(n: int, length: float, points: int) -> None:
+        if n not in (1, 2, 3):
+            raise ValueError(f"n must be 1..3, got {n}")
+        if length <= 0:
             raise ValueError("length must be positive")
-        if self.points % 2 != 0:
-            raise ValueError("points per axis must be even")
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.shape != (self.points,) * self.n:
+        if points < 2 or points % 2 != 0:
+            raise ValueError("points per axis must be even and at least 2")
+
+    def _checked(self, values, side: int) -> np.ndarray:
+        self._check_grid(self.n, self.length, self.points)
+        values = np.asarray(values, dtype=float)
+        if values.shape != (side,) * self.n:
             raise ValueError("sample array shape does not match grid")
-        if not np.all(np.isfinite(self.samples)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("samples must be finite")
+        return values
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            full = self.orthant
+            for axis in range(self.n):
+                # node i of the axis holds orthant index |i - N/2|: N/2..1, 0, 1..N/2-1
+                inner = full[(slice(None),) * axis + (slice(1, -1),)]
+                full = np.concatenate([np.flip(full, axis), inner], axis=axis)
+            self._samples = full
+        return self._samples
 
     @property
     def spacing(self) -> float:
@@ -218,11 +253,19 @@ class PeriodicGridFunction:
     def from_function(
         cls, f: RadialFunction | Callable, n: int, length: float, points: int
     ) -> "PeriodicGridFunction":
-        i = np.arange(points)
-        coords = -0.5 * length + i * (length / points)
-        rho = np.sqrt(sum(np.ix_(*([coords * coords] * n))))
+        """The even grid of f(|x|) (f.profile for a RadialFunction). Node i of
+        an axis lies |i - N/2| h from the centre, so f is evaluated only at
+        the (N/2 + 1)^n radii of one orthant, from the distances m h, m =
+        0..N/2. With a dyadic spacing h these are the radii of the nodes
+        -L/2 + i h bit for bit; otherwise m h is rounded once, where
+        -L/2 + i h may cancel."""
+        cls._check_grid(n, length, points)
+        dist = np.arange(points // 2 + 1) * (length / points)
         profile = f.profile if isinstance(f, RadialFunction) else f
-        return cls(n, length, points, profile(rho))
+        orthant = np.empty((dist.size ** (n - 1), dist.size))
+        for rows, sq in _orthant_rows(dist * dist, n):
+            orthant[rows] = profile(np.sqrt(sq))
+        return cls._even(n, length, points, orthant.reshape((dist.size,) * n))
 
     def index_of(self, point) -> tuple[int, ...]:
         pt = np.atleast_1d(np.asarray(point, dtype=float))
@@ -238,7 +281,10 @@ class PeriodicGridFunction:
         return tuple(idx)
 
     def value_at(self, point) -> float:
-        return float(self.samples[self.index_of(point)])
+        idx = self.index_of(point)
+        if self._samples is None:
+            return float(self.orthant[tuple(abs(i - self.points // 2) for i in idx)])
+        return float(self._samples[idx])
 
     def mean(self) -> float:
         return float(self.samples.mean())
@@ -260,54 +306,126 @@ class PeriodicGridFunction:
 
 
 def _apply_multiplier(grid: PeriodicGridFunction, symbol, at=None):
-    """Multiply the half spectrum (rfftn layout, see freq_sq) by
-    symbol(freq_sq()): the whole operator grid, or with `at` (P points of n
-    coordinates, each a grid node) its values there as a (P,) array.
+    """Multiply the spectrum of the grid by symbol(|xi_k|^2): the whole
+    operator grid, or with `at` (P points of n coordinates, each a grid node)
+    its values there as a (P,) array.
 
     Points are checked before any transform, so an off-grid point costs
-    nothing. Their values take only the forward transform (see
-    `_node_values`); the full grid goes through irfftn.
+    nothing. An even grid (one with an orthant, from `from_function`) has an
+    even spectrum, the type-I cosine transform of its orthant
+    (`_cosine_transform`), so the symbol is taken on the (N/2 + 1)^n
+    frequencies 2 pi k / L, k = 0..N/2 per axis, a block of rows at a time;
+    the full grid is the same transform of the product, an even grid again.
+    Any other grid goes through the rfftn half spectrum (see freq_sq) and
+    back through irfftn. The values at points take only the forward
+    transform, on either path (see `_node_values`).
     """
     if at is not None:
         pts = np.asarray(at, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != grid.n:
             raise ValueError(f"at needs {grid.n}-dimensional points, got shape {pts.shape}")
         nodes = np.array([grid.index_of(x) for x in pts], dtype=int).reshape(-1, grid.n)
-    axes = tuple(range(grid.n))
+    n, points = grid.n, grid.points
+    if grid.orthant is not None:
+        spectrum = _cosine_transform(grid.orthant.copy())
+        xi = 2.0 * math.pi * np.fft.rfftfreq(points, d=grid.spacing)
+        lines = spectrum.reshape(-1, xi.size)
+        for rows, sq in _orthant_rows(xi * xi, n):
+            lines[rows] *= symbol(sq)
+        if at is None:
+            out = _cosine_transform(spectrum)
+            out /= points ** n
+            return PeriodicGridFunction._even(n, grid.length, points, out)
+        return _node_values(spectrum, points, np.abs(nodes - points // 2), even=True)
+    axes = tuple(range(n))
     spectrum = np.fft.rfftn(grid.samples, axes=axes) * symbol(grid.freq_sq())
     if at is None:
         return grid.with_samples(np.fft.irfftn(spectrum, s=grid.samples.shape, axes=axes))
-    return _node_values(spectrum, grid.points, nodes)
+    return _node_values(spectrum, points, nodes)
 
 
-def _node_values(spectrum: np.ndarray, points: int, nodes: np.ndarray) -> np.ndarray:
-    """The inverse transform of a Hermitian half spectrum at the nodes (P, n):
-    (1/N^n) Re sum_k w_k S_k e^(2 pi i k.j/N), where w_k = 2 on the
-    last-axis columns 1..N/2-1 (which stand for their conjugate partners)
-    and 1 on columns 0 and N/2.
+_COSINE_BLOCK = 1 << 14  # elements of the even extensions per block of lines
 
-    The phases are contracted one axis at a time with 1-d vectors, last axis
-    first, once per distinct tuple of the coordinates contracted so far: a
-    few points cost one pass over the spectrum, and every node of the grid
-    costs n passes, as a row-column DFT would. The sums use einsum, never
-    BLAS (`@`, dot, matmul): a BLAS product on the spectrum wakes OpenBLAS's
-    worker threads, whose spinning is charged to the process's CPU time and
-    slows every later numpy call as well.
+
+def _orthant_rows(sq: np.ndarray, n: int):
+    """(rows, sum_i sq[k_i]) for blocks of the rows of an (M + 1)^n orthant
+    held as (M + 1)^(n-1) rows of M + 1 elements: sq (M + 1,) summed over
+    each element's n indices, added in the order of sum(np.ix_(...)), the
+    last index innermost. A function of |x|, or of |xi|, is taken a block
+    at a time, so that its temporaries stay small (see _cosine_transform)."""
+    head = np.ravel(sum(np.ix_(*([sq] * (n - 1)))))
+    step = max(1, _COSINE_BLOCK // sq.size)
+    for lo in range(0, head.size, step):
+        rows = slice(lo, lo + step)
+        yield rows, head[rows, None] + sq
+
+
+def _cosine_transform(a: np.ndarray) -> np.ndarray:
+    """The type-I cosine transform of an (M + 1)^n array on every axis, in
+    place: a[k] becomes sum_m prod_i w_(m_i) cos(pi k_i m_i / M) a[m], with
+    w = 1 at m_i = 0 and M and 2 between. That is the spectrum of the even
+    grid whose orthant is a, up to the signs (-1)^k of its centring; applied
+    twice it is (2M)^n times the identity.
+
+    Each axis is the real part of the rfft of the even extension
+    (a_0..a_M, a_(M-1)..a_1) of its lines, built contiguous a block of lines
+    at a time and written back in place, whatever the stride of the axis.
+    The blocks keep the temporaries a few hundred kB, small enough that the
+    allocator reuses their memory from one block, and one call, to the next
+    rather than fault it in anew.
+    """
+    m = a.shape[-1] - 1
+    for axis in range(a.ndim):
+        lines = np.moveaxis(a, axis, -1) if a.ndim > 1 else a[None]
+        step = max(1, _COSINE_BLOCK // (2 * m * math.prod(lines.shape[1:-1])))
+        for lo in range(0, lines.shape[0], step):
+            block = lines[lo:lo + step]
+            if block.any():  # zero lines, as off a compact support, stay zero
+                ext = np.concatenate([block, block[..., -2:0:-1]], axis=-1)
+                block[...] = np.fft.rfft(ext).real
+    return a
+
+
+def _node_values(
+    spectrum: np.ndarray, points: int, nodes: np.ndarray, even: bool = False
+) -> np.ndarray:
+    """The inverse transform of a spectrum of `_apply_multiplier` at the
+    nodes (P, n), with w_k = 2 for k = 1..N/2-1 and 1 for k = 0 and N/2:
+
+    - the rfftn half spectrum: (1/N^n) Re sum_k w_k S_k e^(2 pi i k.j/N),
+      w on the last axis only, whose columns 1..N/2-1 stand for their
+      conjugate partners;
+    - with `even`, the cosine coefficients over k = 0..N/2 per axis, at
+      distances j = |i - N/2| from the centre:
+      (1/N^n) sum_k prod_a w_(k_a) cos(2 pi k_a j_a / N) S_k.
+
+    The factors are contracted one axis at a time with 1-d vectors, last
+    axis first, once per distinct tuple of the coordinates contracted so
+    far: a few points cost one pass over the spectrum, and every node of the
+    grid costs n passes, as a row-column transform would. The sums use
+    einsum, never BLAS (`@`, dot, matmul): a BLAS product on the spectrum
+    wakes OpenBLAS's worker threads, whose spinning is charged to the
+    process's CPU time and slows every later numpy call as well.
     """
     half = points // 2 + 1
     weight = np.full(half, 2.0)
     weight[[0, -1]] = 1.0
+    last = nodes.shape[1] - 1
 
-    def phases(idx: np.ndarray, size: int) -> np.ndarray:
-        # j k reduced mod N keeps every angle in [0, 2 pi), where exp is accurate
-        return np.exp((2j * math.pi / points) * (np.outer(idx, np.arange(size)) % points))
+    def factors(idx: np.ndarray, axis: int) -> np.ndarray:
+        # j k reduced mod N keeps every angle in [0, 2 pi), where exp and cos are accurate
+        size = half if even or axis == last else points
+        angle = (2.0 * math.pi / points) * (np.outer(idx, np.arange(size)) % points)
+        if even:
+            return weight * np.cos(angle)
+        return weight * np.exp(1j * angle) if axis == last else np.exp(1j * angle)
 
     key, row = np.unique(nodes[:, -1], return_inverse=True)
-    vals = np.einsum("...k,uk->u...", spectrum, weight * phases(key, half))
-    for axis in range(nodes.shape[1] - 2, -1, -1):
+    vals = np.einsum("...k,uk->u...", spectrum, factors(key, last))
+    for axis in range(last - 1, -1, -1):
         # row: each point's row of vals; key: the distinct (row, node) pairs
         key, row = np.unique(row * points + nodes[:, axis], return_inverse=True)
-        vals = np.einsum("u...k,uk->u...", vals[key // points], phases(key % points, points))
+        vals = np.einsum("u...k,uk->u...", vals[key // points], factors(key % points, axis))
     return vals[row].real / points ** nodes.shape[1]
 
 
@@ -779,7 +897,7 @@ def frac_periodization_shift(
     xn = float(np.linalg.norm(x))
     if f.far_radius + xn >= length:
         raise ValueError("nearest image would overlap the evaluation point")
-    mass = _radial_integral(f, n, 0)
+    mass, _ = _moments(f, n, 0.0)
     a = n + 2.0 * s
     _, centers = _image_centers(x, length, images)
     total = _image_potential(f, centers, a, cfg)

@@ -80,16 +80,23 @@ _PREF = {n: (4.0 * math.pi) ** -(n // 2 + 0.5) for n in _Q}
 _H1_SERIES = np.array([2.0 * k / math.factorial(2 * k + 1) for k in range(1, 11)])
 
 
-def _odd_heat_coefficients(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _odd_heat_coefficients(
+    n: int, r: np.ndarray, scaled: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """(r / sinh r, d_j(r)) with c_j = P d_j r / sinh r, the d_j stacked along
     a new first axis, one per q_j, without overflow at any r >= 0: with
     e = e^-r, r / sinh r = 2 r e / (1 - e^2) (1 at r = 0) and r coth r =
-    r (1 + e^2) / (1 - e^2)."""
+    r (1 + e^2) / (1 - e^2). With scaled=True every factor r / sinh r in both
+    is 2 r / (1 - e^2), e^r times itself, which does not underflow past
+    r = 745 as r / sinh r does; the c_j then carry e^((n-1) r/2)."""
     e = np.exp(-r)
     one_minus = np.where(r > 0.0, -np.expm1(-2.0 * r), 1.0)
     rcsch = np.where(r > 0.0, 2.0 * r * e / one_minus, 1.0)
+    # r is capped at 1e100 so that 2 r stays finite; the scaled kernel's
+    # e^(-(n-1) r/2) is 0 long before
+    lead = np.where(r > 0.0, 2.0 * np.minimum(r, 1e100) / one_minus, 1.0) if scaled else rcsch
     if n == 3:
-        return rcsch, np.ones((1,) + (1,) * np.ndim(r))
+        return lead, np.ones((1,) + (1,) * np.ndim(r))
     # past r = 1e100, where e and so every c_j is 0, h1 is taken at 1e100 so
     # that r^2 does not overflow
     rh = np.minimum(r, 1e100)
@@ -97,12 +104,13 @@ def _odd_heat_coefficients(n: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     small = r < 1.0
     if small.any():
         h1[small] = rcsch[small] * _horner(r[small] ** 2, _H1_SERIES)
-    return rcsch, np.array([2.0 * rcsch * h1, rcsch])
+    return lead, np.array([2.0 * lead * h1, lead])
 
 
 def _time_factors(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> list[np.ndarray]:
     """P t^(-q_j) (t^(1/2-q_j) on even n, whose u-rule sum is of order sqrt t),
-    times e^(-a t - r^2/4t) unless scaled, one per q_j. The constant and the
+    times e^(-a t - r^2/4t) unless scaled (the scaled odd-n kernel takes the
+    log form of _heat_odd instead), one per q_j. The constant and the
     exponent go inside the power, as (P^(1/q) e^(-(a t + r^2/4t)/q) / t)^q at
     the first q, and each next q_j = q_(j-1) + 1 divides by t once more; so
     where t^(-q_j) overflows but r^2/4t is large the factor is 0, and a
@@ -122,9 +130,17 @@ def _time_factors(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> list[np
 
 def _heat_odd(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray:
     """Heat kernel for n in {3, 5} at r and t broadcast against each other;
-    the coefficients c_j are computed once per entry of r."""
-    rcsch, d = _odd_heat_coefficients(n, r)
-    return sum(dj * rcsch * fj for dj, fj in zip(d, _time_factors(n, r, t, scaled)))
+    the coefficients c_j are computed once per entry of r. The scaled kernel
+    sums c_j t^(-q_j) with scaled coefficients, each term one exp of its
+    logarithm, where the e^(-(n-1) r/2) they leave out goes back in: a term
+    is rounded once, so it underflows or overflows only where its value
+    does, however large r."""
+    rcsch, d = _odd_heat_coefficients(n, r, scaled)
+    if scaled:
+        shift = math.log(_PREF[n]) - 0.5 * (n - 1) * r
+        log_t = np.log(t)
+        return sum(np.exp(np.log(dj * rcsch) + shift - q * log_t) for dj, q in zip(d, _Q[n]))
+    return sum(dj * rcsch * fj for dj, fj in zip(d, _time_factors(n, r, t, False)))
 
 
 # even dimensions descend from the odd one above (Davies-Mandouvalos):

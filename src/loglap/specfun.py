@@ -311,6 +311,8 @@ def bessel_i0e(z) -> np.ndarray:
     for i, terms in enumerate(_I0_TERMS):
         on = piece == i
         zi = z[on]
+        if not zi.size:
+            continue
         if i < 2:
             out[on] = _horner(0.25 * zi * zi, _I0_SERIES[:terms]) * np.exp(-zi)
         else:

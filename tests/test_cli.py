@@ -291,6 +291,24 @@ class TestApplyCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["apply", "kernel"])
+    def test_torus_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        from loglap import euclid
+
+        def no_memory(cls, *args):
+            raise MemoryError
+
+        monkeypatch.setattr(euclid.PeriodicGridFunction, "from_function", classmethod(no_memory))
+        if command == "apply":
+            argv = ["apply", "--space", "euclid", "--op", "log", "--route", "multiplier",
+                    "--fn", "gaussian", "--n", "3", "--x", "0,0,0"]
+        else:
+            argv = ["kernel", "--space", "euclid", "--kind", "heat", "--n", "3", "--t", "1"]
+        assert main_rc(*argv, "--grid-points", "4096", "--out", str(tmp_path / "x.csv")) == 2
+        err = capsys.readouterr().err
+        assert "--grid-points 4096" in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_point_too_far_to_index_exits_2(self, tmp_path):
         rc = main_rc(
             "apply", "--space", "euclid", "--op", "log", "--route", "multiplier",

@@ -262,6 +262,132 @@ class TestPeriodicGrid:
         assert meta == {"n": 2, "L": 10.0, "N": 8}
 
 
+def _multipliers():
+    return {
+        "log": lambda g, at=None: eu.log_multiplier(g, at=at),
+        "frac": lambda g, at=None: eu.frac_multiplier(g, 0.35, at=at),
+        "heat": lambda g, at=None: eu.heat_apply(g, 0.3),
+        "laplacian": lambda g, at=None: eu.laplacian_multiplier(g),
+    }
+
+
+class TestEvenGrid:
+    """A radial grid from from_function keeps one orthant and takes the
+    cosine-transform path; a grid of the same samples built directly takes
+    rfftn, the reference here."""
+
+    @pytest.mark.parametrize("n, points", [(1, 64), (2, 32), (3, 16)])
+    @pytest.mark.parametrize("fn", ["gaussian", "bump", "plateau"])
+    def test_matches_rfftn(self, n, points, fn):
+        # measured: at most 2.4e-15 of the largest value for log, frac and
+        # heat (full grid and nodes) and 2.2e-14 for the Laplacian, whose
+        # |xi|^2 lifts the rounding of the top modes on both paths
+        grid = eu.PeriodicGridFunction.from_function(eu.registry()[fn], n, 6.0, points)
+        ref = eu.PeriodicGridFunction(n, 6.0, points, grid.samples)
+        h = grid.spacing
+        # the centre, the index-0 edge -L/2, and negative coordinates
+        nodes = np.array([
+            [0.0] * n,
+            [-3.0] * n,
+            [-3.0 * h] + [h * (points // 2 - 1)] * (n - 1),
+            [-3.0] + [-h] * (n - 1),
+        ])
+        for name, op in _multipliers().items():
+            out, want = op(grid), op(ref)
+            assert out.orthant is not None and want.orthant is None
+            scale = np.max(np.abs(want.samples))
+            bound = (1e-13 if name == "laplacian" else 1e-14) * scale
+            assert np.max(np.abs(out.samples - want.samples)) <= bound
+            if name in ("log", "frac"):
+                vals = op(grid, at=nodes)
+                assert np.max(np.abs(vals - op(ref, at=nodes))) <= bound
+                assert np.max(np.abs(vals - [out.value_at(x) for x in nodes])) <= bound
+
+    def test_cli_default_grid(self):
+        # n = 2, N = 512: measured 1.0e-14 of the largest value
+        grid = eu.PeriodicGridFunction.from_function(eu.registry()["gaussian"], 2, 24.0, 512)
+        ref = eu.PeriodicGridFunction(2, 24.0, 512, grid.samples)
+        nodes = [[0.0, 0.0], [-12.0, 0.328125], [-0.28125, -0.5625]]
+        for op in (eu.log_multiplier, lambda g, at: eu.frac_multiplier(g, 0.6, at=at)):
+            want = op(ref, at=nodes)
+            assert np.max(np.abs(op(grid, at=nodes) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_arbitrary_samples_take_rfftn(self, monkeypatch):
+        calls = []
+        transform = eu._cosine_transform
+        monkeypatch.setattr(
+            eu, "_cosine_transform", lambda a: calls.append(a.shape) or transform(a)
+        )
+        even = eu.PeriodicGridFunction.from_function(eu.registry()["bump"], 2, 6.0, 16)
+        direct = eu.PeriodicGridFunction(2, 6.0, 16, even.samples)
+        for grid in (direct, even.with_samples(even.samples)):
+            assert grid.orthant is None
+            eu.log_multiplier(grid)
+            eu.frac_multiplier(grid, 0.5, at=[[0.0, 0.0]])
+        assert calls == []
+        eu.log_multiplier(even, at=[[0.0, 0.0]])
+        assert calls == [(9, 9)]
+
+    @pytest.mark.parametrize("n, length, points", [(1, 24.0, 512), (2, 24.0, 512), (3, 3.0, 64)])
+    def test_dyadic_samples_are_the_node_radii(self, n, length, points):
+        # h = L/N dyadic: m h equals |-L/2 + i h| exactly, so the samples are
+        # those of the radii of the nodes bit for bit
+        f = eu.registry()["gaussian"]
+        grid = eu.PeriodicGridFunction.from_function(f, n, length, points)
+        c = -0.5 * length + np.arange(points) * (length / points)
+        want = f.profile(np.sqrt(sum(np.ix_(*([c * c] * n)))))
+        assert np.array_equal(grid.samples, want)
+
+    @pytest.mark.parametrize("n, length, points", [(1, 10.0, 30), (2, 10.0, 30), (2, 7.3, 46)])
+    def test_radii_within_two_ulp_of_the_distance(self, n, length, points):
+        # elsewhere m h is rounded once, where -L/2 + i h cancels near the
+        # centre (up to 16 ulp off there): against the exact distance
+        # |i - N/2| L/N, from fractions, the radii are within 2 ulp
+        from fractions import Fraction
+
+        grid = eu.PeriodicGridFunction.from_function(lambda r: r, n, length, points)
+        dist = [abs(i - points // 2) * Fraction(length) / points for i in range(points)]
+        for idx in itertools.product(range(points), repeat=n):
+            exact = math.sqrt(sum(dist[i] ** 2 for i in idx))
+            assert abs(grid.samples[idx] - exact) <= 2 * math.ulp(exact)
+
+    def test_samples_built_on_first_read(self):
+        grid = eu.PeriodicGridFunction.from_function(eu.registry()["bump"], 2, 6.0, 16)
+        assert grid.orthant.shape == (9, 9)
+        assert grid._samples is None
+        assert grid.value_at([-3.0, 0.375]) == grid.orthant[8, 1]
+        assert grid._samples is None
+        full = grid.samples
+        assert full.shape == (16, 16) and grid.samples is full
+        assert np.array_equal(full, full[::-1][np.r_[-1, :15]])  # even about node 8
+        assert full[0, 9] == grid.orthant[8, 1]
+
+    def test_orthant_validation(self):
+        with pytest.raises(ValueError, match="even"):
+            eu.PeriodicGridFunction.from_function(eu.registry()["bump"], 1, 6.0, 15)
+        for n in (0, 4):  # before any sampling: n = 4 at N = 512 would need 34 GB
+            with pytest.raises(ValueError, match="n must be"):
+                eu.PeriodicGridFunction.from_function(eu.registry()["bump"], n, 6.0, 512)
+        with pytest.raises(ValueError, match="finite"):
+            eu.PeriodicGridFunction.from_function(
+                lambda r: np.where(r > 2.0, np.nan, r), 2, 6.0, 8
+            )
+
+
+@pytest.mark.parametrize("fn", ["gaussian", "bump", "plateau"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moments_equal_their_one_row_integrals(fn, n):
+    # the two rows of one integrate_rows call are the integrals of f r^(n-1)
+    # and f r^(n+1), each on its own, bit for bit
+    f = eu.registry()[fn]
+    one = [
+        quadrature.sphere_area(n)
+        * integrate(lambda r: f.profile(r) * r ** (n - 1 + p), 0.0, f.far_radius).value
+        for p in (0, 2)
+    ]
+    assert eu._moments(f, n, 0.7) == (one[0], one[1] + 0.7 * 0.7 * one[0])
+
+
 class TestLogPointwise:
     def test_gaussian_chi_square_moment_n1(self):
         gauss = eu.registry()["gaussian"]

@@ -94,6 +94,31 @@ class TestOddHeatKernel:
         ):
             assert math.isfinite(value) and value >= 0.0
 
+    def test_scaled_far_out_matches_mpmath(self):
+        # past r = 745 r / sinh r underflows, but the scaled kernel is
+        # (4 pi t)^(-3/2) r / sinh r on H^3 and, from -(e^(-3t) / (2 pi sinh r))
+        # d/dr p_3, (4 pi t)^(-3/2) / (2 pi sinh r) (r^2 / (2 t sinh r) +
+        # (r cosh r - sinh r) / sinh^2 r) on H^5, in range at small t
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+
+        def scaled(n, r, t):
+            r, t = mp.mpf(r), mp.mpf(t)
+            sh, lead = mp.sinh(r), (4 * mp.pi * t) ** mp.mpf(-1.5)
+            if n == 3:
+                return lead * r / sh
+            return lead / (2 * mp.pi * sh) * (r * r / (2 * t * sh) + (r * mp.cosh(r) - sh) / sh**2)
+
+        # measured 2.9e-14, 6.8e-15 and 7.4e-14 (relative), the rounding of
+        # exponents of a few hundred
+        for n, r, t in ((3, 800.0, 1e-150), (3, 800.0, 1e-207), (5, 400.0, 1e-100)):
+            assert hy.heat_kernel(n, r, t, scaled=True) == pytest.approx(
+                float(scaled(n, r, t)), rel=2e-13)
+        # a subnormal value (6.15e-317), within one step of the subnormal grid
+        value = hy.heat_kernel(5, 800.0, 1e-150, scaled=True)
+        assert abs(value - float(scaled(5, 800.0, 1e-150))) <= 5e-324
+        assert hy.heat_kernel(3, 1e4, 1e-300, scaled=True) == 0.0  # about 5e-3891
+
     def test_elements_are_their_one_point_values(self):
         # Horner sums, not a matrix product, evaluate the series of h_1 and
         # G_q, so no element depends on the rest of the batch

@@ -331,6 +331,19 @@ class TestBesselI0e:
         for i, j in np.ndindex(z.shape):
             assert sf.bessel_i0e(z[i : i + 1, j]) == out[i, j]
 
+    def test_skips_empty_pieces(self, monkeypatch):
+        # one Horner sum per piece that holds an element; none for no element
+        calls = []
+        horner = sf._horner
+        monkeypatch.setattr(sf, "_horner", lambda x, c: calls.append(x.size) or horner(x, c))
+        # e^-z I_0(z) from mpmath at 30 digits
+        assert sf.bessel_i0e(np.array([0.5, 1.5, 150.0])) == pytest.approx(
+            [0.64503527044915007, 0.36743360905415834, 0.032600747883918049], rel=1e-14)
+        assert calls == [2, 1]
+        calls.clear()
+        assert sf.bessel_i0e(np.array([])).shape == (0,)
+        assert calls == []
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sf.bessel_i0e(np.array([1.0, -1e-3]))
