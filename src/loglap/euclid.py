@@ -639,7 +639,8 @@ def log_bochner_point(
     fractional route's. Over (1, 1e4) it is integrated in tau = log t, where
     the integrand is smooth; the far tail uses the two-term heat expansion in
     closed form. Each subdivision step evaluates the semigroup at all its
-    times (15, then 30) in one call.
+    times (60 nodes of its four quarter panels, then 30 per split) in one
+    call.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n, xn = x.size, float(np.linalg.norm(x))
@@ -669,7 +670,7 @@ def frac_bochner_point(
     gives f(x)/s, the semigroup term is integrated in tau = log t up to
     t = 1e4, and its far tail uses the two-term heat expansion in closed
     form. Each subdivision step evaluates the semigroup at all its times
-    (15, then 30) in one call.
+    (60 nodes of its four quarter panels, then 30 per split) in one call.
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
@@ -781,23 +782,99 @@ def _cell_potential_2d(x: np.ndarray, j: np.ndarray, L: float) -> float:
     return float(np.einsum("a,jab,b->", w, vals, w))
 
 
-def _far_lattice_sum(
-    x: np.ndarray, length: float, images: int, box: int, term: Callable
-) -> float:
-    """sum of term(|x - L j|^2) over j in [-box, box]^2 outside
-    [-images, images]^2, in blocks of rows."""
-    jr = np.arange(-box, box + 1)
-    c2 = x[1] - length * jr
-    near2 = np.abs(jr) <= images
-    rows = max(1, _LATTICE_BLOCK // jr.size)
+_LATTICE_ORDER = 8  # the far lattice sums' expansion in x/L runs through |x/L|^8
+
+
+@functools.lru_cache(maxsize=16)
+def _lattice_moments(power: float, box: int):
+    """The expansion of sum |y - j|^(-power) over the lattice points j of
+    [-box, box]^2 beyond the window [-k, k]^2, for every k, in y:
+
+      sum_(n even <= _LATTICE_ORDER) |y|^n sum_m a_nm cos(m phi) M_nm(k),
+
+    phi the angle of y and m = 0, 4, 8, ... <= n, with the lattice moments
+    M_nm(k) = sum |j|^(-power-n) cos(m theta_j) over the points beyond the
+    window. It is the Gegenbauer series |j - y|^(-2 lam) = sum_n |y|^n
+    |j|^(-2 lam-n) C_n^lam(cos(theta_j - phi)) with C_n^lam(cos a) =
+    sum_i (lam)_i (lam)_(n-i) / (i! (n-i)!) cos((n - 2i) a), summed over the
+    square's symmetries, which keep only the cosines of multiples of 4.
+
+    Returns (n, m, a_nm, M_nm(k) as an (orders, box + 1) array, reach).
+    Beyond the window k = reach |y| the first omitted term that survives the
+    symmetries, of order |y|^(_LATTICE_ORDER + 2), is below 2^-52 of each
+    point's own term. Every point is summed once, over the octant
+    0 <= j2 <= j1 with its multiplicity.
+    """
+    lam = 0.5 * power
+    # (lam)_i / i!, so that a_nm = 2 g_i g_(n-i) at i = (n - m)/2, once for m = 0
+    g = [1.0]
+    for i in range(_LATTICE_ORDER):
+        g.append(g[-1] * (lam + i) / (i + 1))
+    orders, ms, coefs = [], [], []
+    for n in range(0, _LATTICE_ORDER + 1, 2):
+        for m in range(0, n + 1, 4):
+            i = (n - m) // 2
+            orders.append(n)
+            ms.append(m)
+            coefs.append((2.0 if m else 1.0) * g[i] * g[n - i])
+    orders, ms = np.array(orders), np.array(ms)
+    shells = np.zeros((orders.size, box + 1))
+    rows = max(1, _LATTICE_BLOCK // (box + 1))
+    for lo in range(1, box + 1, rows):
+        k = np.arange(lo, min(lo + rows, box + 1))[:, None]
+        i = np.arange(k[-1, 0] + 1)[None, :]
+        k, i = np.broadcast_arrays(k, i)
+        octant = i <= k
+        k, i = k[octant], i[octant]
+        r2 = (k * k + i * i).astype(float)
+        inv = 1.0 / r2
+        # the point's images under the square's 8 symmetries, 4 on an axis or
+        # a diagonal
+        weight = np.where((i == 0) | (i == k), 4.0, 8.0) * r2 ** (-lam)
+        # cos(4 q theta) by the Chebyshev recurrence from cos 2 theta
+        cos4 = 2.0 * ((k * k - i * i) * inv) ** 2 - 1.0
+        cosines = [np.ones_like(r2), cos4]
+        while len(cosines) <= _LATTICE_ORDER // 4:
+            cosines.append(2.0 * cos4 * cosines[-1] - cosines[-2])
+        for row, m in enumerate(ms):
+            if row and m == 0:  # the next order n: one more factor |j|^-2
+                weight = weight * inv
+            shells[row] += np.bincount(k, weights=weight * cosines[m // 4], minlength=box + 1)
+    # beyond window k: the shells k + 1 .. box, summed from the outside in
+    tails = np.zeros_like(shells)
+    tails[:, :-1] = np.cumsum(shells[:, :0:-1], axis=1)[:, ::-1]
+    # the first omitted term is at most C_N^lam(1) rho^N = (power)_N / N! rho^N
+    # for N = _LATTICE_ORDER + 2 and rho = |y|/|j|
+    top = _LATTICE_ORDER + 2
+    first_omitted = math.prod((power + i) / (i + 1) for i in range(top))
+    reach = (first_omitted * 2.0 ** 52) ** (1.0 / top)
+    return orders, ms, np.array(coefs), tails, reach
+
+
+def _far_lattice_sum(x: np.ndarray, length: float, images: int, box: int, power: float) -> float:
+    """sum of |x - L j|^(-power) over j in [-box, box]^2 outside
+    [-images, images]^2: term by term, in blocks of rows, out to the window
+    past which `_lattice_moments`' expansion in x/L holds to rounding, and
+    by that expansion beyond."""
+    y = x / length
+    ry = math.hypot(y[0], y[1])
+    orders, ms, coefs, tails, reach = _lattice_moments(power, box)
+    window = min(box, max(images, math.ceil(reach * ry) - 1))
     total = 0.0
-    for lo in range(0, jr.size, rows):
-        j1 = jr[lo : lo + rows]
-        c1 = x[0] - length * j1
-        r2 = c1[:, None] ** 2 + c2[None, :] ** 2
-        far = ~((np.abs(j1) <= images)[:, None] & near2[None, :])
-        total += float(np.sum(term(r2[far])))
-    return total
+    if window > images:
+        jr = np.arange(-window, window + 1)
+        c2 = y[1] - jr
+        near2 = np.abs(jr) <= images
+        rows = max(1, _LATTICE_BLOCK // jr.size)
+        for lo in range(0, jr.size, rows):
+            j1 = jr[lo : lo + rows]
+            c1 = y[0] - j1
+            r2 = c1[:, None] ** 2 + c2[None, :] ** 2
+            far = ~((np.abs(j1) <= images)[:, None] & near2[None, :])
+            total += float(np.sum(r2[far] ** (-0.5 * power)))
+    phi = math.atan2(y[1], y[0])
+    total += float(np.sum(coefs * ry ** orders * np.cos(ms * phi) * tails[:, window]))
+    return total * length ** (-power)
 
 
 def _center_cell_potential(x: np.ndarray, L: float, n: int) -> float:
@@ -865,7 +942,7 @@ def log_periodization_shift(
         pair_sum = images_sum - m * _cell_potential_2d(x, j, length)
         # paired far field: (m2/4 - m L^4 / 24) * Lap |c|^(-2), Lap r^-2 = 4 r^-4
         coef = m2 / 4.0 - m * length ** 4 / 24.0
-        pair_sum += _far_lattice_sum(x, length, images, 600, lambda r2: 4.0 * coef / (r2 * r2))
+        pair_sum += 4.0 * coef * _far_lattice_sum(x, length, images, 600, 4.0)
     c0 = _center_cell_potential(x, length, n)
     return -cn.rho_n * m - cn.c_n * pair_sum + cn.c_n * m * c0
 
@@ -908,7 +985,7 @@ def frac_periodization_shift(
             total += mass * length ** (-a) * _hurwitz_tail(a, q0)
     else:
         box = 400
-        total += mass * _far_lattice_sum(x, length, images, box, lambda r2: np.sqrt(r2) ** (-a))
+        total += mass * _far_lattice_sum(x, length, images, box, a)
         # disc tail beyond the box: 2 pi int_R^inf r^(1-a) dr
         r_eff = (box + 0.5) * length
         total += mass * 2.0 * math.pi * r_eff ** (2.0 - a) / ((a - 2.0) * length ** 2)

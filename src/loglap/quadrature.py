@@ -25,8 +25,9 @@ row alone. The entry points are its special cases:
   the rows refine in different places (one kernel-table row per radius, one
   radial integral per time node).
 
-A one-row integrand sees the 15 nodes of the whole interval first, then the
-30 nodes of both halves of the panel split at each step.
+A one-row integrand sees 60 nodes of its four quarter panels first (the
+panels two levels of bisection would make), then 30 per split: the nodes of
+both halves of the panel split at each step.
 
 Semi-infinite ranges are folded to (0, 1] by u = 1/(1 + t - a), which
 behaves well for both exponential and Gaussian tails. Endpoint
@@ -132,6 +133,10 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Tolerances and the per-row budget of the adaptive engine.
+    max_subdivisions counts the bisections after the start from the four
+    quarter panels."""
+
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
@@ -229,23 +234,35 @@ def _adaptive_rows(f, a, b, cfg: QuadratureConfig) -> QuadResult:
     """R independent integrals, row i over (a[i], b[i]), subdivided in lockstep.
 
     f(rows, x) maps row indices (p,) and their panels' nodes (p, 15) to the
-    values (m, p, 15): m components per row. Each row runs worst-panel-first
-    subdivision on its own heap, keyed by a panel's largest component error,
-    with its own totals and subdivision budget, and is converged once every
-    component meets max(abs_tol, rel_tol |I|), in the manner of QUADPACK and
+    values (m, p, 15): m components per row. The first call evaluates each
+    row's four quarter panels, split as two levels of bisection would split
+    them. From there each row runs worst-panel-first subdivision on its own
+    heap, keyed by a panel's largest component error, with its own totals
+    and subdivision budget, and is converged once every component meets
+    max(abs_tol, rel_tol |I|), in the manner of QUADPACK and
     scipy.integrate.quad_vec. Each step pops the worst panel of every open
     row and evaluates all their children in one call to f. The result's
     value and error_estimate are (R, m) arrays, `converged` is (R,).
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    first = _rows_rule(f, np.arange(a.size), a, b).transpose(2, 0, 1)  # (R, 2, m)
-    keys = first[:, 1].max(axis=1).tolist()
-    heaps = [[(-k, 0, lo, hi, p)] for k, lo, hi, p in zip(keys, a.tolist(), b.tolist(), first)]
-    totals = first.copy()  # (R, 2, m): value and error of each row
-    counter = 1
+    # the four quarter panels, split as two levels of bisection would split them
+    mid = 0.5 * (a + b)
+    cuts = np.array((a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b))  # (5, R)
+    owners = np.tile(np.arange(a.size), 4)
+    first = _rows_rule(f, owners, cuts[:-1].reshape(-1), cuts[1:].reshape(-1))
+    first = first.reshape(2, -1, 4, a.size).transpose(3, 2, 0, 1)  # (R, 4, 2, m)
+    keys = first[:, :, 1].max(axis=2).tolist()
+    heaps = [
+        [(-k, c, lo, hi, p) for c, (k, lo, hi, p) in enumerate(zip(*row))]
+        for row in zip(keys, cuts[:-1].T.tolist(), cuts[1:].T.tolist(), first)
+    ]
+    for heap in heaps:
+        heapq.heapify(heap)
+    totals = (first[:, 0] + first[:, 1]) + (first[:, 2] + first[:, 3])  # (R, 2, m)
+    counter = 4
     splits = [0] * a.size
     converged = [True] * a.size
-    evals = 15 * a.size
+    evals = 60 * a.size
     value, err = totals[:, 0], totals[:, 1]
     while True:
         open_ = (err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))).any(axis=1)
@@ -296,8 +313,8 @@ def _adaptive(f, a: float, b: float, cfg: QuadratureConfig) -> QuadResult:
 
     f maps (k,) nodes to (k,) values, and the result is a float, or to an
     (m, k) batch of m integrals on shared panels, and the result's value and
-    error_estimate are (m,) arrays. f sees the 15 nodes of the whole interval
-    first, then the 30 nodes of both halves of each panel that is split.
+    error_estimate are (m,) arrays. f sees 60 nodes of its four quarter
+    panels first, then 30 per split: both halves of each panel that is split.
     """
     shape = None  # () or (m,), set by the first call
 

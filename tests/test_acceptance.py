@@ -7,6 +7,7 @@ measured values come from the same verification suites that back the
 
 import pytest
 
+from loglap import quadrature
 from loglap.verification import run_suite
 
 CRITERIA = {
@@ -143,3 +144,19 @@ def test_every_suite_check_consumed_or_supplementary(reports):
     for report in reports.values():
         failing = [c.id for c in report.checks if not c.passed]
         assert not failing, f"supplementary checks failing: {failing}"
+
+
+def test_engine_steps_of_a_full_verify(monkeypatch):
+    # one Gauss-Kronrod call per engine step: started from four quarter
+    # panels, `verify --suite all` takes 1,687 steps (2,643 from one
+    # whole-interval panel); cached constants can only lower the count
+    calls = []
+    rule = quadrature._rows_rule
+
+    def counted(*args):
+        calls.append(1)
+        return rule(*args)
+
+    monkeypatch.setattr(quadrature, "_rows_rule", counted)
+    run_suite("all")
+    assert len(calls) <= 1850

@@ -609,15 +609,16 @@ class TestBochnerRoutes:
             integrals.clear()
             route()
             # the two-sample deficit slope, then one call per subdivision
-            # step of the short- and long-time integrals: the 15 nodes of the
-            # whole range, then the 30 of both halves of each split panel
+            # step of the short- and long-time integrals: the 60 nodes of the
+            # range's four quarter panels, then the 30 of both halves of each
+            # split panel
             # (the moments of the far tail are integrals that make no heat
             # call)
             outer = [(c, e) for c, e in integrals if c]
             assert calls[0] == 2
             assert len(outer) == 2
-            assert all(c == 1 + (e - 15) // 30 for c, e in outer)
-            assert all(size in (15, 30) for size in calls[1:])
+            assert all(c == 1 + (e - 60) // 30 for c, e in outer)
+            assert all(size in (60, 30) for size in calls[1:])
             assert len(calls) == 1 + sum(c for c, _ in outer)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -817,6 +818,26 @@ class TestPeriodizationShiftEquivalence:
             got = eu.frac_periodization_shift(f, 24.0, x, s, images=images, cfg=self.CFG)
         ref = _shift_ref(f, 24.0, x, images, self.CFG, s)
         assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "power,box,x",
+        [
+            # log (power 4): the shift takes |x| + 1 < L/2
+            (4.0, 600, [7.7, -7.7]),
+            (4.0, 600, [10.9, 0.0]),
+            # frac (power 2 + 2s): the bump's shift takes |x| + 1 < L
+            (2.5, 400, [16.2, 16.2]),
+            (3.5, 400, [-22.9, 0.3]),
+        ],
+    )
+    @pytest.mark.parametrize("images", [1, 3, 12])
+    def test_far_lattice_sum_near_the_largest_x(self, power, box, x, images):
+        # term by term out to the window its expansion in x/L needs, the
+        # expansion beyond: against the whole sum term by term
+        x = np.array(x)
+        got = eu._far_lattice_sum(x, 24.0, images, box, power)
+        ref = _far_rows_ref(x, 24.0, images, box, lambda r2: r2 ** (-0.5 * power))
+        assert abs(got - ref) <= 1e-14 * ref
 
     def test_frac_n2_pinned(self):
         # values computed with the 801 x 801 meshgrid far tail this lattice

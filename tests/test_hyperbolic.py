@@ -710,6 +710,16 @@ class TestKernelTable:
         k1 = hy.build_kernel_table(n, "log1", r).values
         assert np.max(np.abs(k1 / hy.log_kernel_values(n, r)[0] - 1.0)) <= 1e-9
 
+    def test_h4_log2_row_against_the_transform(self):
+        # the row of `hyper-tables --seed 3102` (r in linspace(0.160639,
+        # 6.404619, 12)) where a single 15-node first panel missed structure
+        # and time quadrature converged 5.6e-8 relative off the transform;
+        # from four quarter panels it is 1.6e-12 off
+        r = np.array([3.566446])
+        got = hy.build_kernel_table(4, "log2", r).values[0]
+        ref = hy.build_kernel_table(4, "log2", r, route="bessel_closed_form").values[0]
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+
     def test_point_functions_are_table_rows(self):
         grid = np.array([0.005, 0.5, 3.0])
         for n in (2, 3, 4, 5):
@@ -727,9 +737,9 @@ class TestKernelTable:
                 assert pairs.tobytes() == np.stack([k1, k2], axis=1).tobytes()
 
     def test_unconverged_row_names_its_radius(self):
-        # at s = 0.5 the short-time integral of r = 0.3 needs 8 subdivisions,
-        # the other rows at most 5
-        cfg = QuadratureConfig(max_subdivisions=6)
+        # at s = 0.5 the short-time integral of r = 0.3 needs 5 subdivisions
+        # after its four-panel start, the other rows at most 3
+        cfg = QuadratureConfig(max_subdivisions=4)
         grid = [0.005, 0.3, 0.9, 2.5]
         with pytest.raises(NonConvergenceError, match=r"^frac_kernel\(n=3, s=0.5, r=0.3\)$"):
             hy.build_kernel_table(3, "frac", grid, s=0.5, cfg=cfg)
@@ -866,8 +876,12 @@ class TestPointwise:
             hy.log_pointwise_h(3, bump, 0.5, cfg=cfg)
         with pytest.raises(NonConvergenceError, match="far form"):
             hy.log_pointwise_h(3, bump, 2.0, cfg=cfg)
-        with pytest.raises(NonConvergenceError, match="split_check"):
-            hy.split_check(3, bump, 0.5, cfg=cfg)
+        # after its four-panel start split_check's first integral, over
+        # (0, 1), needs one subdivision at the default tolerances: a tighter
+        # one makes it, not the direct value's core, the integral that fails
+        tight = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12, max_subdivisions=1)
+        with pytest.raises(NonConvergenceError, match=r"split_check.*\(0\.0, 1\.0\)"):
+            hy.split_check(3, bump, 0.5, cfg=tight)
 
     def test_breaks(self):
         reg = hy.hyper_registry()
@@ -926,8 +940,10 @@ class TestKernelNorms:
     def test_unconverged_raises(self, monkeypatch):
         bump = hy.hyper_registry()["bump"]
         cfg = QuadratureConfig(max_subdivisions=1)
+        # after its four-panel start the K2 shell out to 6 needs no
+        # subdivision, the one out to 40 two
         with pytest.raises(NonConvergenceError, match=r"kernel_norms\(n=3, p=2.0\)"):
-            hy.kernel_norms(3, 2.0, [6.0], cfg=cfg)
+            hy.kernel_norms(3, 2.0, [40.0], cfg=cfg)
         with pytest.raises(NonConvergenceError, match="weighted L1"):
             hy.kernel_norms(3, 2.0, [1.0], f=bump, cfg=cfg)
         # the remainder's radial integrals raise on their own; past them, the

@@ -86,8 +86,9 @@ class TestIntegrate:
         assert math.isfinite(res.value)
 
     def test_one_call_per_subdivision_step(self):
-        # the whole interval first, then both halves of each split panel in
-        # one call: 1 + splits calls for 15 + 30 splits evaluations
+        # the four quarter panels of the interval first, then both halves of
+        # each split panel in one call: 1 + splits calls for 60 + 30 splits
+        # evaluations
         sizes = []
 
         def f(x):
@@ -95,9 +96,9 @@ class TestIntegrate:
             return np.exp(np.sin(7.0 * x))
 
         res = q.integrate(f, 0.0, 6.0)
-        splits = (res.evaluations - 15) // 30
+        splits = (res.evaluations - 60) // 30
         assert res.converged and splits > 1
-        assert sizes == [15] + [30] * splits
+        assert sizes == [60] + [30] * splits
 
 
 class TestSemiInfinite:
@@ -166,8 +167,9 @@ class TestVectorIntegrands:
                 q.integrate(bad, 0.0, 1.0)
 
     def test_shape_change_between_panels_raises(self):
-        # the first call evaluates the whole interval, the second both
-        # halves of its first split: the value shape changes on the second
+        # the first call evaluates the four quarter panels, the second both
+        # halves of the first split, which sin(40 x) needs: the value shape
+        # changes on the second
         def changing(first, later):
             calls = []
 
@@ -177,13 +179,13 @@ class TestVectorIntegrands:
 
             return f, calls
 
-        rows = lambda m: lambda x: np.ones((m, x.size)) * np.sin(10.0 * x)
-        scalar = lambda x: np.sin(10.0 * x)
+        rows = lambda m: lambda x: np.ones((m, x.size)) * np.sin(40.0 * x)
+        scalar = lambda x: np.sin(40.0 * x)
         for first, later in ((rows(2), rows(3)), (scalar, rows(2)), (rows(2), scalar)):
             f, calls = changing(first, later)
             with pytest.raises(ValueError, match="integrand must return"):
                 q.integrate(f, 0.0, 1.0)
-            assert calls == [15, 30]
+            assert calls == [60, 30]
 
     def test_nan_row_raises(self):
         def one_bad_row(x):
@@ -273,11 +275,12 @@ class TestIndependentRows:
         assert reverse.value[::-1].tobytes() == whole.value.tobytes()
 
     def test_budget_is_per_row(self):
+        # each row's splits after its 60-node start of four quarter panels
         a = np.zeros(5)
         splits = [
             (q.integrate_semiinfinite_rows(
                 lambda rows, t: _damped(np.full(rows.shape, i), t), a[:1]
-            ).evaluations - 15) // 30
+            ).evaluations - 60) // 30
             for i in range(5)
         ]
         cfg = q.QuadratureConfig(max_subdivisions=int(np.median(splits)))

@@ -353,3 +353,18 @@ class TestBesselI0e:
 
 def test_gamma_constant_oracle():
     assert abs(sf.EULER_GAMMA - sf.euler_gamma_harmonic()) <= 1e-12
+
+
+@pytest.mark.parametrize("n0,levels", [(16, 12), (4, 6), (10, 10)])
+def test_gamma_oracle_matches_exactly_rounded_sums(n0, levels):
+    # the same extrapolation over harmonic sums rounded once, by math.fsum:
+    # the oracle's pairwise sums agree to 7.9e-15 (a term-by-term loop was
+    # 1.0e-13 off at the defaults)
+    table = [
+        math.fsum(1.0 / k for k in range(1, n0 * 2 ** j + 1)) - math.log(n0 * 2 ** j)
+        for j in range(levels + 1)
+    ]
+    for k in range(1, levels + 1):
+        fac = 2.0 ** k
+        table = [(fac * table[j] - table[j - 1]) / (fac - 1.0) for j in range(1, len(table))]
+    assert abs(sf.euler_gamma_harmonic(n0, levels) - table[0]) <= 2e-14
