@@ -1,29 +1,23 @@
 """Adaptive 1-D quadrature, radial functions on R^n and H^n (`RadialFunction`)
-and their sphere means (`sphere_mean`), the singular head of the pointwise
-and Bochner routes (`_power_head`), and the scalar identities built on them.
+and their sphere means (`sphere_mean`), the singular head of the pointwise,
+Bochner and half-line routes (`_power_head`), and the scalar identities built
+on them.
 
 One engine integrates everything: a vectorized Gauss-Kronrod 7-15 pair with
-worst-panel-first subdivision (QUADPACK, Piessens et al. 1983) over R rows
-of m components each (`_adaptive_rows`). Every row has its own interval,
-panel heap (keyed by a panel's largest component error), totals and
-subdivision budget, and is converged once every component meets
+worst-panel-first subdivision (QUADPACK, Piessens et al. 1983) over R
+independent rows (`_adaptive_rows`). Every row has its own interval, panel
+heap, totals and subdivision budget, and is converged once it meets
 max(abs_tol, rel_tol |I|). The rows advance in lockstep: each step pops the
 worst panel of every open row and evaluates the children of all of them in
 one integrand call. A row's result does not depend on the other rows, bit
 for bit, as long as the integrand's value at a row's nodes depends on that
 row alone. The entry points are its special cases:
 
-- scalar: `integrate` and `integrate_semiinfinite` with an integrand that
-  maps (k,) nodes to (k,) values are one row of one component;
-- shared panels: the same entry points with an integrand that returns an
-  (m, k) batch are one row of m components, as in scipy.integrate.quad_vec,
-  and QuadResult.value and error_estimate are (m,) arrays. Use it when the
-  components need refinement in the same places (the inner level of an
-  iterated integral);
-- independent rows: `integrate_rows` (finite intervals) and
-  `integrate_semiinfinite_rows` run m rows of one component. Use them when
-  the rows refine in different places (one kernel-table row per radius, one
-  radial integral per time node).
+- scalar: `integrate` and `integrate_semiinfinite` map (k,) nodes to (k,)
+  values and are one row; QuadResult.value is a float;
+- rows: `integrate_rows` (finite intervals) and `integrate_semiinfinite_rows`
+  run m rows, one kernel-table row per radius or one inner integral per
+  outer node and piece, and their results are (m,) arrays.
 
 A one-row integrand sees 60 nodes of its four quarter panels first (the
 panels two levels of bisection would make), then 30 per split: the nodes of
@@ -32,14 +26,7 @@ both halves of the panel split at each step.
 Semi-infinite ranges are folded to (0, 1] by u = 1/(1 + t - a), which
 behaves well for both exponential and Gaussian tails. Endpoint
 singularities of inverse-square-root or logarithmic type are removed
-analytically by the substitution u^2 = x - a before subdividing; both maps
-pass (m, k) values through.
-
-Inside loglap the inner levels of iterated integrals call `_adaptive` (a
-shared-panel batch) or the rows entry points, so `integrate` and
-`integrate_semiinfinite` see scalar integrands only: the benchmark's traced
-runs (perfbench/spans.py) wrap those two names and read each result's value
-as a float.
+analytically by the substitution u^2 = x - a before subdividing.
 """
 
 from __future__ import annotations
@@ -153,10 +140,8 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class QuadResult:
-    """An integral with its error estimate; value and error_estimate are
-    floats for a (k,) integrand and (m,) arrays for an (m, k) one or for m
-    independent rows, whose `converged` is an (m,) bool array, row by row
-    (the engine's own (R, m) arrays for R rows of m components)."""
+    """An integral with its error estimate: floats from `integrate` and
+    `integrate_semiinfinite`, and (m,) arrays, `converged` too, for m rows."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
@@ -202,13 +187,13 @@ NO_SINGULARITY = SingularityHint()
 
 def _rows_rule(f, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Kronrod-15 estimates with embedded Gauss-7 errors (QUADPACK's qk15)
-    of the panels (lo[j], hi[j]) of rows[j], lo < hi, as a (2, m, p) array
-    of values [0] and errors [1] of the m components.
+    of the panels (lo[j], hi[j]) of rows[j], lo < hi, as a (2, p) array of
+    values [0] and errors [1].
 
     Panel j's numbers depend on its own node values alone, whatever the
-    batch: einsum sums every component of every panel the same way, where
-    BLAS gemv (`fv @ w`) would round a panel differently depending on the
-    other panels of the batch.
+    batch: einsum sums every panel the same way, where BLAS gemv (`fv @ w`)
+    would round a panel differently depending on the other panels of the
+    batch.
     """
     h = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + h[:, None] * _NODES
@@ -216,7 +201,7 @@ def _rows_rule(f, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     fv = np.ascontiguousarray(f(rows, x))
     finite = np.isfinite(fv)
     if not finite.all():
-        bad = x[~finite.all(axis=0)][0]
+        bad = x[~finite][0]
         raise NonFiniteIntegrandError(f"integrand not finite near x={bad!r}")
     # the sums on [-1, 1], where f's mean is sk/2; the panel's are h times them
     sk, sg = np.einsum("...k,wk->w...", fv, _WKG)
@@ -234,15 +219,14 @@ def _adaptive_rows(f, a, b, cfg: QuadratureConfig) -> QuadResult:
     """R independent integrals, row i over (a[i], b[i]), subdivided in lockstep.
 
     f(rows, x) maps row indices (p,) and their panels' nodes (p, 15) to the
-    values (m, p, 15): m components per row. The first call evaluates each
-    row's four quarter panels, split as two levels of bisection would split
-    them. From there each row runs worst-panel-first subdivision on its own
-    heap, keyed by a panel's largest component error, with its own totals
-    and subdivision budget, and is converged once every component meets
-    max(abs_tol, rel_tol |I|), in the manner of QUADPACK and
-    scipy.integrate.quad_vec. Each step pops the worst panel of every open
-    row and evaluates all their children in one call to f. The result's
-    value and error_estimate are (R, m) arrays, `converged` is (R,).
+    values (p, 15). The first call evaluates each row's four quarter panels,
+    split as two levels of bisection would split them. From there each row
+    runs worst-panel-first subdivision on its own heap, keyed by a panel's
+    error, with its own totals and subdivision budget, and is converged once
+    it meets max(abs_tol, rel_tol |I|), in the manner of QUADPACK. Each step
+    pops the worst panel of every open row and evaluates all their children
+    in one call to f. The result's value, error_estimate and converged are
+    (R,) arrays.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     # the four quarter panels, split as two levels of bisection would split them
@@ -250,22 +234,22 @@ def _adaptive_rows(f, a, b, cfg: QuadratureConfig) -> QuadResult:
     cuts = np.array((a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b))  # (5, R)
     owners = np.tile(np.arange(a.size), 4)
     first = _rows_rule(f, owners, cuts[:-1].reshape(-1), cuts[1:].reshape(-1))
-    first = first.reshape(2, -1, 4, a.size).transpose(3, 2, 0, 1)  # (R, 4, 2, m)
-    keys = first[:, :, 1].max(axis=2).tolist()
+    first = first.reshape(2, 4, a.size).transpose(2, 1, 0)  # (R, 4, 2)
+    keys = first[:, :, 1].tolist()
     heaps = [
         [(-k, c, lo, hi, p) for c, (k, lo, hi, p) in enumerate(zip(*row))]
         for row in zip(keys, cuts[:-1].T.tolist(), cuts[1:].T.tolist(), first)
     ]
     for heap in heaps:
         heapq.heapify(heap)
-    totals = (first[:, 0] + first[:, 1]) + (first[:, 2] + first[:, 3])  # (R, 2, m)
+    totals = (first[:, 0] + first[:, 1]) + (first[:, 2] + first[:, 3])  # (R, 2)
     counter = 4
     splits = [0] * a.size
     converged = [True] * a.size
     evals = 60 * a.size
     value, err = totals[:, 0], totals[:, 1]
     while True:
-        open_ = (err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))).any(axis=1)
+        open_ = err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
         moved = False
         rows, lo, mids, hi, parents = [], [], [], [], []  # the panels to halve
         for i in open_.nonzero()[0].tolist():
@@ -295,8 +279,8 @@ def _adaptive_rows(f, a, b, cfg: QuadratureConfig) -> QuadResult:
         q = len(rows)
         # the left halves, then the right ones
         ends = np.array((lo + mids, mids + hi))
-        halves = _rows_rule(f, np.array(rows + rows), ends[0], ends[1]).transpose(2, 0, 1)
-        keys = halves[:, 1].max(axis=1).tolist()
+        halves = _rows_rule(f, np.array(rows + rows), ends[0], ends[1]).T
+        keys = halves[:, 1].tolist()
         totals[rows] += halves[:q] + halves[q:] - np.array(parents)
         evals += 30 * q
         for i, pa, mid, pb, kl, kr, left, right in zip(
@@ -309,32 +293,22 @@ def _adaptive_rows(f, a, b, cfg: QuadratureConfig) -> QuadResult:
 
 
 def _adaptive(f, a: float, b: float, cfg: QuadratureConfig) -> QuadResult:
-    """(a, b) as one row of `_adaptive_rows`.
-
-    f maps (k,) nodes to (k,) values, and the result is a float, or to an
-    (m, k) batch of m integrals on shared panels, and the result's value and
-    error_estimate are (m,) arrays. f sees 60 nodes of its four quarter
-    panels first, then 30 per split: both halves of each panel that is split.
-    """
-    shape = None  # () or (m,), set by the first call
+    """(a, b) as one row of `_adaptive_rows`, f mapping (k,) nodes to (k,)
+    values. f sees 60 nodes of its four quarter panels first, then 30 per
+    split: both halves of each panel that is split."""
 
     def row(rows, x):
-        nonlocal shape
         fv = np.asarray(f(x.reshape(-1)), dtype=float)
-        if shape is None and fv.ndim in (1, 2) and fv.size:
-            shape = fv.shape[:-1]
-        if shape is None or fv.shape != (*shape, x.size):
+        if fv.shape != (x.size,):
             raise ValueError(
-                "integrand must return (k,) or (m, k) values for (k,) nodes, "
-                f"got {fv.shape} for {(x.size,)}"
+                f"integrand must return (k,) values for (k,) nodes, got {fv.shape} for {(x.size,)}"
             )
-        return fv.reshape(-1, *x.shape)
+        return fv.reshape(x.shape)
 
     res = _adaptive_rows(row, [a], [b], cfg)
-    value, err = res.value[0], res.error_estimate[0]
-    if not shape:
-        value, err = float(value[0]), float(err[0])
-    return QuadResult(value, err, res.evaluations, bool(res.converged[0]))
+    return QuadResult(
+        float(res.value[0]), float(res.error_estimate[0]), res.evaluations, bool(res.converged[0])
+    )
 
 
 def integrate(
@@ -404,10 +378,9 @@ def integrate_rows(
             raise ValueError(
                 f"integrand must return {x.shape} values for {x.shape} nodes, got {fv.shape}"
             )
-        return fv[None]
+        return fv
 
-    res = _adaptive_rows(g, a, b, cfg)
-    return QuadResult(res.value[:, 0], res.error_estimate[:, 0], res.evaluations, res.converged)
+    return _adaptive_rows(g, a, b, cfg)
 
 
 def integrate_semiinfinite_rows(

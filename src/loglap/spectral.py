@@ -18,11 +18,11 @@ import numpy as np
 
 from .quadrature import (
     DEFAULT_CONFIG,
-    NonConvergenceError,
     QuadratureConfig,
-    _adaptive,
+    _power_head,
     frullani_log,
     integrate,
+    integrate_rows,
 )
 from .specfun import erf, erfc, gamma
 
@@ -305,75 +305,75 @@ def frac_discrepancy_halfline(
     support: tuple[float, float],
     s: float,
     x: float,
-    cfg: QuadratureConfig | None = None,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> DiscrepancyReport:
     """Both routes to the fractional operator on the killed half line.
 
-    A applies the semigroup deficit f(x) - P_t f(x); B applies the
-    difference kernel int (f(x) - f(y)) p_t(x, y) dy with the surviving
-    mass computed by quadrature rather than the erf closed form. Their gap
-    must equal V_s(x) f(x).
+    B, the difference form, integrates (f(x) - f(y)) p_t(x, y) dy with the
+    difference inside the integrand, so nothing cancels at small t. A, the
+    semigroup deficit f(x) - P_t f(x), is B's integrand plus f(x) times the
+    lost mass, itself a quadrature of the density's missing part rather than
+    the erfc closed form. Their gap must equal V_s(x) f(x).
+
+    Each time integral is scalar: below t = 1 the power head of
+    `quadrature._power_head` (k = 1, alpha = s), above it t = w^(-1/s),
+    which turns t^(-1-s) dt into dw/s.
     """
-    if cfg is None:
-        cfg = QuadratureConfig(abs_tol=5e-13, rel_tol=1e-11, max_subdivisions=1200)
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"s must lie in (0, 1), got {s}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"x must be finite and positive, got {x}")
     a_lo, a_hi = support
-    if not (0.0 < a_lo < a_hi) or not (x > 0.0):
-        raise ValueError("support must lie in (0, inf) and x must be positive")
+    if not 0.0 < a_lo < a_hi:
+        raise ValueError(f"support must lie in (0, inf), got {support!r}")
     fx = float(np.atleast_1d(f(np.array([x])))[0])
     norm = (4.0 * math.pi) ** -0.5
+    edges = np.array([0.0, a_lo, a_hi, math.inf])[:, None]
+    what = f"half-line discrepancy at s={s}, x={x}"
 
-    def heat_integrals(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(P_t f(x), surviving mass) at each t, as one batch of integrals.
+    def heat_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """int (f(x) - f(y)) p_t(x, y) dy and the lost mass at each t, as
+        the rows of one integral.
 
-        Each works in the similarity variable z = (y - x)/sqrt(t), where the
-        density peak has unit width at every t, so the quadrature cannot
-        miss it; row i maps u in [0, 1] to z = za_i + (zb_i - za_i) u.
+        B works in z = (y - x)/sqrt(t), where the density peak has unit
+        width at every t, one row per piece between the support's edges
+        (cut at |z| = 45); the lost mass, 2 int_(x/sqrt t)^inf e^(-w^2/4)
+        dw/sqrt(4 pi), is one more row per t.
         """
-        rt = np.sqrt(t)[:, None]
-        image = np.tile(2.0 * x / rt, (2, 1))  # the killed image sits at z = -2x/sqrt(t)
-        za = np.concatenate([np.maximum(-45.0, (a_lo - x) / rt), np.maximum(-x / rt, -45.0)])
-        zb = np.concatenate([np.minimum(45.0, (a_hi - x) / rt), np.full(rt.shape, 45.0)])
-        width = np.maximum(zb - za, 0.0)  # an empty support window integrates to 0
-        k = t.size
+        rt = np.sqrt(t)
+        image = 2.0 * x / rt  # the killed image sits at z = -2x/sqrt(t)
+        cuts = np.clip((edges - x) / rt, -45.0, 45.0)
+        keep = (cuts[:-1] < cuts[1:]).ravel()
+        node = np.tile(np.arange(t.size), 3)[keep]
+        m = node.size
 
-        def g(u):
-            z = za + width * u
-            kern = norm * (np.exp(-0.25 * z * z) - np.exp(-0.25 * (image + z) ** 2))
-            y = x + rt * z[:k]
-            kern[:k] *= np.reshape(f(y.ravel()), y.shape)
-            return kern * width
+        def g(rows, z):
+            out = 2.0 * norm * np.exp(-0.25 * z * z)
+            b = rows < m
+            j = node[rows[b]][:, None]
+            zb = z[b]
+            kern = norm * (np.exp(-0.25 * zb * zb) - np.exp(-0.25 * (image[j] + zb) ** 2))
+            y = x + rt[j] * zb
+            out[b] = (fx - np.reshape(f(y.ravel()), y.shape)) * kern
+            return out
 
-        res = _adaptive(g, 0.0, 1.0, cfg)
-        if not res.converged:
-            raise NonConvergenceError(f"half-line semigroup at s={s}, x={x}")
-        return res.value[:k], res.value[k:]
+        lo = np.concatenate([cuts[:-1].ravel()[keep], 0.5 * image])
+        hi = np.concatenate([cuts[1:].ravel()[keep], 0.5 * image + 45.0])
+        values = integrate_rows(g, lo, hi, cfg).checked(what)
+        return np.bincount(node, values[:m], t.size), values[m:]
 
-    def routes(t: np.ndarray) -> np.ndarray:
-        """Route A, f(x) - P_t f(x), and route B, f(x) M_t - P_t f(x)."""
-        semigroup, mass = heat_integrals(t)
-        return np.stack([fx - semigroup, fx * mass - semigroup])
+    def deficit(t):
+        b, lost = heat_terms(t)
+        return b + fx * lost
 
-    pref = s / gamma(1.0 - s)
-    t_floor = 1e-4
-    # below t_floor both integrands are linear in t up to terms that are
-    # identical in the two routes (the lost mass is e^(-x^2/4t) there);
-    # above it, flatten the t^-s singularity with t = v^(1/(1-s))
-    slope = routes(np.array([1e-3]))[:, 0] / 1e-3
-    analytic = slope * t_floor ** (1.0 - s) / (1.0 - s)
-    q = 1.0 / (1.0 - s)
+    def difference(t):
+        return heat_terms(t)[0]
 
-    def short(v):
-        t = v ** q
-        return routes(t) * t ** (-1.0 - s) * q * v ** (q - 1.0)
+    def form(g) -> float:
+        head = _power_head(g, 1, s, 1e-7, 1e-9, cfg, what)
+        # t = w^(-1/s) maps (1, inf) to (0, 1) and t^(-1-s) dt to dw/s
+        tail = integrate(lambda w: g(w ** (-1.0 / s)) / s, 0.0, 1.0, cfg=cfg)
+        return s / gamma(1.0 - s) * (head + tail.checked(what))
 
-    def far(u):
-        # t = 1/u maps (1, inf) to (0, 1), as integrate_semiinfinite does
-        return routes(1.0 / u) * u ** (s - 1.0)
-
-    head = _adaptive(short, t_floor ** (1.0 - s), 1.0, cfg)
-    tail = _adaptive(far, 0.0, 1.0, cfg)
-    if not (head.converged and tail.converged):
-        raise NonConvergenceError(f"half-line discrepancy at s={s}, x={x}")
-    a_val, b_val = pref * (analytic + head.value + tail.value)
     v_s = massloss_vs(x, s, cfg=DEFAULT_CONFIG)
-    return DiscrepancyReport(float(a_val), float(b_val), v_s, fx)
+    return DiscrepancyReport(form(deficit), form(difference), v_s, fx)

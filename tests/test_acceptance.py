@@ -147,9 +147,8 @@ def test_every_suite_check_consumed_or_supplementary(reports):
 
 
 def test_engine_steps_of_a_full_verify(monkeypatch):
-    # one Gauss-Kronrod call per engine step: started from four quarter
-    # panels, `verify --suite all` takes 1,687 steps (2,643 from one
-    # whole-interval panel); cached constants can only lower the count
+    # one Gauss-Kronrod call per engine step: `verify --suite all` takes
+    # 1,265 steps; cached constants can only lower the count
     calls = []
     rule = quadrature._rows_rule
 
@@ -159,4 +158,4 @@ def test_engine_steps_of_a_full_verify(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_rows_rule", counted)
     run_suite("all")
-    assert len(calls) <= 1850
+    assert len(calls) <= 1450

@@ -1,6 +1,7 @@
 """Quadrature engine contracts and the scalar integral identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,31 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             q.integrate(np.sin, 1.0, 0.0)
 
+    def test_nan_raises(self):
+        def one_nan(x):
+            out = np.sin(x)
+            out[x > 0.9] = np.nan
+            return out
+
+        # the message names the first bad node, the first one past 0.9
+        with pytest.raises(q.NonFiniteIntegrandError, match=r"not finite near x=(np\.float64\()?0\.90"):
+            q.integrate(one_nan, 0.0, 1.0)
+
+    def test_wrong_shape_raises(self):
+        # an integrand maps (k,) nodes to (k,) values; an (m, k) batch is an
+        # error that names its shape
+        for bad, shape in (
+            (lambda x: np.ones(x.size + 1), "(61,)"),
+            (lambda x: np.stack([np.sin(x), np.cos(x)]), "(2, 60)"),
+            (lambda x: np.ones((1, x.size)), "(1, 60)"),
+            (lambda x: np.ones((2, 2, x.size)), "(2, 2, 60)"),
+            (lambda x: np.float64(1.0), "()"),
+        ):
+            with pytest.raises(ValueError, match=f"integrand must return .*got {re.escape(shape)}"):
+                q.integrate(bad, 0.0, 1.0)
+        with pytest.raises(ValueError, match=re.escape("got (3, 60)")):
+            q.integrate_semiinfinite(lambda t: np.stack([np.exp(-t)] * 3), 0.0)
+
     def test_budget_exhaustion_flags(self):
         cfg = q.QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=2)
         res = q.integrate(lambda x: np.exp(np.sin(7.0 * x)), 0.0, 6.0, cfg=cfg)
@@ -129,105 +155,6 @@ class TestSemiInfinite:
             assert row.error_estimate.tobytes() == np.array([scalar.error_estimate]).tobytes()
             assert row.evaluations == scalar.evaluations
             assert row.converged.tolist() == [scalar.converged]
-
-
-def _batch(x):
-    """Three integrands of very different scale, one per row."""
-    return np.stack([np.sin(x), 1e6 * np.exp(-x) * x * x, 1e-6 * np.cos(3.0 * x)])
-
-
-class TestVectorIntegrands:
-    def test_components_match_scalar(self):
-        res = q.integrate(_batch, 0.0, 2.0)
-        assert res.value.shape == res.error_estimate.shape == (3,)
-        assert res.converged
-        cfg = q.DEFAULT_CONFIG
-        for i in range(3):
-            scalar = q.integrate(lambda x: _batch(x)[i], 0.0, 2.0)
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(scalar.value))
-            assert abs(res.value[i] - scalar.value) <= tol
-            assert res.error_estimate[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value[i]))
-
-    def test_single_row_batch(self):
-        res = q.integrate(lambda x: np.exp(np.sin(7.0 * x))[None, :], 0.0, 6.0)
-        scalar = q.integrate(lambda x: np.exp(np.sin(7.0 * x)), 0.0, 6.0)
-        assert res.value.shape == (1,)
-        assert res.value[0] == scalar.value
-        assert res.error_estimate[0] == scalar.error_estimate
-        assert res.evaluations == scalar.evaluations
-
-    def test_wrong_shape_raises(self):
-        for bad in (
-            lambda x: np.ones(x.size + 1),
-            lambda x: np.ones((2, x.size - 1)),
-            lambda x: np.ones((2, 2, x.size)),
-            lambda x: np.ones((0, x.size)),
-        ):
-            with pytest.raises(ValueError, match="integrand must return"):
-                q.integrate(bad, 0.0, 1.0)
-
-    def test_shape_change_between_panels_raises(self):
-        # the first call evaluates the four quarter panels, the second both
-        # halves of the first split, which sin(40 x) needs: the value shape
-        # changes on the second
-        def changing(first, later):
-            calls = []
-
-            def f(x):
-                calls.append(x.size)
-                return (first if len(calls) == 1 else later)(x)
-
-            return f, calls
-
-        rows = lambda m: lambda x: np.ones((m, x.size)) * np.sin(40.0 * x)
-        scalar = lambda x: np.sin(40.0 * x)
-        for first, later in ((rows(2), rows(3)), (scalar, rows(2)), (rows(2), scalar)):
-            f, calls = changing(first, later)
-            with pytest.raises(ValueError, match="integrand must return"):
-                q.integrate(f, 0.0, 1.0)
-            assert calls == [60, 30]
-
-    def test_nan_row_raises(self):
-        def one_bad_row(x):
-            out = _batch(x)
-            out[1, 7] = np.nan
-            return out
-
-        with pytest.raises(q.NonFiniteIntegrandError):
-            q.integrate(one_bad_row, 0.0, 1.0)
-
-    def test_hint_map_passes_batches(self):
-        hint = q.SingularityHint("lower")
-        res = q.integrate(
-            lambda x: np.stack([1.0 / np.sqrt(x), np.cos(x) / np.sqrt(x)]), 0.0, 1.0, hint=hint
-        )
-        scalar = q.integrate(lambda x: np.cos(x) / np.sqrt(x), 0.0, 1.0, hint=hint)
-        assert res.value[0] == pytest.approx(2.0, abs=1e-12)
-        assert res.value[1] == pytest.approx(scalar.value, abs=1e-12)
-        upper = q.integrate(
-            lambda x: np.stack([1.0 / np.sqrt(1.0 - x), x]),
-            0.0,
-            1.0,
-            hint=q.SingularityHint("upper"),
-        )
-        assert upper.value == pytest.approx([2.0, 0.5], abs=1e-12)
-
-    def test_semiinfinite_map_passes_batches(self):
-        res = q.integrate_semiinfinite(
-            lambda t: np.stack([np.exp(-t), t ** 1.5 * np.exp(-t), np.exp(-t * t)]), 0.0
-        )
-        expected = [1.0, 0.75 * math.sqrt(math.pi), 0.5 * math.sqrt(math.pi)]
-        assert res.value == pytest.approx(expected, rel=1e-11)
-
-    def test_budget_exhaustion_flags(self):
-        cfg = q.QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=2)
-        res = q.integrate(lambda x: np.stack([np.exp(np.sin(7.0 * x)), x]), 0.0, 6.0, cfg=cfg)
-        assert not res.converged
-        assert np.all(np.isfinite(res.value))
-
-    def test_result_rejects_negative_component_error(self):
-        with pytest.raises(ValueError):
-            q.QuadResult(np.zeros(2), np.array([1e-3, -1e-3]), 15)
 
 
 # rows that need refinement in different places: e^(-c t) cos(w t)
@@ -295,6 +222,10 @@ class TestIndependentRows:
         assert not np.all(head.converged)
         assert total.converged.tolist() == (head.converged & tail.converged).tolist()
         assert total.value.tolist() == (head.value + tail.value).tolist()
+
+    def test_result_rejects_negative_row_error(self):
+        with pytest.raises(ValueError):
+            q.QuadResult(np.zeros(2), np.array([1e-3, -1e-3]), 15)
 
     def test_nan_raises(self):
         def bad(rows, t):

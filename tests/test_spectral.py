@@ -217,6 +217,16 @@ class TestMassLoss:
         assert ratio == pytest.approx(10.0 ** (-0.2), rel=1e-4)
 
 
+def _sine_transform_frac(s, x, length=256.0, points=2 ** 20):
+    """(-Lap_D)^s of the bump at the node x: xi^(2s) on the discrete sine
+    transform of its samples on (0, length), the rfft of the odd extension."""
+    y = np.arange(points) * (length / points)
+    odd = np.concatenate([_bump(y), [0.0], -_bump(y[:0:-1])])
+    xi = np.arange(points + 1) * (math.pi / length)
+    values = np.fft.irfft(np.fft.rfft(odd) * xi ** (2.0 * s), n=odd.size)
+    return float(values[round(x * points / length)])
+
+
 def _bump(y):
     y = np.asarray(y, dtype=float)
     inside = (y > 1.0) & (y < 2.0)
@@ -243,16 +253,54 @@ class TestDiscrepancy:
         assert rep.potential == pytest.approx(sp.massloss_vs(1.5, 0.5), rel=1e-10)
 
     def test_forms_match_pinned(self):
-        # both forms as computed with one adaptive inner integral per t-node
+        # B with the difference inside its integrand, A = B + f(x) times the
+        # lost mass, each time integral a power head below t = 1
         pinned = {
-            (0.5, 1.5): (0.0876253583579136, 0.07985195978450685),
-            (0.9, 1.5): (0.3904806553923324, 0.3888631379989356),
-            (0.5, 0.5): (-0.0018093894135165576, -0.0018093894135165576),
+            (0.5, 1.5): (0.08770306475521768, 0.07992966618180923),
+            (0.9, 1.5): (0.39579639776213255, 0.3941788803687848),
+            (0.5, 0.5): (-0.001809389413513792, -0.001809389413513792),
         }
         for (s, x), (deficit, difference) in pinned.items():
             rep = sp.frac_discrepancy_halfline(_bump, (1.0, 2.0), s, x)
             assert rep.deficit_form == pytest.approx(deficit, rel=1e-10)
             assert rep.difference_form == pytest.approx(difference, rel=1e-10)
+
+    @pytest.mark.parametrize("s", [0.5, 0.9])
+    def test_deficit_form_matches_the_sine_transform(self, s):
+        # the semigroup deficit is the spectral (-Lap_D)^s f, xi^(2s) on the
+        # sine transform of f
+        rep = sp.frac_discrepancy_halfline(_bump, (1.0, 2.0), s, 1.5)
+        assert rep.deficit_form == pytest.approx(_sine_transform_frac(s, 1.5), rel=1e-9)
+
+    def test_near_one_raises_or_is_right(self):
+        # close to s = 1 the short-time head drowns in the rounding of
+        # f(x) - f(y); it may raise, but not return a wrong value
+        try:
+            rep = sp.frac_discrepancy_halfline(_bump, (1.0, 2.0), 0.99, 1.5)
+        except NonConvergenceError:
+            return
+        assert rep.deficit_form == pytest.approx(_sine_transform_frac(0.99, 1.5), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "s, x, message",
+        [
+            (0.0, 1.5, "s must lie in"),
+            (-0.5, 1.5, "s must lie in"),
+            (1.0, 1.5, "s must lie in"),
+            (1.5, 1.5, "s must lie in"),
+            (math.nan, 1.5, "s must lie in"),
+            (0.5, 0.0, "x must be"),
+            (0.5, -1.0, "x must be"),
+            (0.5, math.inf, "x must be"),
+            (0.5, math.nan, "x must be"),
+        ],
+    )
+    def test_bad_s_or_x_raises_before_integrating(self, s, x, message):
+        def untouched(y):
+            raise AssertionError("f evaluated")
+
+        with pytest.raises(ValueError, match=message):
+            sp.frac_discrepancy_halfline(untouched, (1.0, 2.0), s, x)
 
     def test_unconverged_raises(self):
         with pytest.raises(NonConvergenceError):
