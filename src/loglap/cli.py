@@ -212,15 +212,18 @@ def _cmd_apply(args) -> int:
                     return _fail_args(_torus_too_large(args))
                 meta["length"] = args.length
                 meta["grid_points"] = args.grid_points
-            elif args.route == "pointwise":
-                if args.op == "log":
-                    vals = [euclid.log_pointwise(f, x) for x in xs]
-                else:
-                    vals = [euclid.frac_pointwise(f, x, args.s) for x in xs]
-            elif args.op == "log":
-                vals = [euclid.log_bochner_point(f, x) for x in xs]
             else:
-                vals = [euclid.frac_bochner_point(f, x, args.s) for x in xs]
+                try:
+                    if args.route == "pointwise" and args.op == "log":
+                        vals = [euclid.log_pointwise(f, x) for x in xs]
+                    elif args.route == "pointwise":
+                        vals = [euclid.frac_pointwise(f, x, args.s) for x in xs]
+                    elif args.op == "log":
+                        vals = [euclid.log_bochner_point(f, x) for x in xs]
+                    else:
+                        vals = [euclid.frac_bochner_point(f, x, args.s) for x in xs]
+                except OverflowError as exc:  # a point too far out
+                    return _fail_args(f"--x: {exc}")
             rows = [list(x) + [val] for x, val in zip(xs, vals)]
             header = [f"x{i + 1}" for i in range(args.n)] + ["value"]
         else:
@@ -238,11 +241,14 @@ def _cmd_apply(args) -> int:
             for xd in dists:
                 if not (math.isfinite(xd) and xd >= 0):
                     return _fail_args("--x-dist must be finite and nonnegative")
-                val = (
-                    hyperbolic.log_pointwise_h(args.n, f, xd)
-                    if args.route == "pointwise"
-                    else hyperbolic.log_bochner_h(args.n, f, xd)
-                )
+                try:
+                    val = (
+                        hyperbolic.log_pointwise_h(args.n, f, xd)
+                        if args.route == "pointwise"
+                        else hyperbolic.log_bochner_h(args.n, f, xd)
+                    )
+                except OverflowError as exc:  # a point too far out
+                    return _fail_args(f"--x-dist: {exc}")
                 rows.append([xd, val])
             header = ["x_dist", "value"]
     except (NonConvergenceError, NonFiniteIntegrandError) as exc:

@@ -139,10 +139,11 @@ def bochner_prefactor_numeric(
 # test function registry
 
 
-def _moments(f: RadialFunction, n: int, x_norm: float) -> tuple[float, float]:
-    """(int f, int |y - x|^2 f(y) dy) over R^n for radial f, given |x|: the
-    radial integrals of f r^(n-1) and f r^(n+1), two rows of one
-    integrate_rows call."""
+@functools.lru_cache(maxsize=16)
+def _radial_moments(f: RadialFunction, n: int) -> tuple[float, float]:
+    """(int f, int |y|^2 f(y) dy) over R^n for radial f: the radial
+    integrals of f r^(n-1) and f r^(n+1), two rows of one integrate_rows
+    call, once per function and dimension."""
     powers = (n - 1, n + 1)
 
     def g(rows, r):
@@ -150,6 +151,12 @@ def _moments(f: RadialFunction, n: int, x_norm: float) -> tuple[float, float]:
 
     res = integrate_rows(g, [0.0, 0.0], [f.far_radius] * 2, cfg=DEFAULT_CONFIG)
     mass, second = map(float, sphere_area(n) * res.checked(f"{f.id}: moments"))
+    return mass, second
+
+
+def _moments(f: RadialFunction, n: int, x_norm: float) -> tuple[float, float]:
+    """(int f, int |y - x|^2 f(y) dy) over R^n for radial f, given |x|."""
+    mass, second = _radial_moments(f, n)
     return mass, second + x_norm * x_norm * mass
 
 
@@ -463,6 +470,22 @@ def _flat_dist(q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(q, 0.0))
 
 
+def _norm(x: np.ndarray) -> float:
+    """|x| without overflow: sqrt(x . x) while no coordinate reaches 1e150,
+    math.hypot beyond."""
+    coords = x.tolist()
+    if max(map(abs, coords)) < 1e150:
+        return math.sqrt(float(x @ x))
+    return math.hypot(*coords)
+
+
+def _check_far(route: str, fits: bool) -> None:
+    """OverflowError naming the route, and so |x|, unless the point `fits`
+    the route's double precision arithmetic."""
+    if not fits:
+        raise OverflowError(f"{route}: the point is too far out for double precision")
+
+
 def sphere_average(f: RadialFunction, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Average of f over the sphere of radius r centered at x (vector in r),
     in R^n with n the number of coordinates of x.
@@ -472,7 +495,7 @@ def sphere_average(f: RadialFunction, x: np.ndarray, r: np.ndarray) -> np.ndarra
     the whole sphere, 1e-13 off stopped at radius 12.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    xn = math.sqrt(float(x @ x))
+    xn = _norm(x)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     cuts = np.square(f.breaks or (f.far_radius,))
     return sphere_mean(f.profile, x.size, xn * xn + r * r, 2.0 * xn * r, _flat_dist, cuts)
@@ -486,12 +509,17 @@ def log_pointwise(
     c_n int_{B_1} (f(x) - f(y)) / |x-y|^n dy
       - c_n int_{complement} f(y) / |x-y|^n dy + rho_n f(x),
     reduced to radial integrals of the spherical average; c_n |S^(n-1)| = 2.
+    The far integral starts where the spheres about x first reach the far
+    radius, so that a support far from x is not missed.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     cn = constants(x.size)
-    xn = float(np.linalg.norm(x))
+    xn = _norm(x)
+    route = f"log_pointwise({f.id}, |x|={xn!r})"
+    lo, rmax = max(1.0, xn - f.far_radius), f.far_radius + xn + 1.0
+    # past |x| ~ 1e16 the radii |x| -+ far radius round together
+    _check_far(route, lo < rmax and math.isfinite(2.0 * rmax * rmax))
     fx = float(f.profile(np.asarray(xn)))
-    rmax = f.far_radius + xn + 1.0
 
     def near(r):
         return (fx - sphere_average(f, x, r)) / r
@@ -499,9 +527,8 @@ def log_pointwise(
     def far(r):
         return sphere_average(f, x, r) / r
 
-    route = f"log_pointwise({f.id}, |x|={xn!r})"
     near_part = integrate(near, 0.0, 1.0, cfg=cfg).checked(f"{route}: near")
-    far_part = integrate(far, 1.0, rmax, cfg=cfg).checked(f"{route}: far")
+    far_part = integrate(far, lo, rmax, cfg=cfg).checked(f"{route}: far")
     return 2.0 * near_part - 2.0 * far_part + cn.rho_n * fx
 
 
@@ -513,16 +540,19 @@ def frac_pointwise(
     The radial integrand (f(x) - avg f) r^(-1-2s) over r < 1 is the power
     head of `quadrature._power_head` (k = 2: the curvature from r = 1e-4 and
     2e-4, closed form below r = 2e-4, flattened by r = v^(1/(2-2s)) above);
-    outside the far radius the spherical average vanishes and the tail
-    integrates in closed form.
+    where the spheres about x do not reach the far radius, inside
+    r = |x| - far radius or outside r = |x| + far radius, the spherical
+    average vanishes and the integral is closed form.
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.size
-    xn = float(np.linalg.norm(x))
+    xn = _norm(x)
+    route = f"frac_pointwise({f.id}, |x|={xn!r}, s={s!r})"
+    lo, rmax = max(1.0, xn - f.far_radius), f.far_radius + xn + 1.0
+    _check_far(route, lo < rmax and math.isfinite(2.0 * rmax * rmax))
     fx = float(f.profile(np.asarray(xn)))
-    rmax = f.far_radius + xn + 1.0
     pref = frac_constant(n, s).c_ns * sphere_area(n)
 
     def deficit(r):
@@ -531,11 +561,11 @@ def frac_pointwise(
     def mid(r):
         return deficit(r) * r ** (-1.0 - 2.0 * s)
 
-    route = f"frac_pointwise({f.id}, |x|={xn!r}, s={s!r})"
     near_part = _power_head(deficit, 2, 2.0 * s, 1e-4, 2e-4, cfg, f"{route}: near")
-    mid_part = integrate(mid, 1.0, rmax, cfg=cfg).checked(f"{route}: far")
+    mid_part = integrate(mid, lo, rmax, cfg=cfg).checked(f"{route}: far")
     tail = fx * rmax ** (-2.0 * s) / (2.0 * s)
-    return pref * (near_part + mid_part + tail)
+    inside = fx * (1.0 - lo ** (-2.0 * s)) / (2.0 * s)  # 0 where lo = 1
+    return pref * (near_part + mid_part + tail + inside)
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +612,11 @@ def _radial_heat(
     left 1e-8). The value stops at the far radius. The deficit integrates
     f(x) - f(rho) over the whole Gaussian, so the small-t cancellation
     happens inside the integrand and no f(x) (1 - sum of weights) term
-    enters. Every t gets the same panel layout (clipped panels have zero
-    width), and each row's sum depends on its own t alone.
+    enters. Clipping leaves some panels of a row zero wide: each row takes
+    its live panels first, in their order, and the call evaluates only as
+    many panels per row as its fullest row has live, the rest of a shorter
+    row being zero-wide panels of zero weight. So each row's sum depends on
+    its own t alone.
     """
     t = np.asarray(t, dtype=float)
     rt = np.sqrt(t)[:, None]
@@ -594,8 +627,12 @@ def _radial_heat(
     edges = (np.asarray(f.breaks, dtype=float) - xn) / rt
     cuts = np.sort(np.concatenate([fixed, lo, edges], axis=1), axis=1)
     cuts = np.clip(cuts, lo, hi)
-    half = 0.5 * np.diff(cuts, axis=1)[:, :, None]
-    v = cuts[:, :-1, None] + half * (_GL_NODES + 1.0)
+    half = 0.5 * np.diff(cuts, axis=1)
+    # each row's live panels first, in their order, and no more columns than
+    # the fullest row has live panels
+    order = np.argsort(half == 0.0, axis=1, kind="stable")[:, : int((half > 0.0).sum(1).max())]
+    half = np.take_along_axis(half, order, axis=1)[:, :, None]
+    v = np.take_along_axis(cuts[:, :-1], order, axis=1)[:, :, None] + half * (_GL_NODES + 1.0)
     rho = np.maximum(xn + rt[:, :, None] * v, 0.0)
     w = (half * _GL_WEIGHTS) * np.exp(-0.25 * v * v)
     if n > 1:
@@ -611,19 +648,30 @@ def _radial_heat(
 _T_SLOPE = 1e-6  # the short-time deficit's slope is taken at t = 1e-6 and 2e-6
 _T_TAYLOR = 1e-8  # and below t = 1e-8 it is its linear term
 _T_FAR = 1e4
-_TAU_FAR = math.log(_T_FAR)
 
 
-def _heat_far_tail(f: RadialFunction, n: int, xn: float, p: float) -> float:
-    """int_{T_FAR}^inf (e^{t Lap} f)(x) t^(-1-p) dt in closed form.
+def _t_far(route: str, xn: float) -> float:
+    """Where the Bochner routes' far tail starts: t = 1e4, or 1e3 |x|^2 past
+    |x| = sqrt(10). The tail's two-term expansion drops the third term of
+    e^(-|x - y|^2/4t), (|x - y|^2/4t)^2/2, and its moment grows like |x|^4:
+    a fixed 1e4 leaves the n = 1 log value 1.1e-6 of itself off at |x| = 20,
+    and 1e3 |x|^2 leaves 1.1e-10. OverflowError naming |x| where the
+    heat rule's |x| rho / 2t, about |x|^2 / 2t, exceeds double precision at
+    the shortest time the routes take, t = _T_TAYLOR."""
+    _check_far(route, math.isfinite(xn * xn / _T_TAYLOR))
+    return max(_T_FAR, 1e3 * xn * xn)
 
-    Past T_FAR the semigroup is its two-term expansion
+
+def _heat_far_tail(f: RadialFunction, n: int, xn: float, p: float, t_far: float) -> float:
+    """int_{t_far}^inf (e^{t Lap} f)(x) t^(-1-p) dt in closed form.
+
+    Past t_far the semigroup is its two-term expansion
     (4 pi t)^(-n/2) (mass - m2 / (4 t)), m2 the second moment about x.
     """
     mass, m2 = _moments(f, n, xn)
     a = 0.5 * n + p
     return (4.0 * math.pi) ** (-0.5 * n) * (
-        mass * _T_FAR ** (-a) / a - 0.25 * m2 * _T_FAR ** (-a - 1.0) / (a + 1.0)
+        mass * t_far ** (-a) / a - 0.25 * m2 * t_far ** (-a - 1.0) / (a + 1.0)
     )
 
 
@@ -636,14 +684,16 @@ def log_bochner_point(
     t = 1 the f(x) (e^-t - 1)/t part is -(E1(1) + gamma) f(x) in closed
     form, and the deficit (f(x) - e^{t Lap} f(x))/t is the power head of
     `quadrature._power_head` (k = 1, alpha = 0), the same head as the
-    fractional route's. Over (1, 1e4) it is integrated in tau = log t, where
-    the integrand is smooth; the far tail uses the two-term heat expansion in
-    closed form. Each subdivision step evaluates the semigroup at all its
-    times (60 nodes of its four quarter panels, then 30 per split) in one
-    call.
+    fractional route's. Over (1, t_far) (see `_t_far`) it is integrated in
+    tau = log t, where the integrand is smooth; the far tail uses the
+    two-term heat expansion in closed form. Each subdivision step evaluates
+    the semigroup at all its times (60 nodes of its four quarter panels, then
+    30 per split) in one call.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n, xn = x.size, float(np.linalg.norm(x))
+    n, xn = x.size, _norm(x)
+    route = f"log_bochner_point({f.id}, |x|={xn!r})"
+    t_far = _t_far(route, xn)
     fx = float(f.profile(np.asarray(xn)))
     deficit = functools.partial(_radial_heat, f, n, xn, deficit=True)
 
@@ -651,12 +701,11 @@ def log_bochner_point(
         t = np.exp(tau)
         return np.exp(-t) * fx - _radial_heat(f, n, xn, t, deficit=False)
 
-    route = f"log_bochner_point({f.id}, |x|={xn!r})"
     head = _power_head(deficit, 1, 0.0, _T_SLOPE, _T_TAYLOR, cfg, f"{route}: short-time")
-    mid_part = integrate(mid, 0.0, _TAU_FAR, cfg=cfg).checked(f"{route}: long-time")
-    # the f(x) parts: E1(1e4) past t = 1e4, and -Ein(1) = -(E1(1) + gamma) below t = 1
-    e1 = exp_integral_e1(_T_FAR) - exp_integral_e1(1.0) - EULER_GAMMA
-    return head + mid_part + fx * e1 - _heat_far_tail(f, n, xn, 0.0)
+    mid_part = integrate(mid, 0.0, math.log(t_far), cfg=cfg).checked(f"{route}: long-time")
+    # the f(x) parts: E1(t_far) past t_far, and -Ein(1) = -(E1(1) + gamma) below t = 1
+    e1 = exp_integral_e1(t_far) - exp_integral_e1(1.0) - EULER_GAMMA
+    return head + mid_part + fx * e1 - _heat_far_tail(f, n, xn, 0.0, t_far)
 
 
 def frac_bochner_point(
@@ -668,24 +717,26 @@ def frac_bochner_point(
     (k = 1, alpha = s: its slope from t = 1e-6 and 2e-6, closed form below
     t = 1e-8, flattened by t = v^(1/(1-s)) above). Past t = 1 the f(x) term
     gives f(x)/s, the semigroup term is integrated in tau = log t up to
-    t = 1e4, and its far tail uses the two-term heat expansion in closed
-    form. Each subdivision step evaluates the semigroup at all its times
-    (60 nodes of its four quarter panels, then 30 per split) in one call.
+    t_far (see `_t_far`), and its far tail uses the two-term heat expansion
+    in closed form. Each subdivision step evaluates the semigroup at all its
+    times (60 nodes of its four quarter panels, then 30 per split) in one
+    call.
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n, xn = x.size, float(np.linalg.norm(x))
+    n, xn = x.size, _norm(x)
+    route = f"frac_bochner_point({f.id}, |x|={xn!r}, s={s!r})"
+    t_far = _t_far(route, xn)
     fx = float(f.profile(np.asarray(xn)))
     deficit = functools.partial(_radial_heat, f, n, xn, deficit=True)
 
     def mid(tau):
         return _radial_heat(f, n, xn, np.exp(tau), deficit=False) * np.exp(-s * tau)
 
-    route = f"frac_bochner_point({f.id}, |x|={xn!r}, s={s!r})"
     head = _power_head(deficit, 1, s, _T_SLOPE, _T_TAYLOR, cfg, f"{route}: short-time")
-    mid_part = integrate(mid, 0.0, _TAU_FAR, cfg=cfg).checked(f"{route}: long-time")
-    far = fx / s - mid_part - _heat_far_tail(f, n, xn, s)
+    mid_part = integrate(mid, 0.0, math.log(t_far), cfg=cfg).checked(f"{route}: long-time")
+    far = fx / s - mid_part - _heat_far_tail(f, n, xn, s, t_far)
     pref = s / gamma(1.0 - s)
     return pref * (head + far)
 

@@ -317,7 +317,9 @@ def frac_discrepancy_halfline(
 
     Each time integral is scalar: below t = 1 the power head of
     `quadrature._power_head` (k = 1, alpha = s), above it t = w^(-1/s),
-    which turns t^(-1-s) dt into dw/s.
+    which turns t^(-1-s) dt into dw/s. Both forms start from the same time
+    nodes and mostly split the same panels, so the inner integrals run once
+    per distinct node of the call: a node's value depends on its t alone.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
@@ -331,7 +333,7 @@ def frac_discrepancy_halfline(
     edges = np.array([0.0, a_lo, a_hi, math.inf])[:, None]
     what = f"half-line discrepancy at s={s}, x={x}"
 
-    def heat_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def inner(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """int (f(x) - f(y)) p_t(x, y) dy and the lost mass at each t, as
         the rows of one integral.
 
@@ -348,11 +350,12 @@ def frac_discrepancy_halfline(
         m = node.size
 
         def g(rows, z):
-            out = 2.0 * norm * np.exp(-0.25 * z * z)
+            gauss = np.exp(-0.25 * z * z)
+            out = 2.0 * norm * gauss
             b = rows < m
             j = node[rows[b]][:, None]
             zb = z[b]
-            kern = norm * (np.exp(-0.25 * zb * zb) - np.exp(-0.25 * (image[j] + zb) ** 2))
+            kern = norm * (gauss[b] - np.exp(-0.25 * (image[j] + zb) ** 2))
             y = x + rt[j] * zb
             out[b] = (fx - np.reshape(f(y.ravel()), y.shape)) * kern
             return out
@@ -361,6 +364,18 @@ def frac_discrepancy_halfline(
         hi = np.concatenate([cuts[1:].ravel()[keep], 0.5 * image + 45.0])
         values = integrate_rows(g, lo, hi, cfg).checked(what)
         return np.bincount(node, values[:m], t.size), values[m:]
+
+    seen: dict[float, tuple[float, float]] = {}  # t -> (B's integrand, lost mass)
+
+    def heat_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`inner` at each t, computed only at the nodes not seen before."""
+        keys = t.tolist()
+        new = [k for k in dict.fromkeys(keys) if k not in seen]
+        if new:
+            b, lost = inner(np.array(new))
+            seen.update(zip(new, zip(b.tolist(), lost.tolist())))
+        b, lost = zip(*(seen[k] for k in keys))
+        return np.array(b), np.array(lost)
 
     def deficit(t):
         b, lost = heat_terms(t)

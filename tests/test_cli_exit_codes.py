@@ -199,3 +199,46 @@ def test_underflowing_time_quadrature_names_the_radius(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     r_min = flags.split("--r-min ")[1].split()[0]
     assert f"r={r_min}" in err and "t must be positive" not in err
+
+
+@pytest.mark.parametrize("route", ["pointwise", "bochner"])
+@pytest.mark.parametrize("x_dist", ["800", "1e308"])
+def test_far_hyperbolic_point_is_an_argument_error(tmp_path, capsys, route, x_dist):
+    # past x_dist = 710.5 math.sinh(x_dist) raised a bare OverflowError, a
+    # traceback out of main()
+    from loglap import cli
+
+    argv = ["apply", "--space", "hyperbolic", "--op", "log", "--fn", "bump", "--n", "3",
+            "--route", route, "--x-dist", x_dist, "--out", str(tmp_path / "h.csv")]
+    assert cli.main(argv) == 2
+    assert "--x-dist" in capsys.readouterr().err
+
+
+def test_underflowed_hyperbolic_value_is_written(tmp_path):
+    from loglap import cli
+
+    out = tmp_path / "h.csv"
+    argv = ["apply", "--space", "hyperbolic", "--op", "log", "--fn", "bump", "--n", "3",
+            "--x-dist", "700", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert float(out.read_text().splitlines()[-1].split(",")[-1]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "--op log --route bochner --n 1 --x=1e200",
+        "--op log --route pointwise --n 2 --x=1e200,0",
+        "--op frac --s 0.5 --route pointwise --n 2 --x=1e300,0",
+        "--op frac --s 0.5 --route bochner --n 2 --x=1e160,1e160",
+    ],
+)
+def test_far_euclidean_point_is_an_argument_error(tmp_path, capsys, flags):
+    # |x|^2 overflowed: inf with exit 0, RuntimeWarnings and exit 3, or a
+    # ValueError traceback
+    from loglap import cli
+
+    argv = ["apply", "--space", "euclid", "--fn", "gaussian", *flags.split(),
+            "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 2
+    assert "--x" in capsys.readouterr().err

@@ -388,6 +388,25 @@ def test_moments_equal_their_one_row_integrals(fn, n):
     assert eu._moments(f, n, 0.7) == (one[0], one[1] + 0.7 * 0.7 * one[0])
 
 
+def test_moments_integrated_once_per_function(monkeypatch):
+    # the x-free integrals are cached per (f, n); only |x|^2 mass depends on x
+    calls = []
+    rows = eu.integrate_rows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rows(*args, **kwargs)
+
+    monkeypatch.setattr(eu, "integrate_rows", counted)
+    eu._radial_moments.cache_clear()
+    f = eu.registry()["plateau"]
+    first = [eu._moments(f, 2, xn) for xn in (0.0, 0.4, 1.3)]
+    assert len(calls) == 1
+    assert [m for m, _ in first] == [first[0][0]] * 3
+    assert eu._moments(eu.registry()["plateau"], 2, 0.4) == first[1]  # an equal f
+    assert len(calls) == 1
+
+
 class TestLogPointwise:
     def test_gaussian_chi_square_moment_n1(self):
         gauss = eu.registry()["gaussian"]
@@ -474,6 +493,74 @@ def _bump_n3_outside_reference() -> float:
     a = mp.mpf("1.2")
     g = lambda r: mp.e ** (-1 / (1 - r * r)) * r / (2 * a) * (1 / (a - r) - 1 / (a + r))
     return float(-2 * mp.quad(g, [0, 0.5, 0.9, 0.99, 1]))
+
+
+def _gaussian_reference(mp, n: int, xn: float, s=None):
+    """log(-Lap) (s = None) or (-Lap)^s of e^(-|y|^2/2) on R^n at |x| = xn,
+    by mpmath quadrature of its semigroup (1 + 2t)^(-n/2) e^(-xn^2/(2 (1 + 2t)))."""
+    xn = mp.mpf(xn)
+    fx = mp.e ** (-xn * xn / 2)
+
+    def heat(t):
+        return (1 + 2 * t) ** (-mp.mpf(n) / 2) * mp.e ** (-xn * xn / (2 * (1 + 2 * t)))
+
+    cuts = [0, 1, xn * xn / 8 + 1, xn * xn / 2 + 2, 4 * xn * xn + 4, mp.inf]
+    if s is None:
+        return mp.quad(lambda t: (mp.e ** (-t) * fx - heat(t)) / t, cuts)
+    return s / mp.gamma(1 - s) * mp.quad(lambda t: (fx - heat(t)) * t ** (-1 - s), cuts)
+
+
+class TestFarPoints:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("xn", [20.0, 50.0, 100.0])
+    def test_bochner_matches_the_semigroup_far_out(self, n, xn):
+        # the far tail's expansion needs t >> |x|^2; from a fixed t = 1e4 the
+        # n = 1 log value was 1.1e-6 of itself off at |x| = 20 and 3.3e-3 at 100
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        gauss = eu.registry()["gaussian"]
+        x = np.zeros(n)
+        x[0] = xn
+        pairs = (
+            (eu.log_bochner_point(gauss, x), _gaussian_reference(mp, n, xn)),
+            (eu.frac_bochner_point(gauss, x, 0.5), _gaussian_reference(mp, n, xn, mp.mpf(0.5))),
+        )
+        for value, ref in pairs:
+            assert abs(value - float(ref)) <= max(1e-8 * abs(float(ref)), 1e-10)
+
+    @pytest.mark.parametrize("fn", ["bump", "gaussian"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pointwise_finds_a_far_support(self, fn, n):
+        # the far integral starts at |x| - far radius: from r = 1 its first
+        # nodes stepped over the bump's support at |x| = 1000 and returned 0
+        f = eu.registry()[fn]
+        x = np.zeros(n)
+        x[0] = 1000.0
+        for a, b in (
+            (eu.log_pointwise(f, x), eu.log_bochner_point(f, x)),
+            (eu.frac_pointwise(f, x, 0.3), eu.frac_bochner_point(f, x, 0.3)),
+        ):
+            assert a < 0.0 and abs(a - b) <= 1e-7 * abs(a)
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda f, x: eu.log_pointwise(f, x),
+            lambda f, x: eu.frac_pointwise(f, x, 0.5),
+            lambda f, x: eu.log_bochner_point(f, x),
+            lambda f, x: eu.frac_bochner_point(f, x, 0.5),
+        ],
+    )
+    @pytest.mark.parametrize("x", [[1e200], [1e300, 0.0], [1e160, 1e160]])
+    def test_too_far_raises_naming_x(self, route, x):
+        # |x|^2 overflowed in np.linalg.norm and x @ x: inf, nan or a
+        # ValueError from deep inside
+        with pytest.raises(OverflowError, match=r"\|x\|=1\.?\d*e\+.*too far out"):
+            route(eu.registry()["gaussian"], np.array(x))
+
+    def test_norm_is_overflow_free(self):
+        assert eu._norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+        assert eu._norm(np.array([0.3, -0.4])) == float(np.linalg.norm([0.3, -0.4]))
 
 
 class TestBochnerRoutes:
@@ -663,6 +750,23 @@ class TestRadialHeat:
             ref = float(mp.quad(lambda r: mp.e ** (-1 / (1 - r * r)) * kernel(r), [0, 0.5, 0.9, 0.99, 1]))
             value = eu._radial_heat(bump, 1, a, np.array([t]), deficit=False)[0]
             assert abs(value - ref) <= 1e-14 * ref
+
+    def test_live_panels_keep_values(self):
+        # a batch of short and long times: the rows have 3 to 8 live panels
+        # of 11, and their values are those of the full layout, bit for bit,
+        # each equal to its one-time call
+        bump = eu.registry()["bump"]
+        t = np.array([1e-7, 4e-4, 0.05, 1.0, 30.0, 5e3])
+        pinned = {
+            False: [0.26359690901399174, 0.2626803894663962, 0.18779372129911026,
+                    0.03283295190537446, 0.001232208070739195, 7.424585524208986e-06],
+            True: [2.291017340260629e-07, 0.0009167486493296297, 0.0758034168166156,
+                   0.23076418621035127, 0.26236493004498646, 0.2635897135302016],
+        }
+        for deficit, values in pinned.items():
+            assert eu._radial_heat(bump, 2, 0.5, t, deficit).tolist() == values
+            one = [eu._radial_heat(bump, 2, 0.5, t[i : i + 1], deficit)[0] for i in range(t.size)]
+            assert one == values
 
     def test_batched_row_equals_single_time(self):
         rng = np.random.default_rng(7)

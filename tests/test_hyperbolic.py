@@ -318,6 +318,56 @@ class TestEvenChunks:
             assert values[0] == values[1]
 
 
+class TestEvenPinned:
+    # values of the even-n descent, pinned bit for bit: the H^2 amplitudes
+    # skip H^3's d = 1, the H^4 ones the axis guards of the H^5 coefficients,
+    # and the pairs are blocked by their node counts, none of which may move
+    # a value
+    R = np.array([0.0, 1e-3, 0.37, 2.5, 11.0])
+    T = np.array([1e-3, 0.2, 1.0, 3.7, 40.0])
+    HEAT = {
+        2: (
+            [79.55095102625354, 0.37238353730177043, 0.055002611254194984,
+             0.0029977586856024053, 4.849201435621816e-10],
+            [79.57084125018447, 0.39147653887698214, 0.07308372205513632,
+             0.011532420028092594, 2.2753606651585907e-05],
+        ),
+        4: (
+            [6319.92106523191, 0.1058582168911357, 0.0007610364314331087,
+             2.9942330142140834e-08, 2.642939671968189e-50],
+            [6334.156896933604, 0.16601893900817333, 0.0074719122038612185,
+             0.00018844670245988287, 6.871092944342524e-11],
+        ),
+    }
+    LOG = {
+        2: (
+            [318309.3970185119, 2.1515569579453926, 0.005575146986968345,
+             2.8277289417656217e-18],
+            [0.0362116296465352, 0.03505719542191451, 0.00943314905490675,
+             5.396865473110867e-07],
+        ),
+        4: (
+            [101321107651.64865, 4.904600379614959, 0.00011373820605862684,
+             1.3339223914286483e-23],
+            [0.0001774345877776217, 0.00016639376505574733, 1.243039985945244e-05,
+             1.8582337729715582e-16],
+        ),
+    }
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_heat_kernel(self, n):
+        plain, scaled = self.HEAT[n]
+        assert hy.heat_kernel(n, self.R, self.T).tolist() == plain
+        assert hy.heat_kernel(n, self.R, self.T, scaled=True).tolist() == scaled
+        # each pair alone, as a scalar call
+        assert [hy.heat_kernel(n, r, t) for r, t in zip(self.R, self.T)] == plain
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_log_kernel_values(self, n):
+        k1, k2 = hy.log_kernel_values(n, self.R[1:])
+        assert (k1.tolist(), k2.tolist()) == (self.LOG[n][0], self.LOG[n][1])
+
+
 def half_step_rule(monkeypatch):
     """Replace the even-n u-rule by the same rule at half its step."""
     monkeypatch.setattr(hy, "_U_RULE", hy._midpoint_rule(0.5 * hy._U_RULE[0]))
@@ -802,6 +852,18 @@ class TestAsymptFit:
 
 
 class TestPointwise:
+    @pytest.mark.parametrize("route", ["log_pointwise_h", "log_bochner_h"])
+    @pytest.mark.parametrize("x_dist", [800.0, 1e308])
+    def test_far_point_raises_naming_it(self, route, x_dist):
+        # cosh of the distances to the support leaves double range (math.sinh
+        # of x_dist raised a bare OverflowError past 710.5)
+        with pytest.raises(OverflowError, match=re.escape(f"x={x_dist!r}") + ".*too far out"):
+            getattr(hy, route)(3, hy.hyper_registry()["bump"], x_dist)
+
+    def test_underflowed_far_value(self):
+        # at x_dist = 700 the pointwise value on H^3 has underflowed
+        assert hy.log_pointwise_h(3, hy.hyper_registry()["bump"], 700.0) == 0.0
+
     def test_zero_function(self):
         zero = RadialFunction("zero", lambda r: np.zeros_like(r), 1.0)
         assert hy.log_pointwise_h(3, zero, 0.0) == pytest.approx(0.0, abs=1e-12)

@@ -265,6 +265,25 @@ class TestDiscrepancy:
             assert rep.deficit_form == pytest.approx(deficit, rel=1e-10)
             assert rep.difference_form == pytest.approx(difference, rel=1e-10)
 
+    def test_time_nodes_shared_between_the_forms(self, monkeypatch):
+        # both forms start from the same time nodes; each distinct node
+        # reaches the inner integral once per call, and the values stay bit
+        # for bit those of two independent forms. A node's lost-mass row runs
+        # over (x/sqrt t, x/sqrt t + 45), the only rows reaching past z = 45
+        starts = []
+        rows = sp.integrate_rows
+
+        def counted(f, lo, hi, cfg):
+            starts.extend(lo[hi > 45.0].tolist())
+            return rows(f, lo, hi, cfg)
+
+        monkeypatch.setattr(sp, "integrate_rows", counted)
+        rep = sp.frac_discrepancy_halfline(_bump, (1.0, 2.0), 0.5, 1.5)
+        assert rep.deficit_form == 0.08770306475521768
+        assert rep.difference_form == 0.07992966618180923
+        # 182 distinct nodes; with each form on its own, 364 evaluations
+        assert len(starts) == len(set(starts)) == 182
+
     @pytest.mark.parametrize("s", [0.5, 0.9])
     def test_deficit_form_matches_the_sine_transform(self, s):
         # the semigroup deficit is the spectral (-Lap_D)^s f, xi^(2s) on the
