@@ -479,13 +479,6 @@ def _norm(x: np.ndarray) -> float:
     return math.hypot(*coords)
 
 
-def _check_far(route: str, fits: bool) -> None:
-    """OverflowError naming the route, and so |x|, unless the point `fits`
-    the route's double precision arithmetic."""
-    if not fits:
-        raise OverflowError(f"{route}: the point is too far out for double precision")
-
-
 def sphere_average(f: RadialFunction, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Average of f over the sphere of radius r centered at x (vector in r),
     in R^n with n the number of coordinates of x.
@@ -518,7 +511,8 @@ def log_pointwise(
     route = f"log_pointwise({f.id}, |x|={xn!r})"
     lo, rmax = max(1.0, xn - f.far_radius), f.far_radius + xn + 1.0
     # past |x| ~ 1e16 the radii |x| -+ far radius round together
-    _check_far(route, lo < rmax and math.isfinite(2.0 * rmax * rmax))
+    if not (lo < rmax and math.isfinite(2.0 * rmax * rmax)):
+        raise OverflowError(f"{route}: the point is too far out for double precision")
     fx = float(f.profile(np.asarray(xn)))
 
     def near(r):
@@ -551,7 +545,8 @@ def frac_pointwise(
     xn = _norm(x)
     route = f"frac_pointwise({f.id}, |x|={xn!r}, s={s!r})"
     lo, rmax = max(1.0, xn - f.far_radius), f.far_radius + xn + 1.0
-    _check_far(route, lo < rmax and math.isfinite(2.0 * rmax * rmax))
+    if not (lo < rmax and math.isfinite(2.0 * rmax * rmax)):
+        raise OverflowError(f"{route}: the point is too far out for double precision")
     fx = float(f.profile(np.asarray(xn)))
     pref = frac_constant(n, s).c_ns * sphere_area(n)
 
@@ -650,15 +645,12 @@ _T_TAYLOR = 1e-8  # and below t = 1e-8 it is its linear term
 _T_FAR = 1e4
 
 
-def _t_far(route: str, xn: float) -> float:
+def _t_far(xn: float) -> float:
     """Where the Bochner routes' far tail starts: t = 1e4, or 1e3 |x|^2 past
     |x| = sqrt(10). The tail's two-term expansion drops the third term of
     e^(-|x - y|^2/4t), (|x - y|^2/4t)^2/2, and its moment grows like |x|^4:
     a fixed 1e4 leaves the n = 1 log value 1.1e-6 of itself off at |x| = 20,
-    and 1e3 |x|^2 leaves 1.1e-10. OverflowError naming |x| where the
-    heat rule's |x| rho / 2t, about |x|^2 / 2t, exceeds double precision at
-    the shortest time the routes take, t = _T_TAYLOR."""
-    _check_far(route, math.isfinite(xn * xn / _T_TAYLOR))
+    and 1e3 |x|^2 leaves 1.1e-10."""
     return max(_T_FAR, 1e3 * xn * xn)
 
 
@@ -693,7 +685,11 @@ def log_bochner_point(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n, xn = x.size, _norm(x)
     route = f"log_bochner_point({f.id}, |x|={xn!r})"
-    t_far = _t_far(route, xn)
+    # the heat rule's |x| rho / 2t, about |x|^2 / 2t, must stay finite down
+    # to the shortest time taken, t = _T_TAYLOR
+    if not math.isfinite(xn * xn / _T_TAYLOR):
+        raise OverflowError(f"{route}: the point is too far out for double precision")
+    t_far = _t_far(xn)
     fx = float(f.profile(np.asarray(xn)))
     deficit = functools.partial(_radial_heat, f, n, xn, deficit=True)
 
@@ -727,7 +723,11 @@ def frac_bochner_point(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n, xn = x.size, _norm(x)
     route = f"frac_bochner_point({f.id}, |x|={xn!r}, s={s!r})"
-    t_far = _t_far(route, xn)
+    # the heat rule's |x| rho / 2t, about |x|^2 / 2t, must stay finite down
+    # to the shortest time taken, t = _T_TAYLOR
+    if not math.isfinite(xn * xn / _T_TAYLOR):
+        raise OverflowError(f"{route}: the point is too far out for double precision")
+    t_far = _t_far(xn)
     fx = float(f.profile(np.asarray(xn)))
     deficit = functools.partial(_radial_heat, f, n, xn, deficit=True)
 

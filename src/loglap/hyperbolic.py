@@ -89,21 +89,14 @@ def _odd_heat_coefficients(
     r (1 + e^2) / (1 - e^2). With scaled=True every factor r / sinh r in both
     is 2 r / (1 - e^2), e^r times itself, which does not underflow past
     r = 745 as r / sinh r does; the c_j then carry e^((n-1) r/2)."""
-    off_axis = r > 0.0
     e = np.exp(-r)
-    one_minus = np.where(off_axis, -np.expm1(-2.0 * r), 1.0)
-    rcsch = np.where(off_axis, 2.0 * r * e / one_minus, 1.0)
+    one_minus = np.where(r > 0.0, -np.expm1(-2.0 * r), 1.0)
+    rcsch = np.where(r > 0.0, 2.0 * r * e / one_minus, 1.0)
     # r is capped at 1e100 so that 2 r stays finite; the scaled kernel's
     # e^(-(n-1) r/2) is 0 long before
-    lead = np.where(off_axis, 2.0 * np.minimum(r, 1e100) / one_minus, 1.0) if scaled else rcsch
+    lead = np.where(r > 0.0, 2.0 * np.minimum(r, 1e100) / one_minus, 1.0) if scaled else rcsch
     if n == 3:
         return lead, np.ones((1,) + (1,) * np.ndim(r))
-    return lead, _h5_coefficients(r, e, one_minus, rcsch, lead)
-
-
-def _h5_coefficients(r, e, one_minus, rcsch, lead) -> np.ndarray:
-    """The d_j of H^5, from e = e^-r, one_minus = 1 - e^2, r / sinh r and the
-    leading factor of `_odd_heat_coefficients`."""
     # past r = 1e100, where e and so every c_j is 0, h1 is taken at 1e100 so
     # that r^2 does not overflow
     rh = np.minimum(r, 1e100)
@@ -111,7 +104,7 @@ def _h5_coefficients(r, e, one_minus, rcsch, lead) -> np.ndarray:
     small = r < 1.0
     if small.any():
         h1[small] = rcsch[small] * _horner(r[small] ** 2, _H1_SERIES)
-    return np.array([2.0 * lead * h1, lead])
+    return lead, np.array([2.0 * lead * h1, lead])
 
 
 def _time_factors(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> list[np.ndarray]:
@@ -180,18 +173,15 @@ _C2_FLOOR = 1e-150  # the transforms' floor of c^2
 
 def _u_blocks(r: np.ndarray, g, umax, floor):
     """(pairs, u, weights) for blocks of the pairs with radii r, Gaussian
-    scales g, cutoffs umax and floors of c^2: pairs is an index array, the
-    pairs taken in the order of their node counts so that a block pads few
-    of them to its largest count, and the weights past a pair's own wmax
-    are 0."""
+    scales g, cutoffs umax and floors of c^2; the weights past a pair's own
+    wmax are 0."""
     step, sinh_w, cosh_w = _U_RULE
     c = np.sqrt(np.maximum(np.minimum(r, g), floor))
     count = np.ceil(np.arcsinh(umax / c) / step).clip(1, sinh_w.size).astype(int)
-    order = np.argsort(count, kind="stable")
     size = max(1, _EVEN_CHUNK // int(count.max(initial=1)))
     for lo in range(0, r.size, size):
-        pairs = order[lo:lo + size]
-        k = np.arange(count[pairs[-1]])
+        pairs = slice(lo, lo + size)
+        k = np.arange(count[pairs].max())
         cc = c[pairs, None]
         weight = np.where(k < count[pairs, None], step * cc * cosh_w[k], 0.0)
         yield pairs, cc * sinh_w[k], weight
@@ -208,11 +198,7 @@ def _abel_amplitudes(n: int, r: np.ndarray, u: np.ndarray) -> np.ndarray:
     w = 4.0 * u * np.exp(-0.5 * x) / (np.sqrt(-np.expm1(-u2)) * np.sqrt(-np.expm1(-r - x)))
     if n == 2:
         return (x * w)[None]  # d = 1 on H^3
-    # x > 0: the coefficients of H^5 without the axis guards
-    e = np.exp(-x)
-    one_minus = -np.expm1(-2.0 * x)
-    rcsch = 2.0 * x * e / one_minus
-    return _h5_coefficients(x, e, one_minus, rcsch, rcsch) * (x * w)
+    return _odd_heat_coefficients(n + 1, x)[1] * (x * w)
 
 
 def _heat_even(n: int, r: np.ndarray, t: np.ndarray, scaled: bool) -> np.ndarray:

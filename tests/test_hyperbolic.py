@@ -320,9 +320,7 @@ class TestEvenChunks:
 
 class TestEvenPinned:
     # values of the even-n descent, pinned bit for bit: the H^2 amplitudes
-    # skip H^3's d = 1, the H^4 ones the axis guards of the H^5 coefficients,
-    # and the pairs are blocked by their node counts, none of which may move
-    # a value
+    # skip H^3's d = 1, which may not move a value
     R = np.array([0.0, 1e-3, 0.37, 2.5, 11.0])
     T = np.array([1e-3, 0.2, 1.0, 3.7, 40.0])
     HEAT = {
